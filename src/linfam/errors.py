@@ -84,3 +84,7 @@ class ZeroFunction(LinfamError, ValueError):
 
 class InexactComparison(LinfamError, ArithmeticError):
     """An order comparison of irrational exact values could not be settled."""
+
+
+class InvariantViolated(LinfamError, RuntimeError):
+    """An identity the mathematics guarantees failed: a bug, not bad input."""

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, GeneratorSearchFailed,
-                     PreconditionViolated)
+                     InvariantViolated, PreconditionViolated)
 from .families import Family
 from .gf import FieldSpec, field
 from .matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
@@ -242,7 +242,8 @@ def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
             col = _shift_mod(spec, col, f)
         members.append(_mat_from_columns(spec, cols))
         elt = _ext_mul(spec, elt, gen, f)
-    assert len({M.index() for M in members}) == order
+    if len({M.index() for M in members}) != order:
+        raise InvariantViolated("Singer cycle powers are not distinct")
     return Family(spec, n, n, members)
 
 
@@ -650,7 +651,8 @@ def sl_family(n: int, q: int, t: int,
         if M.det_val() == 1:
             members.append(M)
     total = m_qt(n, q, t)
-    assert total % (q - 1) == 0
+    if total % (q - 1):
+        raise InvariantViolated(f"q - 1 = {q - 1} does not divide m_qt = {total}")
     expected = total // (q - 1)
     fam = Family(spec, n, n, members)
     rep = {"claim": "prefix-fixing determinant-one family size",

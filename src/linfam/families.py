@@ -379,9 +379,6 @@ class QPow:
     coeff: Fraction
     exp: Fraction
 
-    def as_float(self) -> float:
-        return float(self.coeff) * self.q ** float(self.exp)
-
     def describe(self) -> str:
         return f"{self.coeff}*{self.q}^({self.exp})"
 
@@ -505,9 +502,14 @@ def is_captureable(F: Family, s: int, eps) -> Restriction | None:
                     if avoid > max_avoid:
                         break
                 if avoid <= max_avoid:
-                    return Restriction(spec, n, m,
-                                       cols=list(zip(colbasis, ws)),
-                                       rows=list(zip(rowbasis, bs)))
+                    try:
+                        return Restriction(spec, n, m,
+                                           cols=list(zip(colbasis, ws)),
+                                           rows=list(zip(rowbasis, bs)))
+                    except InconsistentRestriction:
+                        # column and row constraints disagree: no matrix
+                        # satisfies them, so this is no candidate
+                        continue
     return None
 
 

@@ -5,6 +5,15 @@ omega^(tau(Trace(X A))).  Transforms keep cyclotomic-rational coefficients,
 so every identity here is an equality of exact values.  Rank components,
 image/kernel projections, and the restricted hypercontractive inequality
 sit on top of the transform.
+
+The fast transforms, Parseval sums and inner products run on integers: a
+table is scaled once to one common denominator, and each entry becomes a
+root-count vector, the counts of 1, omega, ..., omega^(p-1) (one signed
+integer when p = 2, where omega = -1).  Multiplying by omega^k rotates such
+a vector, so every butterfly cell is integer additions whatever q is, and
+products of entries accumulate into the residue of their exponent
+difference.  Each result is reduced to cyclotomic coordinates once, at the
+end.  The quadratic-time ``transform`` stays as the oracle.
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Iterable
 
 from .budget import Budget, ensure
@@ -111,9 +121,14 @@ class DenseFunction:
             raise ShapeMismatch("functions on different spaces")
 
     def to_text(self) -> str:
+        """Header "q,n,m", then one value per line: a rational value as one
+        fraction, any other as its comma-separated Cyc coordinates."""
         lines = [f"{self.field.q},{self.n},{self.m}"]
         for v in self.values:
-            lines.append(str(v.as_fraction()))
+            if v.is_rational():
+                lines.append(str(v.as_fraction()))
+            else:
+                lines.append(",".join(str(Fraction(c)) for c in v.coeffs))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -122,7 +137,8 @@ class DenseFunction:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         q, n, m = (int(x) for x in lines[0].split(","))
         spec = spec if spec is not None else gf_field(q)
-        vals = [Fraction(ln) for ln in lines[1:]]
+        vals = [Cyc(spec.p, [Fraction(x) for x in ln.split(",")]) if "," in ln
+                else Fraction(ln) for ln in lines[1:]]
         return cls(spec, n, m, vals)
 
     def __repr__(self):
@@ -155,10 +171,7 @@ class Spectrum:
                 yield Mat.from_index(spec, self.m, self.n, idx), c
 
     def parseval_sum(self) -> Cyc:
-        total = Cyc.zero(self.field.p)
-        for c in self.coeffs:
-            total = total + c.abs2()
-        return total
+        return _conj_dot(self.field.p, self.coeffs, self.coeffs, 1)
 
     def to_json(self) -> str:
         entries = []
@@ -229,78 +242,84 @@ def _perm_table(spec: FieldSpec, n: int, m: int) -> tuple[int, ...]:
     return _cell_perm(spec.q, n, m)
 
 
-def _kernel(spec: FieldSpec, sign: int) -> list[list[Cyc]]:
+def _root_counts(vals, p: int) -> tuple[list[list[int]], int]:
+    """Integer columns over one common denominator for a table of values.
+
+    Entry i is sum_j cols[j][i] * w^j / den.  For p = 2 the single column is
+    the value itself times den (w = -1).  For p > 2 a zero column for
+    w^(p-1) is appended, making each entry a length-p root-count vector.
+    """
+    ratios = [[c.as_integer_ratio() for c in col]
+              for col in zip(*(v.coeffs for v in vals))]
+    den = math.lcm(*{d for col in ratios for _, d in col})
+    cols = [[n * (den // d) for n, d in col] for col in ratios]
+    if p > 2:
+        cols.append([0] * len(vals))
+    return cols, den
+
+
+def _from_root_counts(p: int, cols: list[list[int]], div: int) -> list[Cyc]:
+    """Entry i is sum_j cols[j][i] * w^j / div, reduced to the power basis by
+    the Cyc.from_root_counts rule."""
+    if p > 2:
+        top = cols[p - 1]
+        cols = [list(map(sub, c, top)) for c in cols[:p - 1]]
+    # tables repeat values, so each distinct numerator becomes one Fraction
+    frac = {v: Fraction(v, div) for v in set().union(*cols)}
+    return [Cyc(p, cs) for cs in zip(*(map(frac.__getitem__, c) for c in cols))]
+
+
+def _butterfly(spec: FieldSpec, cols: list[list[int]], nm: int,
+               sign: int) -> list[list[int]]:
+    """Sum over a of w^(sign * tr(x a)) along every cell, on root-count columns.
+
+    Multiplying a root-count vector by w^k rotates it by k places, so column
+    r of an output gathers column r - k of an input: every cell is integer
+    adds.  For p = 2 the single column is negated instead (w = -1), and at
+    q = 2 a stage is the radix-2 add/sub pair.  Each stage transforms the
+    last base-q digit of the index and moves it to the front,
+    out[x * M + j] = sum_a w^K[x][a] in[j * q + a] with M = N / q, so after
+    nm stages every digit has been transformed once and is back in place.
+    Every sum runs over whole strided slices.
+    """
     q, p = spec.q, spec.p
-    return [[char_root(p, (sign * spec.trace(spec.mul(x, a))) % p)
-             for a in range(q)] for x in range(q)]
-
-
-def _butterfly(spec: FieldSpec, vals: list, nm: int, K) -> list:
-    q = spec.q
-    N = len(vals)
-    for cell in range(nm):
-        stride = q ** (nm - 1 - cell)
-        block = stride * q
-        for start in range(0, N, block):
-            for off in range(start, start + stride):
-                idxs = range(off, off + block, stride)
-                olds = [vals[i] for i in idxs]
-                for x, i in enumerate(idxs):
-                    acc = K[x][0] * olds[0]
-                    for a in range(1, q):
-                        acc = acc + K[x][a] * olds[a]
-                    vals[i] = acc
-    return vals
-
-
-def _butterfly_signs(ints: list[int], nm: int) -> list[int]:
-    # q=2 kernel is [[1,1],[1,-1]] for either transform direction: the
-    # generic butterfly collapses to integer add/sub.
-    N = len(ints)
-    for cell in range(nm):
-        stride = 1 << (nm - 1 - cell)
-        block = stride * 2
-        for start in range(0, N, block):
-            for off in range(start, start + stride):
-                j = off + stride
-                a = ints[off]
-                c = ints[j]
-                ints[off] = a + c
-                ints[j] = a - c
-    return ints
-
-
-def _common_denominator(fracs: list[Fraction]) -> int:
-    den = 1
-    for x in fracs:
-        d = x.denominator
-        den = den * d // math.gcd(den, d)
-    return den
+    K = [[(sign * spec.trace(spec.mul(x, a))) % p for a in range(q)]
+         for x in range(q)]
+    # plan[r][x]: (source column, input digit a, subtract) summed into
+    # output column r, block x; K[x][0] = 0, so no block starts negated
+    if p == 2:
+        plan = [[[(0, a, K[x][a]) for a in range(q)] for x in range(q)]]
+    else:
+        plan = [[[((r - K[x][a]) % p, a, 0) for a in range(q)]
+                 for x in range(q)] for r in range(p)]
+    for _ in range(nm):
+        parts = [[c[a::q] for a in range(q)] for c in cols]
+        cols = []
+        for blocks in plan:
+            out = []
+            for terms in blocks:
+                acc = parts[terms[0][0]][0]
+                for j, a, neg in terms[1:]:
+                    acc = map(sub if neg else add, acc, parts[j][a])
+                out.extend(acc)
+            cols.append(out)
+    return cols
 
 
 def fast_transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
-    """Coordinate-by-coordinate butterfly transform; bit-identical to the
-    quadratic-time transform."""
+    """Coordinate-by-coordinate butterfly transform on integer root counts;
+    equal by value to the quadratic-time transform."""
     spec = f.field
     nm = f.n * f.m
     b = ensure(budget)
     b.check_items(spec.q ** nm * nm * spec.q, "butterfly transform")
     N = spec.q ** nm
     perm = _perm_table(spec, f.n, f.m)
-    if spec.q == 2 and f.is_rational_valued():
-        fr = [v.as_fraction() for v in f.values]
-        den = _common_denominator(fr)
-        ints = _butterfly_signs([int(x * den) for x in fr], nm)
-        dN = den * N
-        p = spec.p
-        out = [None] * N
-        for ridx in range(N):
-            out[perm[ridx]] = Cyc.from_rational(p, Fraction(ints[ridx], dN))
-        return Spectrum(spec, f.n, f.m, out)
-    vals = _butterfly(spec, list(f.values), nm, _kernel(spec, -1))
+    cols, den = _root_counts(f.values, spec.p)
+    vals = _from_root_counts(spec.p, _butterfly(spec, cols, nm, -1), den * N)
     out = [None] * N
-    for ridx in range(N):
-        out[perm[ridx]] = vals[ridx] / N
+    for ridx, v in enumerate(vals):
+        out[perm[ridx]] = v
     return Spectrum(spec, f.n, f.m, out)
 
 
@@ -352,20 +371,9 @@ def inverse_transform(S: Spectrum, budget: Budget | None = None) -> DenseFunctio
     nm = S.n * S.m
     b = ensure(budget)
     b.check_items(spec.q ** nm * nm * spec.q, "inverse transform")
-    N = spec.q ** nm
     perm = _perm_table(spec, S.n, S.m)
-    if spec.q == 2 and all(c.is_rational() for c in S.coeffs):
-        fr = [S.coeffs[perm[ridx]].as_fraction() for ridx in range(N)]
-        den = _common_denominator(fr)
-        ints = _butterfly_signs([int(x * den) for x in fr], nm)
-        p = spec.p
-        return DenseFunction(spec, S.n, S.m,
-                             [Cyc.from_rational(p, Fraction(v, den))
-                              for v in ints])
-    vals = [None] * N
-    for ridx in range(N):
-        vals[ridx] = S.coeffs[perm[ridx]]
-    vals = _butterfly(spec, vals, nm, _kernel(spec, 1))
+    cols, den = _root_counts([S.coeffs[i] for i in perm], spec.p)
+    vals = _from_root_counts(spec.p, _butterfly(spec, cols, nm, 1), den)
     return DenseFunction(spec, S.n, S.m, vals)
 
 
@@ -445,12 +453,22 @@ def project_kernel(f: DenseFunction, Wp: Subspace,
 
 # --- inner products and norms ----------------------------------------------
 
+def _conj_dot(p: int, xs, ys, div: int) -> Cyc:
+    """sum_i xs[i] * conj(ys[i]) / div.  The product of coordinates i and j
+    counts toward w^(i - j), so whole columns multiply into p integer root
+    counts and one Cyc is built at the end."""
+    X, dx = _root_counts(xs, p)
+    Y, dy = (X, dx) if ys is xs else _root_counts(ys, p)
+    acc = [0] * p
+    for i, u in enumerate(X[:p - 1]):
+        for j, v in enumerate(Y[:p - 1]):
+            acc[(i - j) % p] += sum(map(mul, u, v))
+    return Cyc.from_root_counts(p, acc) / (dx * dy * div)
+
+
 def inner(f: DenseFunction, g: DenseFunction) -> Cyc:
     f._chk(g)
-    total = Cyc.zero(f.field.p)
-    for a, b in zip(f.values, g.values):
-        total = total + a * b.conj()
-    return total / (f.field.q ** (f.n * f.m))
+    return _conj_dot(f.field.p, f.values, g.values, f.field.q ** (f.n * f.m))
 
 def norm2_sq(f: DenseFunction) -> Cyc:
     return inner(f, f)
@@ -539,9 +557,6 @@ def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
 
         (E[|f^(=d)|^2])^k <= (E f)^(k-1) * E[|f^(=d)|^k]
                           <= (E f)^(k-1) * (hypercontractive rhs).
-
-    The conventional form with its unspecified absolute constant is reported
-    alongside for comparison, never asserted.
     """
     if not f.is_indicator():
         raise NotIndicator("level-d check requires a 0/1-valued function")
@@ -563,10 +578,8 @@ def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
     else:
         chain_rhs = QPow(spec.q, hc["rhs"].coeff * ef ** (k - 1), hc["rhs"].exp)
         holds = leq_threshold(lhs2 ** k, chain_rhs)
-    informal = (float(C) * float(ef) ** (2 - 1 / k)
-                * spec.q ** (k * k * d * d + 3 * max(f.m, f.n) * d / 4))
     return {"lhs_sq": lhs2, "chain_rhs": chain_rhs, "holds": holds,
-            "informal_rhs_no_constant": informal, "mean": ef, "d": d, "k": k}
+            "mean": ef, "d": d, "k": k}
 
 
 # --- coset re-indexing ------------------------------------------------------

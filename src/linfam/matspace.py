@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
-from .errors import (DomainError, FieldMismatch, PreconditionViolated,
-                     ShapeMismatch)
+from .errors import (DomainError, FieldMismatch, InvariantViolated,
+                     PreconditionViolated, ShapeMismatch)
 from .gf import FieldSpec, Fq, field
 
 # --- vectors (tuples of encodings) -----------------------------------------
@@ -567,7 +567,8 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     for i in range(1, d + 1):
         num *= q ** (m - i + 1) - 1
         den *= q ** (d - i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolated(f"subspace count {num}/{den} is not an integer")
     return num // den
 
 
@@ -618,7 +619,8 @@ def count_subspaces_avoiding(n: int, k: int, d: int, q: int) -> int:
     for i in range(1, d + 1):
         num *= q ** n - q ** (k + i - 1)
         den *= q ** d - q ** (i - 1)
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolated(f"subspace count {num}/{den} is not an integer")
     return num // den
 
 

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .budget import Budget
 from .cyclo import Cyc
-from .errors import DomainError, NoNegativeEigenvalue, ShapeMismatch
+from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
+                     ShapeMismatch)
 from .families import Family, exact_agreement_witness
 from .fourier import DenseFunction, char_exponent, fast_transform
 from .gf import FieldSpec, field
@@ -77,7 +78,8 @@ def _from_counts(spec: FieldSpec, counts, denom: int) -> Fraction:
     val = Cyc.from_root_counts(spec.p, tuple(counts)) / denom
     # the generator class is closed under nonzero scalars, so the sum is
     # fixed by every field automorphism and lands in the rationals
-    assert val.is_rational()
+    if not val.is_rational():
+        raise InvariantViolated(f"class character sum {val!r} is irrational")
     return val.as_fraction()
 
 
@@ -164,9 +166,12 @@ def spectrum(q: int, m: int, n: int, t: int,
                 for d in range(dmax + 1))
     mult = tuple(count_rank_d(m, n, d, q) for d in range(dmax + 1))
     out = CayleySpectrum(q, m, n, t, lam, mult, gen_count)
-    assert out.lam[0] == 1
-    assert sum(mult) == q ** (n * m)
-    assert out.trace_check()
+    if out.lam[0] != 1:
+        raise InvariantViolated(f"trivial eigenvalue is {out.lam[0]}, not 1")
+    if sum(mult) != q ** (n * m):
+        raise InvariantViolated("rank multiplicities do not sum to the space size")
+    if not out.trace_check():
+        raise InvariantViolated("walk operator trace identity fails")
     return out
 
 

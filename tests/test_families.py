@@ -221,6 +221,21 @@ def test_decompose_empty_family():
     assert measure_outside_junta(empty, J) == 0
 
 
+def test_decompose_skips_inconsistent_mixed_candidates():
+    # a uniform-looking family inside the coset sigma(e1) = e1 of 2x3 maps:
+    # at s = 2 the capture search meets mixed column/row candidates whose
+    # constraints disagree; they admit no matrix and must be skipped
+    ctx = Restriction(s2, 2, 3, cols=[((1, 0, 0), (1, 0))])
+    members = [Mat.from_index(s2, 2, 3, i)
+               for i in (32, 35, 40, 41, 48, 49, 51, 57, 58)]
+    F = Family(s2, 2, 3, members, ctx)
+    J, log = regularity_decompose(F, 2, 2)
+    assert all(nd.capture is not None for nd in log.nodes
+               if nd.status == "internal")
+    assert log.nodes[0].status == "internal"
+    assert measure_outside_junta(F, J) == F.measure()
+
+
 def test_decompose_parameter_domain():
     with pytest.raises(DomainError):
         regularity_decompose(Family.full_space(s2, 2, 2), 0, 1)

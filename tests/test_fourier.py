@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfam.cyclo import Cyc
 from linfam.errors import (DomainError, NotIndicator, NotInKernelRelation,
@@ -250,4 +251,79 @@ def test_reduce_family():
 
 def test_function_text_round_trip():
     f = rational_fn(s2, 1, 2, [Fraction(1, 3), 0, Fraction(-2, 7), 1])
+    assert DenseFunction.from_text(f.to_text()) == f
+
+
+def test_function_text_irrational_values():
+    w = Cyc.root(3, 1)
+    f = DenseFunction(s3, 1, 1, [Fraction(1, 2), w, Cyc(3, (Fraction(-1, 3), 2))])
+    text = f.to_text()
+    # rational values keep the one-fraction line; others list coordinates
+    assert text == "3,1,1\n1/2\n0,1\n-1/3,2\n"
+    assert DenseFunction.from_text(text) == f
+    with pytest.raises(DomainError):
+        DenseFunction.from_text("3,1,1\n1,2,3\n0\n0\n")
+
+
+# --- properties over many fields --------------------------------------------
+
+PROPERTY_QS = (2, 3, 4, 5, 7, 8, 9, 11, 16)
+# shapes up to 3x3 whose tables the quadratic-time oracle still handles
+PROPERTY_SHAPES = [(q, n, m) for q in PROPERTY_QS
+                   for n in range(1, 4) for m in range(1, 4)
+                   if q ** (n * m) <= 256]
+
+
+@st.composite
+def function_tuples(draw, count=1):
+    """count functions on one matrix space, rational or cyclotomic-valued."""
+    q, n, m = draw(st.sampled_from(PROPERTY_SHAPES))
+    irrational = draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=False))
+    spec = field(q)
+
+    def value():
+        coords = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+                  for _ in range(spec.p - 1 if irrational else 1)]
+        return Cyc(spec.p, coords) if irrational else coords[0]
+
+    return tuple(DenseFunction(spec, n, m, [value() for _ in range(q ** (n * m))])
+                 for _ in range(count))
+
+
+@settings(max_examples=25, deadline=None)
+@given(function_tuples())
+def test_fast_transform_matches_oracle(fs):
+    (f,) = fs
+    assert fast_transform(f).coeffs == transform(f).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples())
+def test_inverse_undoes_fast_transform(fs):
+    (f,) = fs
+    assert inverse_transform(fast_transform(f)) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples())
+def test_parseval_identity(fs):
+    (f,) = fs
+    assert fast_transform(f).parseval_sum() == norm2_sq(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples(count=2))
+def test_inner_matches_direct_sum(fs):
+    f, g = fs
+    direct = Cyc.zero(f.field.p)
+    for a, b in zip(f.values, g.values):
+        direct = direct + a * b.conj()
+    assert inner(f, g) == direct / len(f.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples())
+def test_function_text_round_trip_over_fields(fs):
+    (f,) = fs
     assert DenseFunction.from_text(f.to_text()) == f
