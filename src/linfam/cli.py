@@ -199,8 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="work item ceiling (default 2^28)")
     common.add_argument("--budget-seconds", type=float, default=600.0,
                         help="wall clock ceiling per run (default 600)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count; output is identical for every N")
 
     parser = argparse.ArgumentParser(
         prog="linfam",
@@ -274,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except BudgetExceeded as e:

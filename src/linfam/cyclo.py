@@ -7,10 +7,9 @@ the two transparently).  For p = 2 the field degenerates to Q with w = -1.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import DomainError, InexactComparison
+from .errors import DomainError
 
 
 class Cyc:
@@ -143,15 +142,6 @@ class Cyc:
     def is_real(self) -> bool:
         return self == self.conj()
 
-    def to_complex(self) -> complex:
-        w = complex(math.cos(2 * math.pi / self.p), math.sin(2 * math.pi / self.p))
-        z = 0j
-        pw = 1 + 0j
-        for a in self.coeffs:
-            z += float(a) * pw
-            pw *= w
-        return z
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -163,26 +153,3 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc(p={self.p}, {list(self.coeffs)})"
-
-
-def real_le(a, b) -> bool:
-    """Exact a <= b for real values (Cyc, Fraction, or int).
-
-    Rational differences are compared exactly.  Irrational real cyclotomics
-    (possible only for p >= 5) fall back to floating evaluation with a
-    safety margin; an inconclusive comparison raises rather than guesses.
-    """
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return a <= b
-    p = a.p if isinstance(a, Cyc) else b.p
-    ca = a if isinstance(a, Cyc) else Cyc.from_rational(p, a)
-    cb = b if isinstance(b, Cyc) else Cyc.from_rational(p, b)
-    diff = cb - ca
-    if diff.is_rational():
-        return diff.as_fraction() >= 0
-    if not diff.is_real():
-        raise DomainError("ordering needs real values")
-    val = diff.to_complex().real
-    if abs(val) < 1e-9:
-        raise InexactComparison("difference too close to zero to settle in floats")
-    return val > 0

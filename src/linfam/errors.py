@@ -82,9 +82,5 @@ class ZeroFunction(LinfamError, ValueError):
     """Degree of the identically-zero function is undefined."""
 
 
-class InexactComparison(LinfamError, ArithmeticError):
-    """An order comparison of irrational exact values could not be settled."""
-
-
 class InvariantViolated(LinfamError, RuntimeError):
     """An identity the mathematics guarantees failed: a bug, not bad input."""

@@ -20,7 +20,8 @@ from .families import Family
 from .gf import FieldSpec, field
 from .matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       rref_rows, subspaces_of_dim, vec_from_index)
+                       reduce_bits, reduce_row, rref_rows, subspaces_of_dim,
+                       vec_from_index)
 from . import mis
 
 __all__ = [
@@ -40,30 +41,16 @@ __all__ = [
 ]
 
 
-# --- incremental echelon over F_q -------------------------------------------
+# --- small helpers ------------------------------------------------------------
 
-def _reduce(spec: FieldSpec, piv: dict, v):
-    """Reduce v against pivot rows; (lead, remainder) or None if dependent."""
-    w = tuple(v)
-    while True:
-        lead = next((j for j, x in enumerate(w) if x), None)
-        if lead is None:
-            return None
-        row = piv.get(lead)
-        if row is None:
-            return lead, w
-        c = w[lead]
-        w = tuple(spec.sub(x, spec.mul(c, y)) for x, y in zip(w, row))
-
-
-def _push(spec: FieldSpec, piv: dict, v) -> bool:
-    r = _reduce(spec, piv, v)
-    if r is None:
-        return False
-    lead, w = r
-    inv = spec.inv(w[lead])
-    piv[lead] = tuple(spec.mul(inv, x) for x in w)
-    return True
+def _echelon(spec: FieldSpec, vecs) -> dict:
+    """Echelon basis of span(vecs), keyed by leading column."""
+    basis: dict = {}
+    for v in vecs:
+        r = reduce_row(spec, basis, v)
+        if r is not None:
+            basis[r[0]] = r[1]
+    return basis
 
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
@@ -95,15 +82,12 @@ def _fixing_columns(spec: FieldSpec, n: int, t: int,
         raise DomainError(f"need 1 <= t <= n, got t={t}")
     b = ensure(budget)
     b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
-    units = [_unit(n, j) for j in range(t)]
-    piv0: dict = {}
-    for u in units:
-        _push(spec, piv0, u)
+    cols = [_unit(n, j) for j in range(t)]
+    piv = _echelon(spec, cols)
     cands = [vec_from_index(spec.q, n, i) for i in range(1, spec.q ** n)]
-    cols = list(units)
     seen = 0
 
-    def rec(piv: dict) -> Iterator[tuple]:
+    def rec() -> Iterator[tuple]:
         nonlocal seen
         if len(cols) == n:
             seen += 1
@@ -112,18 +96,16 @@ def _fixing_columns(spec: FieldSpec, n: int, t: int,
             yield tuple(cols)
             return
         for v in cands:
-            r = _reduce(spec, piv, v)
+            r = reduce_row(spec, piv, v)
             if r is None:
                 continue
-            lead, w = r
-            child = dict(piv)
-            inv = spec.inv(w[lead])
-            child[lead] = tuple(spec.mul(inv, x) for x in w)
+            piv[r[0]] = r[1]
             cols.append(v)
-            yield from rec(child)
+            yield from rec()
             cols.pop()
+            del piv[r[0]]
 
-    return rec(piv0)
+    return rec()
 
 
 def canonical_family(n: int, q: int, t: int, side: str = "column",
@@ -303,62 +285,53 @@ def _derangement_counts_gf2(n: int, t: int, taus: Sequence[Mat],
                       for j in range(n)])
     want = n - (t - 1)            # difference rank putting agreement at t - 1
 
-    def reduce_bits(basis: dict, v: int):
-        while v:
-            h = v.bit_length() - 1
-            row = basis.get(h)
-            if row is None:
-                return h, v
-            v ^= row
-        return None
-
-    sig0: dict = {j: 1 << j for j in range(t)}
-    diff0 = []
+    sig = {j + 1: 1 << j for j in range(t)}
+    diffs = []
     for tc in tcols:
         dd: dict = {}
         for j in range(t):
             r = reduce_bits(dd, (1 << j) ^ tc[j])
-            if r is not None:
-                dd[r[0]] = r[1]
-        diff0.append(dd)
+            if r:
+                dd[r.bit_length()] = r
+        diffs.append(dd)
     counts = [0] * len(taus)
     leaves = 0
 
-    def rec(depth: int, sig: dict, diffs: list[dict]) -> None:
+    def rec(depth: int) -> None:
         nonlocal leaves
         last = depth == n - 1
         for cand in range(1, 1 << n):
             r = reduce_bits(sig, cand)
-            if r is None:
+            if not r:
                 continue
             if last:
                 leaves += 1
                 if leaves % 8192 == 0:
                     b.check_clock("fixed-prefix enumeration")
                 for i, dd in enumerate(diffs):
-                    rk = len(dd)
-                    if reduce_bits(dd, cand ^ tcols[i][depth]) is not None:
-                        rk += 1
-                    if rk == want:
+                    rr = reduce_bits(dd, cand ^ tcols[i][depth])
+                    if len(dd) + (rr != 0) == want:
                         counts[i] += 1
                 continue
-            child_sig = dict(sig)
-            child_sig[r[0]] = r[1]
-            child_diffs = []
+            sig[r.bit_length()] = r
+            keys = []                 # key added to each difference basis, 0 if none
             for i, dd in enumerate(diffs):
-                nd = dict(dd)
-                rr = reduce_bits(nd, cand ^ tcols[i][depth])
-                if rr is not None:
-                    nd[rr[0]] = rr[1]
-                child_diffs.append(nd)
-            rec(depth + 1, child_sig, child_diffs)
+                rr = reduce_bits(dd, cand ^ tcols[i][depth])
+                if rr:
+                    dd[rr.bit_length()] = rr
+                keys.append(rr.bit_length())
+            rec(depth + 1)
+            for dd, k in zip(diffs, keys):
+                if k:
+                    del dd[k]
+            del sig[r.bit_length()]
 
     if t == n:
-        for i, dd in enumerate(diff0):
+        for i, dd in enumerate(diffs):
             if len(dd) == want:
                 counts[i] += 1
     else:
-        rec(t, sig0, diff0)
+        rec(t)
     return counts
 
 
@@ -443,39 +416,36 @@ def _construct_walk(n: int, q: int, t: int, tau: Mat, materialize: bool,
     cands = [vec_from_index(q, n, i) for i in range(1, q ** n)]
     for W in seeds:
         basis = [_unit(n, j) for j in range(t)] + [tuple(r) for r in W.rows]
-        span: dict = {}
-        for v in basis:
-            if not _push(spec, span, v):
-                raise DomainError("seed subspace meets the prefix span")
+        span = _echelon(spec, basis)
+        if len(span) < len(basis):
+            raise DomainError("seed subspace meets the prefix span")
         for j in range(n):
             if len(basis) == n:
                 break
             u = _unit(n, j)
-            if _push(spec, span, u):
+            r = reduce_row(spec, span, u)
+            if r is not None:
+                span[r[0]] = r[1]
                 basis.append(u)
         imgs = [basis[j] for j in range(t)]
         imgs += [tuple(tau.apply(v)) for v in basis[t:2 * t - d - 1]]
-        img_piv: dict = {}
-        for v in imgs:
-            _push(spec, img_piv, v)
-        diff_piv: dict = {}
-        for j in range(2 * t - d - 1):
-            dv = tuple(spec.sub(a, c)
-                       for a, c in zip(imgs[j], tau.apply(basis[j])))
-            _push(spec, diff_piv, dv)
+        img_piv = _echelon(spec, imgs)
+        diff_piv = _echelon(spec, [
+            tuple(spec.sub(a, c) for a, c in zip(imgs[j], tau.apply(basis[j])))
+            for j in range(2 * t - d - 1)])
         taus_on_basis = [tuple(tau.apply(v)) for v in basis]
         binv = _mat_inverse(_mat_from_columns(spec, basis)) if materialize else None
 
-        def rec(depth: int, ip: dict, dp: dict):
+        def rec(depth: int):
             nonlocal leaves
             tv = taus_on_basis[depth]
             last = depth == n - 1
             for cand in cands:
-                r1 = _reduce(spec, ip, cand)
+                r1 = reduce_row(spec, img_piv, cand)
                 if r1 is None:
                     continue
                 dv = tuple(spec.sub(a, c) for a, c in zip(cand, tv))
-                r2 = _reduce(spec, dp, dv)
+                r2 = reduce_row(spec, diff_piv, dv)
                 if r2 is None:
                     continue
                 imgs.append(cand)
@@ -485,23 +455,16 @@ def _construct_walk(n: int, q: int, t: int, tau: Mat, materialize: bool,
                         b.check_clock("constructive walk")
                     yield _assemble(spec, n, imgs, binv) if materialize else 1
                 else:
-                    ip2 = dict(ip)
-                    ip2[r1[0]] = _normalize(spec, r1)
-                    dp2 = dict(dp)
-                    dp2[r2[0]] = _normalize(spec, r2)
-                    yield from rec(depth + 1, ip2, dp2)
+                    img_piv[r1[0]] = r1[1]
+                    diff_piv[r2[0]] = r2[1]
+                    yield from rec(depth + 1)
+                    del img_piv[r1[0]], diff_piv[r2[0]]
                 imgs.pop()
 
         if len(basis) == 2 * t - d - 1:
             yield _assemble(spec, n, imgs, binv) if materialize else 1
         else:
-            yield from rec(2 * t - d - 1, img_piv, diff_piv)
-
-
-def _normalize(spec: FieldSpec, r) -> tuple:
-    lead, w = r
-    inv = spec.inv(w[lead])
-    return tuple(spec.mul(inv, x) for x in w)
+            yield from rec(2 * t - d - 1)
 
 
 def _assemble(spec: FieldSpec, n: int, imgs, binv: Mat) -> Mat:

@@ -21,8 +21,9 @@ from .errors import (DomainError, DomainOverlap, FieldMismatch,
                      InconsistentRestriction, NotQuasiregular, ShapeMismatch,
                      StepBudgetExhausted)
 from .gf import FieldSpec
-from .matspace import (Mat, Subspace, mat_from_literal, rank_bits, rref_rows,
-                       subspaces_of_dim, vec_dot, vec_index, vec_sub)
+from .matspace import (Mat, Subspace, agreement_dim, mat_from_literal,
+                       rank_bits, rref_rows, subspaces_of_dim, vec_dot,
+                       vec_index, vec_sub)
 
 
 @lru_cache(maxsize=None)
@@ -326,11 +327,13 @@ class Family:
     # file format ----------------------------------------------------------
 
     def to_text(self) -> str:
+        # vectors are digit strings, comma-separated once an entry can
+        # take two digits (the Mat.to_literal rule)
+        sep = "," if self.field.q > 10 else ""
         lines = [f"{self.field.q},{self.n},{self.m}"]
-        for v, w in self.context.cols:
-            lines.append("col " + "".join(map(str, v)) + " -> " + "".join(map(str, w)))
-        for a, b in self.context.rows:
-            lines.append("row " + "".join(map(str, a)) + " -> " + "".join(map(str, b)))
+        for kind, pairs in (("col", self.context.cols), ("row", self.context.rows)):
+            for u, w in pairs:
+                lines.append(f"{kind} {sep.join(map(str, u))} -> {sep.join(map(str, w))}")
         for M in self.sorted_members():
             lines.append(M.to_literal())
         return "\n".join(lines) + "\n"
@@ -348,8 +351,8 @@ class Family:
             if ln.startswith("col ") or ln.startswith("row "):
                 kind, rest = ln[:3], ln[4:]
                 left, _, right = rest.partition("->")
-                u = tuple(int(c) for c in left.strip())
-                w = tuple(int(c) for c in right.strip())
+                u, w = (tuple(map(int, side.split(",") if q > 10 else side))
+                        for side in (left.strip(), right.strip()))
                 (cols if kind == "col" else rows).append((u, w))
             else:
                 members.append(mat_from_literal(ln, spec))
@@ -813,57 +816,35 @@ def bootstrap_quasiregular(F: Family, s_target: int, alpha: Fraction,
 
 # --- intersection testers ---------------------------------------------------
 
-def t_intersecting_witness(F: Family, t: int):
-    """A pair with agreement dimension < t, or None if F is t-intersecting."""
+def agreement_witness(F: Family, pred):
+    """The first distinct member pair, in sorted order, whose agreement
+    dimension satisfies pred; None if there is none."""
     mem = F.sorted_members()
-    spec = F.field
-    if spec.q == 2:
+    if F.field.q == 2:
         bits = [M.bits() for M in mem]
         for i in range(len(mem)):
             bi = bits[i]
             for j in range(i + 1, len(mem)):
                 diff = tuple(x ^ y for x, y in zip(bi, bits[j]))
-                if F.m - rank_bits(diff) < t:
+                if pred(F.m - rank_bits(diff)):
                     return mem[i], mem[j]
         return None
-    from .matspace import agreement_dim
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
-            if agreement_dim(mem[i], mem[j]) < t:
-                return mem[i], mem[j]
-    return None
-
-
-def exact_agreement_witness(F: Family, t: int):
-    """A distinct pair with agreement dimension exactly t, or None."""
-    mem = F.sorted_members()
-    spec = F.field
-    if spec.q == 2:
-        bits = [M.bits() for M in mem]
-        for i in range(len(mem)):
-            bi = bits[i]
-            for j in range(i + 1, len(mem)):
-                diff = tuple(x ^ y for x, y in zip(bi, bits[j]))
-                if F.m - rank_bits(diff) == t:
-                    return mem[i], mem[j]
-        return None
-    from .matspace import agreement_dim
-    for i in range(len(mem)):
-        for j in range(i + 1, len(mem)):
-            if agreement_dim(mem[i], mem[j]) == t:
+            if pred(agreement_dim(mem[i], mem[j])):
                 return mem[i], mem[j]
     return None
 
 
 def is_t_intersecting(F: Family, t: int):
     """Every distinct pair agrees on >= t dimensions.  (bool, witness pair)."""
-    w = t_intersecting_witness(F, t)
+    w = agreement_witness(F, lambda a: a < t)
     return w is None, w
 
 
 def is_intersection_free(F: Family, t_minus_1: int):
     """No distinct pair agrees on exactly t_minus_1 dimensions."""
-    w = exact_agreement_witness(F, t_minus_1)
+    w = agreement_witness(F, lambda a: a == t_minus_1)
     return w is None, w
 
 

@@ -26,9 +26,9 @@ from typing import Iterable
 
 from .budget import Budget, ensure
 from .cyclo import Cyc
-from .errors import (DomainError, FieldMismatch, InexactComparison,
-                     NotIndicator, NotInKernelRelation, NotQuasiregular,
-                     RankNotOne, ShapeMismatch, ZeroFunction)
+from .errors import (DomainError, FieldMismatch, NotIndicator,
+                     NotInKernelRelation, NotQuasiregular, RankNotOne,
+                     ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
 from .matspace import Mat, Subspace, image, kernel, rank, rank_table
 from .families import Family, QPow, function_quasiregular_witness, leq_threshold
@@ -84,7 +84,7 @@ class DenseFunction:
         try:
             return tuple(v.as_fraction() for v in self.values)
         except ValueError:
-            raise InexactComparison("function takes irrational values")
+            raise DomainError("function takes irrational values")
 
     def mean(self) -> Cyc:
         q = self.field.q
@@ -477,7 +477,7 @@ def norm2_sq(f: DenseFunction) -> Cyc:
 def norm2_sq_frac(f: DenseFunction) -> Fraction:
     v = norm2_sq(f)
     if not v.is_rational():
-        raise InexactComparison("2-norm square is irrational")
+        raise DomainError("2-norm square is irrational")
     return v.as_fraction()
 
 

@@ -9,7 +9,6 @@ q <= 64 (so encodings are reproducible across runs) and may be overridden.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable
 
 from .cyclo import Cyc
@@ -370,38 +369,8 @@ class Fq:
         return f"Fq(q={self.spec.q}, {self.val})"
 
 
-def fq_arith(a: Fq, b: Fq, op: str) -> Fq:
-    """Dispatch one arithmetic operation; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown op {op!r}")
-
-
-def trace_map(x: Fq) -> int:
-    """Trace to the prime field, returned as a residue in [0, p)."""
-    return x.spec.trace(x.val)
-
-
 def char_root(p: int, j: int) -> Cyc:
     """The root of unity w^j in exact cyclotomic coordinates."""
     if not is_prime(p):
         raise DomainError(f"p={p} is not prime")
     return Cyc.root(p, j)
-
-
-def additive_character(spec: FieldSpec, x: int) -> Cyc:
-    """w^(trace(x)) as an exact cyclotomic value."""
-    return Cyc.root(spec.p, spec.trace(x))
-
-
-def scalar_fraction(x) -> Fraction:
-    """Coerce an exact scalar (int, Fraction, rational Cyc) to Fraction."""
-    if isinstance(x, Cyc):
-        return x.as_fraction()
-    return Fraction(x)

@@ -8,8 +8,7 @@ a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -97,45 +96,52 @@ def rref_rows(spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: int,
     return tuple(pivots), reduced, leftover
 
 
-def rank_bits(rows: Sequence[int]) -> int:
-    """Rank of GF(2) rows packed as ints."""
-    basis: list[int] = []
-    rank = 0
-    for r in rows:
-        for b in basis:
-            rr = r ^ b
-            if rr < r:
-                r = rr
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+# Both helpers reduce a new row against an echelon basis held as a dict with
+# one row per leading position, so a row costs one left-to-right pass and an
+# insertion is one dict store.  A search tree stores the reduced row under its
+# key before descending and deletes that key on the way back.
+
+def reduce_bits(basis: dict[int, int], v: int) -> int:
+    """Remainder of the GF(2) row v (packed int) against a basis keyed by bit
+    length; 0 exactly when v lies in the span.  Insert a nonzero remainder r
+    as basis[r.bit_length()] = r."""
+    while v:
+        b = basis.get(v.bit_length())
+        if b is None:
+            return v
+        v ^= b
+    return 0
 
 
-def rref_bits(rows: Sequence[int], ncols: int) -> tuple[tuple[int, ...], list[int]]:
-    """(pivots, reduced rows) for GF(2) rows, pivot = lowest column index."""
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        mask = 1 << c
-        pr = None
-        for i in range(r, len(work)):
-            if work[i] & mask:
-                pr = i
-                break
-        if pr is None:
+def reduce_row(spec: FieldSpec, basis: dict[int, tuple[int, ...]],
+               v: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+    """(lead, remainder) of v against a basis keyed by leading column, the
+    remainder scaled to leading entry 1; None when v lies in the span.
+    Insert it as basis[lead] = remainder."""
+    w = tuple(v)
+    for j in range(len(w)):
+        x = w[j]
+        if not x:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(pivots), work[:r]
+        b = basis.get(j)
+        if b is None:
+            if x != 1:
+                inv = spec.inv(x)
+                w = tuple(spec.mul(inv, y) for y in w)
+            return j, w
+        # b vanishes left of column j, so the pass never looks back
+        w = tuple(spec.sub(y, spec.mul(x, c)) for y, c in zip(w, b))
+    return None
+
+
+def rank_bits(rows: Iterable[int]) -> int:
+    """Rank of GF(2) rows packed as ints."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        r = reduce_bits(basis, r)
+        if r:
+            basis[r.bit_length()] = r
+    return len(basis)
 
 
 # --- Mat --------------------------------------------------------------------
@@ -356,7 +362,7 @@ def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
     if len(row_texts) != n:
         raise DomainError(f"expected {n} rows, got {len(row_texts)}")
     for rt in row_texts:
-        if "," in rt:
+        if q > 10 or "," in rt:
             row = tuple(int(x) for x in rt.split(","))
         else:
             row = tuple(int(ch) for ch in rt)
@@ -624,17 +630,6 @@ def count_subspaces_avoiding(n: int, k: int, d: int, q: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class CountReport:
-    kind: str
-    params: dict
-    value: object  # int or Fraction
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params,
-                           "value": str(self.value)}, sort_keys=True)
-
-
 # --- enumeration ------------------------------------------------------------
 
 def enumerate_all(spec: FieldSpec, n: int, m: int,
@@ -646,13 +641,6 @@ def enumerate_all(spec: FieldSpec, n: int, m: int,
         yield Mat(spec, tuple(flat[i * m:(i + 1) * m] for i in range(n)), m)
 
 
-def enumerate_rank(spec: FieldSpec, n: int, m: int, d: int,
-                   budget: Budget | None = None) -> Iterator[Mat]:
-    for A in enumerate_all(spec, n, m, budget):
-        if rank(A) == d:
-            yield A
-
-
 def enumerate_gl(spec: FieldSpec, n: int,
                  budget: Budget | None = None) -> Iterator[Mat]:
     for A in enumerate_all(spec, n, n, budget):
@@ -660,119 +648,94 @@ def enumerate_gl(spec: FieldSpec, n: int,
             yield A
 
 
-def enumerate_sl(spec: FieldSpec, n: int,
-                 budget: Budget | None = None) -> Iterator[Mat]:
-    for A in enumerate_all(spec, n, n, budget):
-        if rank(A) == n and A.det_val() == 1:
-            yield A
+def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
+    """Feed emit the rank of every n x m matrix, in Mat.from_index order,
+    one list per choice of the rows above the last.
 
+    A DFS over rows in lexicographic order visits the matrices in index
+    order and keeps an incremental echelon basis of the rows above, so each
+    matrix costs one row reduction and no Mat is built.  GF(2) rows are the
+    row indices themselves, first column on the top bit; reversing the
+    columns leaves every rank unchanged.
+    """
+    if n == 0:
+        emit([0])
+        return
+    basis: dict = {}
+    if spec.q == 2:
+        rows, reduce = range(1 << m), reduce_bits
 
-def enumerate_range(spec: FieldSpec, n: int, m: int, lo: int, hi: int) -> Iterator[Mat]:
-    """Index slice [lo, hi) of the full-space enumeration (range-splittable)."""
-    for idx in range(lo, hi):
-        yield Mat.from_index(spec, n, m, idx)
+        def insert(r: int) -> int:
+            key = r.bit_length()
+            basis[key] = r
+            return key
+    else:
+        rows = tuple(itertools.product(range(spec.q), repeat=m))
 
+        def reduce(basis, v):
+            return reduce_row(spec, basis, v)
 
-# --- censuses (independent counting oracles) --------------------------------
+        def insert(r) -> int:
+            basis[r[0]] = r[1]
+            return r[0]
+
+    def rec(depth: int, rk: int) -> None:
+        if depth == n - 1:
+            emit([rk + 1 if reduce(basis, v) else rk for v in rows])
+            return
+        for v in rows:
+            r = reduce(basis, v)
+            if r:
+                key = insert(r)
+                rec(depth + 1, rk + 1)
+                del basis[key]
+            else:
+                rec(depth + 1, rk)
+
+    rec(0, 0)
+
 
 def rank_census(spec: FieldSpec, n: int, m: int,
                 budget: Budget | None = None) -> tuple[int, ...]:
-    """Counts of matrices in M(n, m) by rank, by exhaustive enumeration.
-
-    Runs a DFS over rows keeping an incremental echelon basis, so each of
-    the q^(nm) matrices costs one row reduction.
-    """
-    b = ensure(budget)
-    b.check_items(spec.q ** (n * m), "rank census")
-    counts = [0] * (min(n, m) + 1)
-    if n == 0 or m == 0:
-        counts[0] = 1
-        return tuple(counts)
-    if spec.q == 2:
-        _census_rec_gf2(n, m, 0, [0] * (m + 1), 0, counts)
-    else:
-        _census_rec(spec, n, m, 0, [None] * m, 0, counts)
-    return tuple(counts)
-
-
-def _census_rec_gf2(n: int, m: int, depth: int, basis_by_msb: list[int],
-                    nb: int, counts: list[int]) -> None:
-    last = depth == n - 1
-    for r in range(1 << m):
-        rr = r
-        while rr:
-            b = basis_by_msb[rr.bit_length()]
-            if not b:
-                break
-            rr ^= b
-        if rr:
-            if last:
-                counts[nb + 1] += 1
-            else:
-                h = rr.bit_length()
-                basis_by_msb[h] = rr
-                _census_rec_gf2(n, m, depth + 1, basis_by_msb, nb + 1, counts)
-                basis_by_msb[h] = 0
-        else:
-            if last:
-                counts[nb] += 1
-            else:
-                _census_rec_gf2(n, m, depth + 1, basis_by_msb, nb, counts)
-
-
-def _census_rec(spec: FieldSpec, n: int, m: int, depth: int,
-                basis_by_lead: list, nb: int, counts: list[int]) -> None:
-    last = depth == n - 1
-    for flat in itertools.product(range(spec.q), repeat=m):
-        row = list(flat)
-        lead = None
-        for j in range(m):
-            if row[j]:
-                b = basis_by_lead[j]
-                if b is None:
-                    lead = j
-                    break
-                c = row[j]
-                row = [spec.sub(x, spec.mul(c, y)) for x, y in zip(row, b)]
-        if lead is not None:
-            inv = spec.inv(row[lead])
-            if inv != 1:
-                row = [spec.mul(inv, x) for x in row]
-            if last:
-                counts[nb + 1] += 1
-            else:
-                basis_by_lead[lead] = row
-                _census_rec(spec, n, m, depth + 1, basis_by_lead, nb + 1, counts)
-                basis_by_lead[lead] = None
-        else:
-            if last:
-                counts[nb] += 1
-            else:
-                _census_rec(spec, n, m, depth + 1, basis_by_lead, nb, counts)
+    """Counts of matrices in M(n, m) by rank, by exhaustive enumeration:
+    the rank_table walk, counted without caching it."""
+    ensure(budget).check_items(spec.q ** (n * m), "rank census")
+    counts: Counter = Counter()
+    _rank_walk(spec, n, m, counts.update)
+    return tuple(counts[d] for d in range(min(n, m) + 1))
 
 
 @lru_cache(maxsize=None)
 def rank_table(spec: FieldSpec, n: int, m: int) -> tuple[int, ...]:
     """rank of Mat.from_index(spec, n, m, i) for every index i."""
     Budget().check_items(spec.q ** (n * m), "rank table")
-    out = []
-    for A in enumerate_all(spec, n, m):
-        out.append(rank(A))
+    out: list[int] = []
+    _rank_walk(spec, n, m, out.extend)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def subspaces_of_dim(spec: FieldSpec, ambient: int, d: int) -> tuple[Subspace, ...]:
-    """All d-dimensional subspaces, sorted by canonical basis key."""
-    if d < 0 or d > ambient:
+    """All d-dimensional subspaces, sorted by canonical basis key.
+
+    Each one is an RREF basis with pivots in some d columns (its Schubert
+    cell): row i is 1 at its pivot, 0 left of it and at the other pivots,
+    and free at every other column to its right.
+    """
+    if not 0 <= d <= ambient:
         return ()
-    if d == 0:
-        return (Subspace.zero(spec, ambient),)
-    seen: dict[tuple, Subspace] = {}
-    Budget().check_items(spec.q ** (d * ambient), "subspace enumeration")
-    for flat in itertools.product(range(spec.q), repeat=d * ambient):
-        vecs = tuple(flat[i * ambient:(i + 1) * ambient] for i in range(d))
-        S = Subspace.from_vectors(spec, ambient, vecs)
-        if S.dim == d:
-            seen.setdefault(S.key(), S)
-    return tuple(seen[k] for k in sorted(seen))
+    Budget().check_items(gaussian_binomial(ambient, d, spec.q),
+                         "subspace enumeration")
+    out = []
+    for pivots in itertools.combinations(range(ambient), d):
+        free = [(i, j) for i, p in enumerate(pivots)
+                for j in range(p + 1, ambient) if j not in pivots]
+        for fill in itertools.product(range(spec.q), repeat=len(free)):
+            rows = [[0] * ambient for _ in pivots]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), x in zip(free, fill):
+                rows[i][j] = x
+            out.append(Subspace(spec, ambient, tuple(map(tuple, rows))))
+    out.sort(key=Subspace.key)
+    return tuple(out)

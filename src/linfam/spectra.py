@@ -19,7 +19,7 @@ from .budget import Budget
 from .cyclo import Cyc
 from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
-from .families import Family, exact_agreement_witness
+from .families import Family, is_intersection_free
 from .fourier import DenseFunction, char_exponent, fast_transform
 from .gf import FieldSpec, field
 from .matspace import Mat, count_rank_d, enumerate_all, phi, rank_table
@@ -55,14 +55,9 @@ def generator_count(q: int, m: int, n: int, t: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rank_table_cached(q: int, n: int, m: int) -> tuple[int, ...]:
-    return rank_table(field(q), n, m)
-
-
-@lru_cache(maxsize=None)
 def _generators(q: int, m: int, n: int, t: int) -> tuple[Mat, ...]:
     spec = field(q)
-    ranks = _rank_table_cached(q, n, m)
+    ranks = rank_table(spec, n, m)
     target = m - t
     return tuple(A for i, A in enumerate(enumerate_all(spec, n, m))
                  if ranks[i] == target)
@@ -96,7 +91,7 @@ def eigenvalue(q: int, m: int, n: int, t: int, d: int,
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
     spec = field(q)
     X = _identity_block(spec, m, n, d)
-    ranks = _rank_table_cached(q, n, m)
+    ranks = rank_table(spec, n, m)
     target = m - t
     counts = [0] * spec.p
     gen_count = 0
@@ -149,7 +144,7 @@ def spectrum(q: int, m: int, n: int, t: int,
     _check_params(m, n, t)
     spec = field(q)
     dmax = min(m, n)
-    ranks = _rank_table_cached(q, n, m)
+    ranks = rank_table(spec, n, m)
     target = m - t
     counts = [[0] * spec.p for _ in range(dmax + 1)]
     gen_count = 0
@@ -183,7 +178,7 @@ def rank_invariance_check(q: int, m: int, n: int, t: int, d: int,
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
     spec = field(q)
     gens = _generators(q, m, n, t)
-    dual_ranks = _rank_table_cached(q, m, n)
+    dual_ranks = rank_table(spec, m, n)
     values = set()
     reps = 0
     for i, X in enumerate(enumerate_all(spec, m, n, budget)):
@@ -240,7 +235,7 @@ def bilinear_decomposition(f: DenseFunction, g: DenseFunction,
             direct = direct + fa * g.values[(A + G).index()].conj()
     direct = direct / (N * S.gen_count)
     Sf, Sg = fast_transform(f), fast_transform(g)
-    dual_ranks = _rank_table_cached(spec.q, m, n)
+    dual_ranks = rank_table(spec, m, n)
     per_d = [Cyc.zero(spec.p) for _ in range(min(m, n) + 1)]
     for xi in range(N):
         cf, cg = Sf.coeffs[xi], Sg.coeffs[xi]
@@ -272,8 +267,7 @@ def independence_check(F: Family, t: int):
     Families with that property are exactly the independent sets of the
     agreement-t graph.  Returns (bool, witness pair or None).
     """
-    w = exact_agreement_witness(F, t)
-    return w is None, w
+    return is_intersection_free(F, t)
 
 
 def graph_bitsets(q: int, m: int, n: int, t: int,
@@ -286,7 +280,7 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
     if budget is not None:
         budget.check_items(N * max(1, generator_count(q, m, n, t)),
                            "adjacency build")
-    ranks = _rank_table_cached(q, n, m)
+    ranks = rank_table(spec, n, m)
     gens = [i for i in range(N) if ranks[i] == m - t]
     rows = [0] * N
     if spec.p == 2:

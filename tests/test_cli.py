@@ -202,11 +202,5 @@ def test_verify_unknown_suite():
     assert rc == 2 and "unknown suite" in err
 
 
-def test_thread_count_must_be_positive():
-    rc, _, _ = run(["count", "--kind", "mqt", "--q", "2", "--n", "2", "--t", "1",
-                    "--threads", "0"])
-    assert rc == 2
-
-
 def test_no_command_is_a_usage_error():
     assert run([])[0] == 2

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from linfam.cyclo import Cyc, real_le
+from linfam.cyclo import Cyc
 
 
 def test_cube_root_relations():
@@ -50,20 +50,3 @@ def test_scalar_division_and_inverse_root():
     # roots invert through conjugation, not division
     assert w * w.conj() == Cyc.from_rational(5, 1)
     assert w.conj() == Cyc.root(5, 3)
-
-
-def test_real_ordering():
-    half = Cyc.from_rational(3, Fraction(1, 2))
-    assert real_le(half, Cyc.from_rational(3, 1))
-    assert not real_le(Cyc.from_rational(3, 1), half)
-    # w + w^2 = -1 sits below zero
-    w = Cyc.root(3, 1)
-    assert real_le(w + w.conj(), Cyc.zero(3))
-
-
-def test_arithmetic_matches_complex_embedding():
-    w = Cyc.root(7, 3)
-    x = w * w - Cyc.from_rational(7, Fraction(1, 3))
-    z = x.to_complex()
-    want = (w.to_complex() ** 2) - 1 / 3
-    assert abs(z - want) < 1e-12

@@ -128,6 +128,18 @@ def test_family_text_round_trip():
     assert len(Family.from_text("2,2,2\n")) == 0
 
 
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_family_text_round_trip_two_digit_entries(q):
+    # entries of 10 and above need the comma-separated vector form
+    spec = field(q)
+    for R in (Restriction(spec, 2, 2, cols=[((1, 10), (q - 1, 8))]),
+              Restriction(spec, 2, 2, rows=[((q - 2, 1), (10, q - 3))]),
+              Restriction(spec, 2, 1, cols=[((10,), (1, q - 1))])):
+        F = Family.from_coset(R)
+        back = Family.from_text(F.to_text())
+        assert back.context == F.context and back.members == F.members
+
+
 # --- intersection testers ---------------------------------------------------
 
 def test_pairwise_agreement_testers():

@@ -5,6 +5,7 @@ computations on freshly assembled instances, so a formula bug cannot hide
 behind its own enumeration.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from linfam.matspace import (Mat, Subspace, agreement, agreement_dim,
                              count_subspaces_avoiding, delete_rc,
                              dual_agreement_dim, enumerate_all, enumerate_gl,
                              gaussian_binomial, gl_order, image, kernel, m_qt,
-                             mat_from_literal, phi, rank, row_space,
-                             subspaces_of_dim, vec_from_index, vec_index)
+                             mat_from_literal, phi, rank, rank_census,
+                             rank_table, row_space, subspaces_of_dim,
+                             vec_from_index, vec_index)
 
 s2 = field(2)
 s3 = field(3)
@@ -115,6 +117,19 @@ def test_rank_census_small():
                 assert sum(census.values()) == q ** (n * m)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_rank_table_and_census_match_rank_of_each_matrix(q):
+    spec = field(q)
+    # every shape with n * m <= 6, fewer cells at larger q
+    for n, m in [(n, m) for n in range(7) for m in range(7)
+                 if n * m <= 6 and q ** (n * m) <= 729]:
+        table = rank_table(spec, n, m)
+        assert table == tuple(rank(Mat.from_index(spec, n, m, i))
+                              for i in range(q ** (n * m))), (n, m)
+        assert rank_census(spec, n, m) == tuple(
+            table.count(d) for d in range(min(n, m) + 1)), (n, m)
+
+
 def test_gaussian_binomial_values_and_domain():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(3, 1, 3) == 13
@@ -133,12 +148,35 @@ def test_gaussian_binomial_dominates_power():
                 assert gaussian_binomial(m, d, q) >= q ** (d * (m - d))
 
 
+def _subspaces_by_spanning_tuples(spec, ambient, d):
+    """Every d-tuple of vectors, row reduced, kept when it spans d dims."""
+    seen = {}
+    for flat in itertools.product(range(spec.q), repeat=d * ambient):
+        vecs = [flat[i * ambient:(i + 1) * ambient] for i in range(d)]
+        S = Subspace.from_vectors(spec, ambient, vecs)
+        if S.dim == d:
+            seen.setdefault(S.key(), S)
+    return tuple(seen[k] for k in sorted(seen))
+
+
 def test_subspace_enumeration_matches_formula():
-    for q, spec in ((2, s2), (3, s3)):
-        for amb in range(5 if q == 2 else 4):
+    for q in (2, 3, 4):
+        spec = field(q)
+        for amb in range(5):
             for d in range(amb + 1):
-                got = sum(1 for _ in subspaces_of_dim(spec, amb, d))
-                assert got == gaussian_binomial(amb, d, q)
+                subs = subspaces_of_dim(spec, amb, d)
+                # canonical RREF bases, distinct, sorted, as many as there
+                # are d-dimensional subspaces: so exactly all of them
+                assert all(S.dim == d
+                           and Subspace.from_vectors(spec, amb, S.rows) == S
+                           for S in subs)
+                keys = [S.key() for S in subs]
+                assert keys == sorted(set(keys))
+                assert len(subs) == gaussian_binomial(amb, d, q)
+                if q ** (d * amb) <= 1 << 16:
+                    assert [S.rows for S in subs] == [
+                        S.rows for S in _subspaces_by_spanning_tuples(spec, amb, d)]
+        assert subspaces_of_dim(spec, 3, -1) == subspaces_of_dim(spec, 3, 4) == ()
 
 
 def test_avoiding_count_values():
