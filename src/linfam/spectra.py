@@ -4,8 +4,10 @@ Vertices are all n x m matrices over F_q; two are adjacent when their
 difference has rank exactly m - t, so that they agree on a t-dimensional
 subspace of the domain.  The walk operator with row sums normalized to 1
 is diagonalized by the additive characters, and the eigenvalue attached
-to a character depends only on the rank of its dual matrix.  Everything
-here is an exact character sum; the trace of the squared walk operator
+to a character depends only on the rank of its dual matrix.  The
+generator class is the distance-(m - t) relation of the bilinear forms
+scheme, so the eigenvalues are Delsarte's generalized Krawtchouk numbers,
+evaluated exactly in closed form; the trace of the squared walk operator
 gives an independent cross-check of the whole table.
 """
 from __future__ import annotations
@@ -15,14 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .budget import Budget
+from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
 from .families import Family, is_intersection_free
 from .fourier import DenseFunction, char_exponent, fast_transform
 from .gf import FieldSpec, field
-from .matspace import Mat, count_rank_d, enumerate_all, phi, rank_table
+from .matspace import (Mat, count_rank_d, gaussian_binomial, phi, rank_table,
+                       vec_from_index)
 
 __all__ = [
     "CayleySpectrum",
@@ -57,16 +60,8 @@ def generator_count(q: int, m: int, n: int, t: int) -> int:
 @lru_cache(maxsize=None)
 def _generators(q: int, m: int, n: int, t: int) -> tuple[Mat, ...]:
     spec = field(q)
-    ranks = rank_table(spec, n, m)
-    target = m - t
-    return tuple(A for i, A in enumerate(enumerate_all(spec, n, m))
-                 if ranks[i] == target)
-
-
-def _identity_block(spec: FieldSpec, m: int, n: int, d: int) -> Mat:
-    rows = tuple(tuple(1 if i == j and i < d else 0 for j in range(n))
-                 for i in range(m))
-    return Mat(spec, rows, n)
+    return tuple(Mat.from_index(spec, n, m, i)
+                 for i, r in enumerate(rank_table(spec, n, m)) if r == m - t)
 
 
 def _from_counts(spec: FieldSpec, counts, denom: int) -> Fraction:
@@ -78,29 +73,38 @@ def _from_counts(spec: FieldSpec, counts, denom: int) -> Fraction:
     return val.as_fraction()
 
 
+def _krawtchouk(q: int, m: int, n: int, t: int, ds,
+                budget: Budget | None) -> tuple[Fraction, ...]:
+    """Walk eigenvalues on the rank-d characters, d in ds: Delsarte's
+    generalized Krawtchouk numbers (JCTA 25 (1978) 226-241) for the
+    distance-k relation, divided by the class size."""
+    field(q)    # DomainError unless q is a prime power
+    N, M, k = min(m, n), max(m, n), m - t
+    b = ensure(budget)
+    b.check_items(len(ds) * (k + 1), "eigenvalue formula terms")
+    size = count_rank_d(n, m, k, q)
+    out = []
+    for d in ds:
+        b.check_clock("eigenvalue formula")
+        P = sum((-1) ** (k - j) * q ** ((k - j) * (k - j - 1) // 2 + M * j)
+                * gaussian_binomial(N - j, N - k, q)
+                * gaussian_binomial(N - d, j, q)
+                for j in range(min(k, N - d) + 1))
+        out.append(Fraction(P, size))
+    return tuple(out)
+
+
 def eigenvalue(q: int, m: int, n: int, t: int, d: int,
                budget: Budget | None = None) -> Fraction:
     """Walk-operator eigenvalue on the span of the rank-d characters.
 
-    Character sum over the agreement-t generator class for the block
-    identity dual of rank d, divided by the class size.  The choice of
-    rank-d dual does not matter; rank_invariance_check certifies that.
+    The choice of rank-d dual does not matter; rank_invariance_check
+    certifies that by enumeration.
     """
     _check_params(m, n, t)
     if not 0 <= d <= min(m, n):
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
-    spec = field(q)
-    X = _identity_block(spec, m, n, d)
-    ranks = rank_table(spec, n, m)
-    target = m - t
-    counts = [0] * spec.p
-    gen_count = 0
-    for i, A in enumerate(enumerate_all(spec, n, m, budget)):
-        if ranks[i] != target:
-            continue
-        gen_count += 1
-        counts[char_exponent(X, A)] += 1
-    return _from_counts(spec, counts, gen_count)
+    return _krawtchouk(q, m, n, t, (d,), budget)[0]
 
 
 @dataclass(frozen=True)
@@ -135,32 +139,12 @@ class CayleySpectrum:
 
 def spectrum(q: int, m: int, n: int, t: int,
              budget: Budget | None = None) -> CayleySpectrum:
-    """All eigenvalues in one pass over the generator class.
-
-    The block identity dual of rank d pairs a matrix with the trace of
-    its leading d x d block, so one sweep accumulating running diagonal
-    sums yields every rank at once.
-    """
+    """Every eigenvalue of the walk, one per dual rank, in closed form."""
     _check_params(m, n, t)
-    spec = field(q)
     dmax = min(m, n)
-    ranks = rank_table(spec, n, m)
-    target = m - t
-    counts = [[0] * spec.p for _ in range(dmax + 1)]
-    gen_count = 0
-    for i, A in enumerate(enumerate_all(spec, n, m, budget)):
-        if ranks[i] != target:
-            continue
-        gen_count += 1
-        counts[0][0] += 1
-        acc = 0
-        for j in range(dmax):
-            acc = spec.add(acc, A.rows[j][j])
-            counts[j + 1][spec.trace(acc)] += 1
-    lam = tuple(_from_counts(spec, counts[d], gen_count)
-                for d in range(dmax + 1))
+    lam = _krawtchouk(q, m, n, t, range(dmax + 1), budget)
     mult = tuple(count_rank_d(m, n, d, q) for d in range(dmax + 1))
-    out = CayleySpectrum(q, m, n, t, lam, mult, gen_count)
+    out = CayleySpectrum(q, m, n, t, lam, mult, count_rank_d(n, m, m - t, q))
     if out.lam[0] != 1:
         raise InvariantViolated(f"trivial eigenvalue is {out.lam[0]}, not 1")
     if sum(mult) != q ** (n * m):
@@ -177,23 +161,20 @@ def rank_invariance_check(q: int, m: int, n: int, t: int, d: int,
     if not 0 <= d <= min(m, n):
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
     spec = field(q)
+    ensure(budget).check_items(q ** (n * m), "rank invariance")
     gens = _generators(q, m, n, t)
-    dual_ranks = rank_table(spec, m, n)
+    duals = [Mat.from_index(spec, m, n, i)
+             for i, r in enumerate(rank_table(spec, m, n)) if r == d]
     values = set()
-    reps = 0
-    for i, X in enumerate(enumerate_all(spec, m, n, budget)):
-        if dual_ranks[i] != d:
-            continue
-        reps += 1
+    for X in duals:
         counts = [0] * spec.p
         for A in gens:
             counts[char_exponent(X, A)] += 1
         values.add(_from_counts(spec, counts, len(gens)))
-    holds = len(values) == 1
     return {"q": q, "m": m, "n": n, "t": t, "d": d,
-            "representatives": reps,
+            "representatives": len(duals),
             "values": tuple(sorted(values)),
-            "holds": holds}
+            "holds": len(values) == 1}
 
 
 def eigenvalue_bound_check(q: int, m: int, n: int, t: int, d: int,
@@ -227,10 +208,10 @@ def bilinear_decomposition(f: DenseFunction, g: DenseFunction,
     gens = _generators(spec.q, m, n, t - 1)
     N = spec.q ** (n * m)
     direct = Cyc.zero(spec.p)
-    for i, A in enumerate(enumerate_all(spec, n, m)):
-        fa = f.values[i]
+    for i, fa in enumerate(f.values):
         if fa.is_zero():
             continue
+        A = Mat.from_index(spec, n, m, i)
         for G in gens:
             direct = direct + fa * g.values[(A + G).index()].conj()
     direct = direct / (N * S.gen_count)
@@ -280,8 +261,7 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
     if budget is not None:
         budget.check_items(N * max(1, generator_count(q, m, n, t)),
                            "adjacency build")
-    ranks = rank_table(spec, n, m)
-    gens = [i for i in range(N) if ranks[i] == m - t]
+    gens = [i for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
     rows = [0] * N
     if spec.p == 2:
         # entry encodings pack into disjoint bit groups, so index xor is
@@ -292,15 +272,12 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
                 acc |= 1 << (i ^ gi)
             rows[i] = acc
     else:
-        flats = [tuple(A.rows[r][c] for r in range(n) for c in range(m))
-                 for A in enumerate_all(spec, n, m)]
-        for i in range(N):
-            fi = flats[i]
+        flats = [vec_from_index(q, nm, i) for i in range(N)]
+        for i, fi in enumerate(flats):
             acc = 0
             for gi in gens:
-                fg = flats[gi]
                 j = 0
-                for a, b in zip(fi, fg):
+                for a, b in zip(fi, flats[gi]):
                     j = j * q + spec.add(a, b)
                 acc |= 1 << j
             rows[i] = acc

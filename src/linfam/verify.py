@@ -27,12 +27,12 @@ from .fourier import (DenseFunction, char_exponent, check_sum_rank_nullity,
                       reduce_family, transform, verify_hypercontractive)
 from .gf import field
 from .matspace import (Mat, Subspace, agreement_dim, count_rank_d,
-                       count_subspaces_avoiding, enumerate_gl,
+                       count_subspaces_avoiding, enumerate_all, enumerate_gl,
                        gaussian_binomial, gl_order, m_qt, phi, rank,
-                       rank_census, subspaces_of_dim)
+                       rank_census, rank_table, subspaces_of_dim)
 from . import extremal, mis, spectra
 
-__all__ = ["CRITERIA", "SUITES", "run_criterion"]
+__all__ = ["CRITERIA", "SUITES", "run_criterion", "swept_spectrum"]
 
 SUITES = {
     "fourier": (2, 5),
@@ -164,20 +164,43 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
 
 # --- 3: walk spectra --------------------------------------------------------
 
+def swept_spectrum(q: int, m: int, n: int, t: int,
+                   budget: Budget | None = None) -> tuple[Fraction, ...]:
+    """Walk eigenvalues by dual rank, as character sums over the class.
+
+    The block identity dual of rank d pairs a matrix with the trace of
+    its leading d x d block, so one sweep over M(n, m) accumulating
+    running diagonal sums yields every rank at once.
+    """
+    spec = field(q)
+    dmax = min(m, n)
+    ranks = rank_table(spec, n, m)
+    counts = [[0] * spec.p for _ in range(dmax + 1)]
+    for i, A in enumerate(enumerate_all(spec, n, m, budget)):
+        if ranks[i] != m - t:
+            continue
+        acc = 0
+        counts[0][0] += 1   # the class size: rank 0 pairs trivially
+        for j in range(dmax):
+            acc = spec.add(acc, A.rows[j][j])
+            counts[j + 1][spec.trace(acc)] += 1
+    return tuple(spectra._from_counts(spec, c, counts[0][0]) for c in counts)
+
+
 def criterion_3(seed: int = 0, budget: Budget | None = None) -> dict:
     t0 = time.perf_counter()
     checks = []
     for q in (2, 3):
         for m in range(1, 4):
             for n in range(1, 4):
-                for t in range(0, m):
-                    if m - t > n:
-                        continue
+                for t in range(max(0, m - n), m):
                     S = spectra.spectrum(q, m, n, t, budget)
                     checks.append((f"lam0 q={q} m={m} n={n} t={t}",
                                    S.lam[0] == 1))
                     checks.append((f"trace q={q} m={m} n={n} t={t}",
                                    S.trace_check()))
+                    checks.append((f"sweep q={q} m={m} n={n} t={t}",
+                                   S.lam == swept_spectrum(q, m, n, t, budget)))
                     for d in range(1, min(m, n) + 1):
                         rep = spectra.eigenvalue_bound_check(q, m, n, t, d)
                         checks.append(
@@ -186,9 +209,7 @@ def criterion_3(seed: int = 0, budget: Budget | None = None) -> dict:
     for q in (2, 3):
         for m in (1, 2):
             for n in (1, 2):
-                for t in range(0, m):
-                    if m - t > n:
-                        continue
+                for t in range(max(0, m - n), m):
                     for d in range(0, min(m, n) + 1):
                         rep = spectra.rank_invariance_check(q, m, n, t, d)
                         checks.append(

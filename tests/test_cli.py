@@ -76,7 +76,8 @@ def test_spectrum_json():
 
 
 def test_budget_exhaustion_exit_code():
-    rc, _, err = run(["spectrum", "--q", "2", "--m", "3", "--n", "3", "--t", "0",
+    # 41 eigenvalues of 41 formula terms each: 1681 items
+    rc, _, err = run(["spectrum", "--q", "2", "--m", "40", "--n", "40", "--t", "0",
                       "--budget-items", "100"])
     assert rc == 3 and "budget exceeded" in err
 

@@ -2,9 +2,11 @@
 and the bootstrap.  The 2x2 coset family fixing e1 is the recurring guinea
 pig; its behavior under every operation here was worked out by hand."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfam.budget import Budget
 from linfam.errors import (BudgetExceeded, DomainError, HypothesisUnmet,
@@ -138,6 +140,40 @@ def test_family_text_round_trip_two_digit_entries(q):
         F = Family.from_coset(R)
         back = Family.from_text(F.to_text())
         assert back.context == F.context and back.members == F.members
+
+
+PROPERTY_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)
+                   for n in range(1, 4) for m in range(1, 4)
+                   if q ** (n * m) <= 256]
+
+
+@st.composite
+def families(draw):
+    """Random members of a random coset: no context, one column or one row."""
+    q, n, m = draw(st.sampled_from(PROPERTY_SHAPES))
+    kind = draw(st.sampled_from(("none", "col", "row")))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    spec = field(q)
+
+    def vec(k, nonzero=False):
+        v = [rnd.randrange(q) for _ in range(k)]
+        if nonzero:
+            v[rnd.randrange(k)] = rnd.randrange(1, q)
+        return tuple(v)
+
+    R = {"none": Restriction.empty(spec, n, m),
+         "col": Restriction(spec, n, m, cols=[(vec(m, True), vec(n))]),
+         "row": Restriction(spec, n, m, rows=[(vec(n, True), vec(m))])}[kind]
+    coset = list(enumerate_coset(R))
+    return Family(spec, n, m, rnd.sample(coset, rnd.randrange(len(coset) + 1)), R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_family_text_round_trip_over_fields(F):
+    back = Family.from_text(F.to_text())
+    assert ((back.field, back.n, back.m, back.context, back.members)
+            == (F.field, F.n, F.m, F.context, F.members))
 
 
 # --- intersection testers ---------------------------------------------------

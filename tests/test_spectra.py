@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from linfam import mis
-from linfam.errors import DomainError
+from linfam.budget import Budget
+from linfam.errors import BudgetExceeded, DomainError
 from linfam.gf import field
 from linfam.matspace import Mat, phi
 from linfam.fourier import DenseFunction
@@ -16,6 +17,7 @@ from linfam.spectra import (bilinear_decomposition, eigenvalue,
                             eigenvalue_bound_check, graph_bitsets,
                             hoffman_bound, independence_check,
                             rank_invariance_check, spectrum)
+from linfam.verify import swept_spectrum
 
 s2 = field(2)
 
@@ -57,9 +59,28 @@ def test_eigenvalue_matches_spectrum_grid():
                     S = spectrum(q, m, n, t)
                     for d, lam in enumerate(S.lam):
                         assert eigenvalue(q, m, n, t, d) == lam
+                        rep = rank_invariance_check(q, m, n, t, d)
+                        assert rep["values"] == (lam,)
                     assert sum(S.mult) == q ** (n * m)
                     lhs = sum(mu * l * l for mu, l in zip(S.mult, S.lam))
                     assert lhs == 1 / phi(m, n, t, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_closed_form_matches_sweep(q):
+    for m in range(1, 13):
+        for n in range(1, 13):
+            if q ** (n * m) > 4096:
+                continue
+            for t in range(max(0, m - n), m):
+                assert spectrum(q, m, n, t).lam == swept_spectrum(q, m, n, t)
+
+
+def test_closed_form_beyond_enumeration():
+    S = spectrum(2, 40, 40, 3)
+    assert S.lam[0] == 1 and S.trace_check()
+    with pytest.raises(BudgetExceeded):
+        spectrum(2, 40, 40, 0, Budget(items=100))   # 41 x 41 formula terms
 
 
 def test_parameter_domain():
@@ -67,6 +88,8 @@ def test_parameter_domain():
         spectrum(2, 2, 2, 2)
     with pytest.raises(DomainError):
         spectrum(2, 3, 1, 0)    # difference rank would exceed n
+    with pytest.raises(DomainError):
+        spectrum(6, 1, 1, 0)    # 6 is not a prime power
 
 
 def test_rank_invariance():
@@ -102,6 +125,9 @@ def test_bilinear_split_constant_and_random():
 def test_hoffman_values():
     assert hoffman_bound(spectrum(2, 1, 1, 0)) == Fraction(1, 2)
     assert hoffman_bound(spectrum(3, 1, 1, 0)) == Fraction(1, 3)
+    assert hoffman_bound(spectrum(2, 4, 4, 1)) == Fraction(1, 176)
+    assert hoffman_bound(spectrum(3, 3, 3, 1)) == Fraction(23, 2727)
+    assert hoffman_bound(spectrum(2, 3, 5, 1)) == Fraction(41, 3296)
 
 
 def test_hoffman_vs_exact_independence_number():
