@@ -29,9 +29,11 @@ class Budget:
         if count > self.items:
             raise BudgetExceeded(f"{what} needs {count} items, budget is {self.items}")
 
-    def check_clock(self, what: str = "operation") -> None:
+    def check_clock(self, what: str = "operation", done: str = "") -> None:
+        """done, when given, says how far the operation got."""
         if time.monotonic() - self._t0 > self.seconds:
-            raise BudgetExceeded(f"{what} exceeded {self.seconds}s time budget")
+            after = f" after {done}" if done else ""
+            raise BudgetExceeded(f"{what} exceeded {self.seconds}s time budget{after}")
 
 
 def ensure(budget: Budget | None) -> Budget:

@@ -317,6 +317,15 @@ class Family:
     def __contains__(self, M: Mat) -> bool:
         return M in self.members
 
+    def _key(self) -> tuple:
+        return (self.field, self.n, self.m, self.context, self.members)
+
+    def __eq__(self, other):
+        return isinstance(other, Family) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __len__(self) -> int:
         return len(self.members)
 

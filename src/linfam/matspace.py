@@ -36,6 +36,13 @@ def vec_from_index(q: int, length: int, idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def digit_mask(base: int, w: int, d: int, total: int) -> int:
+    """Bitset of the indices below total whose base-`base` digit of place
+    value w is d; total must be a multiple of base * w."""
+    block = ((1 << w) - 1) << (d * w)
+    return block * sum(1 << (r * base * w) for r in range(total // (base * w)))
+
+
 def vec_add(spec: FieldSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(spec.add(a, b) for a, b in zip(u, v))
 

@@ -4,7 +4,9 @@ Graphs are adjacency bitsets: bit j of row i is set when i and j are
 adjacent.  Independent sets of a graph are the cliques of its complement,
 so the solver is a max-clique search with a greedy colouring bound: the
 candidate set is partitioned into colour classes, and a clique can take
-at most one vertex per class.
+at most one vertex per class.  A graph invariant under the digit-wise
+translations of its vertex indices is vertex-transitive, so the search
+verifies that symmetry and then looks only at cliques through vertex 0.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from typing import Sequence
 
 from .budget import Budget, ensure
 from .errors import DomainError
+from .matspace import digit_mask
 
 __all__ = [
     "all_maximum_independent_sets",
@@ -59,25 +62,57 @@ def _color_sequence(adj: Sequence[int], cand: int) -> list[tuple[int, int]]:
     return seq
 
 
+def _translation_transitive(adj: Sequence[int], nverts: int) -> bool:
+    """Whether adding 1 mod b to any one base-b digit of the vertex
+    indices is an automorphism, for nverts = b^K with b its smallest
+    prime factor.
+
+    Those maps generate the translations of (Z/b)^K, which act
+    transitively, so some maximum clique then contains vertex 0.
+    """
+    if nverts < 2:
+        return False
+    b = next(p for p in range(2, nverts + 1) if nverts % p == 0)
+    w = 1
+    while w < nverts:
+        if nverts % (w * b):
+            return False
+        # indices whose digit at w is b - 1 wrap round to digit 0
+        top = digit_mask(b, w, b - 1, nverts)
+        low, back = ~top, (b - 1) * w
+        for i in range(nverts):
+            row = adj[i]
+            j = i + w if (i // w) % b != b - 1 else i - back
+            if adj[j] != ((row & low) << w) | ((row & top) >> back):
+                return False
+        w *= b
+    return True
+
+
 def max_clique(adj: Sequence[int], nverts: int,
                budget: Budget | None = None,
                incumbent: tuple[int, int] | None = None) -> tuple[int, int]:
     """(size, vertex bitset) of one maximum clique.
 
     incumbent, when given, must be a valid clique (size, bitset); it
-    seeds the bound so the search only has to beat it.
+    seeds the bound so the search only has to beat it.  On a graph that
+    _translation_transitive certifies, only cliques through vertex 0 are
+    searched.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
     b = ensure(budget)
     best_size, best_set = incumbent if incumbent is not None else (0, 0)
     nodes = 0
+    rooted = _translation_transitive(adj, nverts)
+    what = ("independent set search rooted at vertex 0" if rooted
+            else "independent set search")
 
     def expand(cur: int, size: int, cand: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if nodes % 4096 == 0:
-            b.check_clock("independent set search")
+            b.check_clock(what, f"{nodes} nodes")
         if not cand:
             if size > best_size:
                 best_size, best_set = size, cur
@@ -89,7 +124,10 @@ def max_clique(adj: Sequence[int], nverts: int,
             expand(cur | (1 << v), size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, 0, (1 << nverts) - 1)
+    if rooted:
+        expand(1, 1, adj[0])
+    else:
+        expand(0, 0, (1 << nverts) - 1)
     return best_size, best_set
 
 
@@ -106,8 +144,8 @@ def all_maximum_independent_sets(adj: Sequence[int], nverts: int,
     Each set is produced exactly once: a branch on v collects the sets
     containing v, then v is dropped from the candidates for good.
     """
-    target, _ = max_independent_set(adj, nverts, budget)
     comp = complement_bitsets(adj, nverts)
+    target, _ = max_clique(comp, nverts, budget)
     out: list[int] = []
     b = ensure(budget)
     nodes = 0
@@ -116,7 +154,7 @@ def all_maximum_independent_sets(adj: Sequence[int], nverts: int,
         nonlocal nodes
         nodes += 1
         if nodes % 4096 == 0:
-            b.check_clock("independent set enumeration")
+            b.check_clock("independent set enumeration", f"{nodes} nodes")
         if size == target:
             out.append(cur)
             return

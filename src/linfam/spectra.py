@@ -8,7 +8,9 @@ to a character depends only on the rank of its dual matrix.  The
 generator class is the distance-(m - t) relation of the bilinear forms
 scheme, so the eigenvalues are Delsarte's generalized Krawtchouk numbers,
 evaluated exactly in closed form; the trace of the squared walk operator
-gives an independent cross-check of the whole table.
+gives an independent cross-check of the whole table.  The graph is
+invariant under every translation, so graph_bitsets builds each adjacency
+row by shifting an earlier one.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
 from .families import Family, is_intersection_free
 from .fourier import DenseFunction, char_exponent, fast_transform
 from .gf import FieldSpec, field
-from .matspace import (Mat, count_rank_d, gaussian_binomial, phi, rank_table,
-                       vec_from_index)
+from .matspace import (Mat, count_rank_d, digit_mask, gaussian_binomial, phi,
+                       rank_table)
 
 __all__ = [
     "CayleySpectrum",
@@ -253,7 +255,14 @@ def independence_check(F: Family, t: int):
 
 def graph_bitsets(q: int, m: int, n: int, t: int,
                   budget: Budget | None = None) -> list[int]:
-    """Adjacency rows of the agreement-t graph, one bitset per index."""
+    """Adjacency rows of the agreement-t graph, one bitset per index.
+
+    Row 0 marks the generators.  The graph is invariant under every
+    translation.  Adding a to entry k (place value w = q^k) sends an index
+    whose digit k is d forward by (s - d) * w, s the code of the field sum
+    d + a, so row a * w + i (i < w) is row i with each digit-k class of
+    bits shifted that way.
+    """
     _check_params(m, n, t)
     spec = field(q)
     nm = n * m
@@ -261,24 +270,19 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
     if budget is not None:
         budget.check_items(N * max(1, generator_count(q, m, n, t)),
                            "adjacency build")
-    gens = [i for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
     rows = [0] * N
-    if spec.p == 2:
-        # entry encodings pack into disjoint bit groups, so index xor is
-        # entrywise difference
-        for i in range(N):
-            acc = 0
-            for gi in gens:
-                acc |= 1 << (i ^ gi)
-            rows[i] = acc
-    else:
-        flats = [vec_from_index(q, nm, i) for i in range(N)]
-        for i, fi in enumerate(flats):
-            acc = 0
-            for gi in gens:
-                j = 0
-                for a, b in zip(fi, flats[gi]):
-                    j = j * q + spec.add(a, b)
-                acc |= 1 << j
-            rows[i] = acc
+    rows[0] = sum(1 << j for j, r in enumerate(rank_table(spec, n, m))
+                  if r == m - t)
+    for k in range(nm):
+        w = q ** k
+        masks = [digit_mask(q, w, d, N) for d in range(q)]
+        for a in range(1, q):
+            moves = [(masks[d], (spec.add(d, a) - d) * w) for d in range(q)]
+            for i in range(w):
+                row = rows[i]
+                acc = 0
+                for mask, shift in moves:
+                    part = row & mask
+                    acc |= part << shift if shift >= 0 else part >> -shift
+                rows[a * w + i] = acc
     return rows

@@ -123,10 +123,13 @@ def test_translate_and_dual():
 
 def test_family_text_round_trip():
     F4 = coset_family()
-    assert Family.from_text(F4.to_text()).members == F4.members
+    back4 = Family.from_text(F4.to_text())
+    assert back4.members == F4.members
+    assert back4 == F4 and hash(back4) == hash(F4)
     FR = Family.from_coset(COL_E1)
     back = Family.from_text(FR.to_text())
     assert back.context == FR.context and back.members == FR.members
+    assert back == FR and back != F4
     assert len(Family.from_text("2,2,2\n")) == 0
 
 
@@ -140,6 +143,7 @@ def test_family_text_round_trip_two_digit_entries(q):
         F = Family.from_coset(R)
         back = Family.from_text(F.to_text())
         assert back.context == F.context and back.members == F.members
+        assert back == F
 
 
 PROPERTY_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)
@@ -174,6 +178,7 @@ def test_family_text_round_trip_over_fields(F):
     back = Family.from_text(F.to_text())
     assert ((back.field, back.n, back.m, back.context, back.members)
             == (F.field, F.n, F.m, F.context, F.members))
+    assert back == F and hash(back) == hash(F)
 
 
 # --- intersection testers ---------------------------------------------------

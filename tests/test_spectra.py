@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfam import mis
 from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError
 from linfam.gf import field
-from linfam.matspace import Mat, phi
+from linfam.matspace import Mat, phi, rank, vec_from_index
 from linfam.fourier import DenseFunction
 from linfam.families import Family
 from linfam.spectra import (bilinear_decomposition, eigenvalue,
@@ -138,6 +139,44 @@ def test_hoffman_vs_exact_independence_number():
     assert hoffman_bound(S) == Fraction(1, 4) == Fraction(alpha, 16)
 
 
+def _difference_indices(spec, nm, i):
+    """Index of X_i - X_j for every j, in order of j."""
+    digits = vec_from_index(spec.q, nm, i)
+    out, w = [0], 1
+    for k in range(nm):         # place value q^k holds digit nm - 1 - k
+        a = digits[nm - 1 - k]
+        out = [spec.sub(a, d) * w + rest for d in range(spec.q) for rest in out]
+        w *= spec.q
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_graph_bitsets_match_definition(q):
+    spec = field(q)
+    for m in range(1, 10):
+        for n in range(1, 10):
+            nm = n * m
+            N = q ** nm
+            if N > 729:
+                continue
+            ranks = [rank(Mat.from_index(spec, n, m, i)) for i in range(N)]
+            for i in (0, 1, N - 1):
+                Xi = Mat.from_index(spec, n, m, i)
+                assert _difference_indices(spec, nm, i) == [
+                    (Xi - Mat.from_index(spec, n, m, j)).index()
+                    for j in range(N)]
+            for t in range(max(0, m - n), m):
+                adj = graph_bitsets(q, m, n, t)
+                for i, row in enumerate(adj):
+                    want = sum(1 << j for j, x in
+                               enumerate(_difference_indices(spec, nm, i))
+                               if ranks[x] == m - t)
+                    assert row == want, (q, m, n, t, i)
+                assert mis._translation_transitive(
+                    mis.complement_bitsets(adj, N), N)
+                assert mis._translation_transitive(adj, N)
+
+
 def test_independence_check_families():
     I = Mat(s2, ((1, 0), (0, 1)), 2)
     U = Mat(s2, ((1, 1), (0, 1)), 2)    # agrees with I exactly on <e1>
@@ -170,3 +209,126 @@ def test_clique_and_independence_on_small_graphs():
 
     empty = [0, 0, 0, 0]
     assert mis.max_independent_set(empty, 4) == (4, 0b1111)
+
+    assert not mis._translation_transitive(path3, 3)
+    assert mis._translation_transitive(c5, 5)
+
+
+def test_search_budget_reports_progress():
+    adj = graph_bitsets(2, 3, 3, 1)
+    with pytest.raises(BudgetExceeded, match="^independent set search rooted "
+                       "at vertex 0 exceeded 0s time budget after 4096 nodes$"):
+        mis.max_independent_set(adj, 512, Budget(seconds=0))
+    j = next(mis.bits_of(adj[0]))
+    lopsided = list(adj)
+    lopsided[0] ^= 1 << j
+    lopsided[j] ^= 1
+    assert not mis._translation_transitive(lopsided, 512)
+    with pytest.raises(BudgetExceeded, match="^independent set search "
+                       "exceeded 0s time budget after 4096 nodes$"):
+        mis.max_independent_set(lopsided, 512, Budget(seconds=0))
+    with pytest.raises(BudgetExceeded, match="^independent set enumeration "
+                       "exceeded 0s time budget after 4096 nodes$"):
+        mis.all_maximum_independent_sets(graph_bitsets(2, 3, 3, 0), 512,
+                                         Budget(seconds=0))
+
+
+def _is_clique(adj, mask):
+    return all((adj[v] | 1 << v) & mask == mask for v in mis.bits_of(mask))
+
+
+def _clique_number_by_subsets(adj, nverts):
+    return max(s.bit_count() for s in range(1 << nverts) if _is_clique(adj, s))
+
+
+def _clique_number(adj, cand, memo):
+    """Exhaustive: branch on a candidate with the fewest candidate
+    neighbours, into the cliques without it and those with it.  A
+    candidate adjacent to all others but at most one lies in some maximum
+    clique (swap it for the one it misses), so it is taken outright."""
+    if not cand:
+        return 0
+    if cand not in memo:
+        deg = {v: (adj[v] & cand).bit_count() for v in mis.bits_of(cand)}
+        u = max(deg, key=deg.get)
+        if deg[u] >= len(deg) - 2:
+            memo[cand] = 1 + _clique_number(adj, cand & adj[u], memo)
+        else:
+            v = min(deg, key=deg.get)
+            memo[cand] = max(_clique_number(adj, cand & ~(1 << v), memo),
+                             1 + _clique_number(adj, cand & adj[v], memo))
+    return memo[cand]
+
+
+def _digit_op(b, x, y, sign):
+    """x + sign * y digit by digit in base b, each digit mod b."""
+    out, w = 0, 1
+    while x or y:
+        out += (x % b + sign * (y % b)) % b * w
+        x, y, w = x // b, y // b, w * b
+    return out
+
+
+def _translation_invariant(adj, nverts):
+    """Brute force: nverts = b^K and every translation of (Z/b)^K, on
+    base-b digits, preserves every adjacency."""
+    b = next(p for p in range(2, nverts + 1) if nverts % p == 0)
+    # a power of b exactly when every divisor above 1 is a multiple of b
+    if any(nverts % x == 0 and x % b for x in range(2, nverts)):
+        return False
+    return all(adj[_digit_op(b, i, a, 1)] >> _digit_op(b, j, a, 1) & 1
+               == adj[i] >> j & 1
+               for a in range(nverts) for i in range(nverts)
+               for j in range(nverts))
+
+
+@st.composite
+def cayley_graphs(draw):
+    """A Cayley graph on (Z/b)^K from a random symmetric connection set."""
+    b, K = draw(st.sampled_from([(2, k) for k in range(1, 7)]
+                                + [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]))
+    N = b ** K
+    pick = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    conn = {x for x in range(1, N) if pick[x] or pick[_digit_op(b, 0, x, -1)]}
+    return N, [sum(1 << j for j in range(N) if _digit_op(b, i, j, -1) in conn)
+               for i in range(N)]
+
+
+@st.composite
+def random_graphs(draw):
+    N = draw(st.integers(2, 12))
+    adj = [0] * N
+    for i in range(N):
+        for j in range(i + 1, N):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return N, adj
+
+
+@settings(max_examples=30, deadline=None)
+@given(cayley_graphs(), st.data())
+def test_max_clique_on_cayley_graphs(graph, data):
+    N, adj = graph
+    assert mis._translation_transitive(adj, N)
+    size, mask = mis.max_clique(adj, N)
+    assert size == _clique_number(adj, (1 << N) - 1, {})
+    assert mask.bit_count() == size and _is_clique(adj, mask)
+    if N >= 3:
+        # one flipped edge breaks the symmetry
+        i, j = data.draw(st.lists(st.integers(0, N - 1), min_size=2,
+                                  max_size=2, unique=True))
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        assert not mis._translation_transitive(adj, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_max_clique_on_random_graphs(graph):
+    N, adj = graph
+    size, mask = mis.max_clique(adj, N)
+    assert size == _clique_number_by_subsets(adj, N)
+    assert size == _clique_number(adj, (1 << N) - 1, {})
+    assert mask.bit_count() == size and _is_clique(adj, mask)
+    assert mis._translation_transitive(adj, N) == _translation_invariant(adj, N)
