@@ -548,14 +548,8 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 if agreement_dim(verts[i], verts[j]) == t - 1:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        seed = 0
-        for i, M in enumerate(verts):
-            if all(M.rows[r][c] == (1 if r == c else 0)
-                   for c in range(t) for r in range(n)):
-                seed |= 1 << i
-        comp = mis.complement_bitsets(adj, order)
-        size, _ = mis.max_clique(comp, order, b, incumbent=(bound, seed))
         optima = mis.all_maximum_independent_sets(adj, order, b)
+        size = optima[0].bit_count()
         normalized = all(
             _common_agreement_ok([verts[i] for i in mis.bits_of(bs)], t, False)
             or _common_agreement_ok([verts[i] for i in mis.bits_of(bs)], t, True)

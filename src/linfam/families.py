@@ -13,7 +13,6 @@ import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
@@ -21,14 +20,10 @@ from .errors import (DomainError, DomainOverlap, FieldMismatch,
                      InconsistentRestriction, NotQuasiregular, ShapeMismatch,
                      StepBudgetExhausted)
 from .gf import FieldSpec
+from .images import ImageTables, capture_keys
 from .matspace import (Mat, Subspace, agreement_dim, mat_from_literal,
                        rank_bits, rref_rows, subspaces_of_dim, vec_dot,
-                       vec_index, vec_sub)
-
-
-@lru_cache(maxsize=None)
-def all_vectors(spec: FieldSpec, length: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product(range(spec.q), repeat=length))
+                       vec_from_index, vec_index, vec_sub)
 
 
 def _canon_pairs(spec: FieldSpec, pairs, dom_len: int, img_len: int):
@@ -411,44 +406,6 @@ def default_regularity_eps(q: int, m: int, n: int, r: int) -> QPow:
 
 # --- capture / quasiregularity searches ------------------------------------
 
-class _SearchCtx:
-    """Per-family caches for the restriction searches."""
-
-    def __init__(self, F: Family, weights: dict[Mat, Fraction] | None = None):
-        self.F = F
-        self.spec = F.field
-        if weights is None:
-            self.items = [(M, 1) for M in F.sorted_members()]
-        else:
-            self.items = sorted(weights.items(), key=lambda kv: kv[0].index())
-        self.total = sum(w for _, w in self.items)
-        self._col: dict = {}
-        self._row: dict = {}
-
-    def col(self, v):
-        out = self._col.get(v)
-        if out is None:
-            out = tuple(M.apply(v) for M, _ in self.items)
-            self._col[v] = out
-        return out
-
-    def row(self, a):
-        out = self._row.get(a)
-        if out is None:
-            out = tuple(M.rapply(a) for M, _ in self.items)
-            self._row[a] = out
-        return out
-
-    def buckets(self, colbasis, rowbasis) -> dict:
-        cols = [self.col(v) for v in colbasis]
-        rows = [self.row(a) for a in rowbasis]
-        out: dict = {}
-        for i, (_, wt) in enumerate(self.items):
-            key = (tuple(c[i] for c in cols), tuple(r[i] for r in rows))
-            out[key] = out.get(key, 0) + wt
-        return out
-
-
 def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
     """Constraint domains of total dimension <= s avoiding the context,
     in deterministic lexicographic order."""
@@ -470,13 +427,26 @@ def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
     return out
 
 
-def is_captureable(F: Family, s: int, eps) -> Restriction | None:
+def _witness(F: Family, colbasis, rowbasis, key) -> Restriction:
+    """The restriction sending the domain bases to the image indices in key."""
+    spec, n, m = F.field, F.n, F.m
+    c = len(colbasis)
+    return Restriction(
+        spec, n, m,
+        cols=[(v, vec_from_index(spec.q, n, w)) for v, w in zip(colbasis, key[:c])],
+        rows=[(a, vec_from_index(spec.q, m, b)) for a, b in zip(rowbasis, key[c:])])
+
+
+def is_captureable(F: Family, s: int, eps,
+                   budget: Budget | None = None) -> Restriction | None:
     """Lexicographically first (Pi, pi) of complexity <= s whose avoiders
-    have context measure <= eps, or None."""
+    have context measure <= eps, or None.  Avoiders are counted by
+    Moebius inversion over a pruned walk of the candidate images
+    (images.capture_keys)."""
     spec = F.field
     n, m = F.n, F.m
     card = F.context.coset_cardinality()
-    # largest avoider count still within eps, for early loop exits
+    # largest avoider count still within eps
     lo, hi = 0, card
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -485,109 +455,85 @@ def is_captureable(F: Family, s: int, eps) -> Restriction | None:
         else:
             hi = mid - 1
     max_avoid = lo
-    sc = _SearchCtx(F)
-    wvecs = all_vectors(spec, n)
-    bvecs = all_vectors(spec, m)
-    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
-        buckets = sc.buckets(colbasis, rowbasis)
-        items = sorted(buckets.items())
-        c, r = len(colbasis), len(rowbasis)
-        # a single difference vector is independent iff it is nonzero
-        simple = c <= 1 and r <= 1
-        for ws in itertools.product(wvecs, repeat=c):
-            for bs in itertools.product(bvecs, repeat=r):
-                avoid = 0
-                for (us, vs), cnt in items:
-                    if simple:
-                        if us and us[0] == ws[0]:
-                            continue
-                        if vs and vs[0] == bs[0]:
-                            continue
-                    else:
-                        cd = [vec_sub(spec, u, w) for u, w in zip(us, ws)]
-                        if not _frame_independent(spec, cd):
-                            continue
-                        rd = [vec_sub(spec, v, b) for v, b in zip(vs, bs)]
-                        if not _frame_independent(spec, rd):
-                            continue
-                    avoid += cnt
-                    if avoid > max_avoid:
-                        break
-                if avoid <= max_avoid:
-                    try:
-                        return Restriction(spec, n, m,
-                                           cols=list(zip(colbasis, ws)),
-                                           rows=list(zip(rowbasis, bs)))
-                    except InconsistentRestriction:
-                        # column and row constraints disagree: no matrix
-                        # satisfies them, so this is no candidate
-                        continue
+    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
+    b = ensure(budget)
+    for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
+        b.check_clock("capture search", f"{k} domains")
+        for key in capture_keys(tables, colbasis, rowbasis, max_avoid):
+            try:
+                return _witness(F, colbasis, rowbasis, key)
+            except InconsistentRestriction:
+                # column and row constraints disagree: no matrix
+                # satisfies them, so this is no candidate
+                continue
     return None
 
 
-def _density_scan(sc: _SearchCtx, s: int):
-    """Yield (restriction pieces, conditional density) over all nonempty
-    refinements of complexity <= s, in lexicographic order."""
-    F = sc.F
+def _density_scan(F: Family, tables: ImageTables, s: int, budget: Budget | None):
+    """Yield (colbasis, rowbasis, sub_card, weights) for every refinement
+    domain of complexity <= s in lexicographic order; weights is the
+    domain's tally, keyed by image indices."""
     spec = F.field
+    q = spec.q
     n, m = F.n, F.m
     dc, dr = F.context.dim_col, F.context.dim_row
-    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
-        c, r = len(colbasis), len(rowbasis)
-        sub_card = spec.q ** ((m - dc - c) * (n - dr - r))
-        buckets = sc.buckets(colbasis, rowbasis)
-        for (us, vs) in sorted(buckets):
-            wt = buckets[(us, vs)]
-            density = Fraction(wt, sub_card)
-            yield colbasis, rowbasis, us, vs, density
+    b = ensure(budget)
+    for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
+        b.check_clock("density scan", f"{k} domains")
+        sub_card = q ** ((m - dc - len(colbasis)) * (n - dr - len(rowbasis)))
+        weights = tables.tally(tuple(vec_index(q, v) for v in colbasis),
+                               tuple(vec_index(q, a) for a in rowbasis))
+        yield colbasis, rowbasis, sub_card, weights
 
 
-def is_quasiregular(F: Family, s: int, alpha: Fraction) -> Restriction | None:
-    """None iff no complexity-<= s restriction pushes the conditional
-    density above alpha * mu(F); otherwise the first violating witness."""
-    mu = F.measure()
-    bound = alpha * mu
-    sc = _SearchCtx(F)
-    for colbasis, rowbasis, us, vs, density in _density_scan(sc, s):
-        if density > bound:
-            return Restriction(F.field, F.n, F.m,
-                               cols=list(zip(colbasis, us)),
-                               rows=list(zip(rowbasis, vs)))
+def _first_dense(F: Family, tables: ImageTables, s: int, bound,
+                 budget: Budget | None) -> Restriction | None:
+    """First refinement of complexity <= s, in lexicographic order, whose
+    conditional weight exceeds bound, or None."""
+    for colbasis, rowbasis, sub_card, weights in _density_scan(F, tables, s, budget):
+        cut = bound * sub_card
+        over = [key for key, wt in weights.items() if wt > cut]
+        if over:
+            return _witness(F, colbasis, rowbasis, min(over))
     return None
 
 
-def max_density_ratio(F: Family, s: int) -> tuple[Fraction, Restriction | None]:
+def is_quasiregular(F: Family, s: int, alpha: Fraction,
+                    budget: Budget | None = None) -> Restriction | None:
+    """None iff no complexity-<= s restriction pushes the conditional
+    density above alpha * mu(F); otherwise the first violating witness."""
+    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
+    return _first_dense(F, tables, s, alpha * F.measure(), budget)
+
+
+def max_density_ratio(F: Family, s: int, budget: Budget | None = None
+                      ) -> tuple[Fraction, Restriction | None]:
     """Largest conditional-density blow-up over restrictions of complexity
     <= s, with its first witness.  (mu(F) must be positive.)"""
     mu = F.measure()
     if mu == 0:
         raise DomainError("density ratio undefined for an empty family")
     best, best_w = Fraction(0), None
-    sc = _SearchCtx(F)
-    for colbasis, rowbasis, us, vs, density in _density_scan(sc, s):
-        ratio = density / mu
-        if ratio > best:
-            best = ratio
-            best_w = Restriction(F.field, F.n, F.m,
-                                 cols=list(zip(colbasis, us)),
-                                 rows=list(zip(rowbasis, vs)))
-    return best, best_w
+    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
+    for colbasis, rowbasis, sub_card, weights in _density_scan(F, tables, s, budget):
+        top = max(weights.values())
+        if Fraction(top, sub_card) > best:
+            best = Fraction(top, sub_card)
+            first = min(key for key, wt in weights.items() if wt == top)
+            best_w = _witness(F, colbasis, rowbasis, first)
+    return best / mu, best_w
 
 
 def function_quasiregular_witness(spec: FieldSpec, n: int, m: int,
                                   weights: dict[Mat, Fraction], s: int,
-                                  C: Fraction) -> Restriction | None:
+                                  C: Fraction,
+                                  budget: Budget | None = None) -> Restriction | None:
     """First complexity-<= s restriction with conditional mean > C * mean,
     for a nonnegative function given by its support weights."""
-    base = Family(spec, n, m, weights.keys())
-    sc = _SearchCtx(base, weights)
-    mean = Fraction(sc.total, spec.q ** (n * m))
-    bound = C * mean
-    for colbasis, rowbasis, us, vs, density in _density_scan(sc, s):
-        if density > bound:
-            return Restriction(spec, n, m, cols=list(zip(colbasis, us)),
-                               rows=list(zip(rowbasis, vs)))
-    return None
+    items = sorted(weights.items(), key=lambda kv: kv[0].index())
+    tables = ImageTables(spec, n, m, [M for M, _ in items], [w for _, w in items])
+    bound = C * Fraction(tables.total, spec.q ** (n * m))
+    return _first_dense(Family(spec, n, m, weights.keys()), tables, s, bound, budget)
 
 
 def quasiregular_implies_uncaptureable_check(F: Family, b: int, N: int,
@@ -721,7 +667,7 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
         if node.depth >= r:
             node.status = "bad"
             continue
-        witness = is_captureable(sub, s, eps)
+        witness = is_captureable(sub, s, eps, b)
         if witness is None:
             node.status = "good"
             good.append(F.context.merge(node.restriction))

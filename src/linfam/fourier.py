@@ -565,7 +565,7 @@ def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
     spec = f.field
     weights = {Mat.from_index(spec, f.n, f.m, i): Fraction(1)
                for i, v in enumerate(f.values) if not v.is_zero()}
-    wit = function_quasiregular_witness(spec, f.n, f.m, weights, s, C)
+    wit = function_quasiregular_witness(spec, f.n, f.m, weights, s, C, budget)
     if wit is not None:
         raise NotQuasiregular(f"density ratio exceeds {C} at {wit!r}")
     ef = f.mean().as_fraction()

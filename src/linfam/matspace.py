@@ -510,10 +510,6 @@ def image(A: Mat) -> Subspace:
     return Subspace.from_vectors(A.field, A.n, tuple(zip(*A.rows)) if A.rows else ())
 
 
-def row_space(A: Mat) -> Subspace:
-    return Subspace.from_vectors(A.field, A.m, A.rows)
-
-
 def agreement(A1: Mat, A2: Mat) -> Subspace:
     """The subspace {v : A1 v = A2 v} = ker(A1 - A2)."""
     return kernel(A1 - A2)
@@ -521,18 +517,6 @@ def agreement(A1: Mat, A2: Mat) -> Subspace:
 
 def agreement_dim(A1: Mat, A2: Mat) -> int:
     return A1.m - rank(A1 - A2)
-
-
-def dual_agreement_dim(A1: Mat, A2: Mat) -> int:
-    """dim{a : a^T A1 = a^T A2} = n - rank(A1 - A2)."""
-    return A1.n - rank(A1 - A2)
-
-
-def delete_rc(A: Mat, dcols: int, drows: int) -> Mat:
-    """Drop the first dcols columns and drows rows."""
-    if dcols > A.m or drows > A.n:
-        raise ShapeMismatch("deleting more than present")
-    return Mat(A.field, tuple(r[dcols:] for r in A.rows[drows:]), A.m - dcols)
 
 
 def block_agreement_dim(A1p: Mat, A2p: Mat, D0: Mat, F0: Mat,

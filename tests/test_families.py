@@ -2,7 +2,9 @@
 and the bootstrap.  The 2x2 coset family fixing e1 is the recurring guinea
 pig; its behavior under every operation here was worked out by hand."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,10 @@ from linfam.errors import (BudgetExceeded, DomainError, HypothesisUnmet,
                            InconsistentRestriction, NotQuasiregular,
                            StepBudgetExhausted)
 from linfam.gf import field
-from linfam.matspace import Mat, enumerate_gl
-from linfam.families import (Family, Junta, Restriction,
+from linfam.matspace import (Mat, Subspace, enumerate_gl, rank, vec_add,
+                             vec_smul, vec_sub)
+from linfam.families import (Family, Junta, Restriction, _domains,
+                             _frame_independent, function_quasiregular_witness,
                              bootstrap_quasiregular, coset_cardinality,
                              default_regularity_eps, enumerate_coset,
                              is_captureable, is_intersection_free,
@@ -71,6 +75,42 @@ def test_merge_dual_translate_round_trips():
     assert moved.translate(A0) == COL_E1
     rt = Restriction.from_dict(s2, 2, 2, merged.to_dict())
     assert rt == merged
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 16)), st.integers(1, 3),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_restriction_canonical_under_change_of_basis(q, n, m, rnd):
+    # one partial map, read off a matrix, given by two bases of its domains
+    spec = field(q)
+    A = Mat.from_index(spec, n, m, rnd.randrange(q ** (n * m)))
+
+    def independent(k, length):
+        while True:
+            vs = [tuple(rnd.randrange(q) for _ in range(length)) for _ in range(k)]
+            if k == 0 or rank(Mat(spec, vs, length)) == k:
+                return vs
+
+    def recombine(pairs):
+        k = len(pairs)
+        G = independent(k, k)
+        out = []
+        for g in G:
+            v, w = (0,) * len(pairs[0][0]), (0,) * len(pairs[0][1])
+            for c, (x, y) in zip(g, pairs):
+                v = vec_add(spec, v, vec_smul(spec, c, x))
+                w = vec_add(spec, w, vec_smul(spec, c, y))
+            out.append((v, w))
+        rnd.shuffle(out)
+        return out
+
+    cols = [(v, A.apply(v)) for v in independent(rnd.randint(0, m), m)]
+    rows = [(a, A.rapply(a)) for a in independent(rnd.randint(0, n), n)]
+    R1 = Restriction(spec, n, m, cols, rows)
+    R2 = Restriction(spec, n, m, recombine(cols), recombine(rows))
+    assert R1 == R2 and hash(R1) == hash(R2)
+    assert (R1.dim_col, R1.dim_row) == (len(cols), len(rows))
+    assert R1.matches(A)
 
 
 def test_enumerate_coset_budget():
@@ -221,6 +261,191 @@ def test_quasiregularity_witnesses():
     assert is_quasiregular(F4, 1, Fraction(4)) is None
     ratio, wit = max_density_ratio(F4, 1)
     assert ratio == 4 and wit == COL_E1
+
+
+def _captureable_by_scan(F, s, eps):
+    """The candidate scan is_captureable ran before it counted avoiders:
+    every image tuple of every domain basis, each member bucket's
+    difference frames tested for independence."""
+    spec, n, m = F.field, F.n, F.m
+    card = F.context.coset_cardinality()
+    lo, hi = 0, card
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if leq_threshold(Fraction(mid, card), eps):
+            lo = mid
+        else:
+            hi = mid - 1
+    max_avoid = lo
+    wvecs = list(itertools.product(range(spec.q), repeat=n))
+    bvecs = list(itertools.product(range(spec.q), repeat=m))
+    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
+        items = sorted(Counter((tuple(M.apply(v) for v in colbasis),
+                                tuple(M.rapply(a) for a in rowbasis))
+                               for M in F.members).items())
+        for ws in itertools.product(wvecs, repeat=len(colbasis)):
+            for bs in itertools.product(bvecs, repeat=len(rowbasis)):
+                avoid = 0
+                for (us, vs), cnt in items:
+                    if (_frame_independent(spec, [vec_sub(spec, u, w)
+                                                  for u, w in zip(us, ws)])
+                            and _frame_independent(spec, [vec_sub(spec, v, b)
+                                                          for v, b in zip(vs, bs)])):
+                        avoid += cnt
+                        if avoid > max_avoid:
+                            break
+                if avoid <= max_avoid:
+                    try:
+                        return Restriction(spec, n, m, cols=list(zip(colbasis, ws)),
+                                           rows=list(zip(rowbasis, bs)))
+                    except InconsistentRestriction:
+                        continue
+    return None
+
+
+def _densities_by_scan(F, s, weights=None):
+    """(witness, conditional weight) of every refinement of complexity <= s,
+    in lexicographic order, by direct bucketing of the members."""
+    spec, n, m = F.field, F.n, F.m
+    dc, dr = F.context.dim_col, F.context.dim_row
+    weights = weights or {M: 1 for M in F.members}
+    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
+        sub_card = spec.q ** ((m - dc - len(colbasis)) * (n - dr - len(rowbasis)))
+        buckets = {}
+        for M, wt in weights.items():
+            key = (tuple(M.apply(v) for v in colbasis),
+                   tuple(M.rapply(a) for a in rowbasis))
+            buckets[key] = buckets.get(key, 0) + wt
+        for us, vs in sorted(buckets):
+            yield (Restriction(spec, n, m, cols=list(zip(colbasis, us)),
+                               rows=list(zip(rowbasis, vs))),
+                   Fraction(buckets[(us, vs)], sub_card))
+
+
+SEARCH_SHAPES = [(q, n, m) for q in (2, 3, 4, 5)
+                 for n in range(1, 4) for m in range(1, 4)
+                 if q ** (n * m) <= 1024]
+
+
+@st.composite
+def search_families(draw):
+    """Uniform or planted members of a coset with no context or one column
+    constraint; planted members agree somewhere with a random restriction
+    of complexity <= 2, plus some noise or none."""
+    q, n, m = draw(st.sampled_from(SEARCH_SHAPES))
+    rnd = draw(st.randoms(use_true_random=False))
+    spec = field(q)
+
+    def vec(k, nonzero=False):
+        v = [rnd.randrange(q) for _ in range(k)]
+        if nonzero:
+            v[rnd.randrange(k)] = rnd.randrange(1, q)
+        return tuple(v)
+
+    ctx = Restriction.empty(spec, n, m)
+    if m >= 2 and draw(st.booleans()):
+        ctx = Restriction(spec, n, m, cols=[(vec(m, True), vec(n))])
+    coset = enumerate_coset(ctx)
+    ncols, nrows = draw(st.sampled_from(((0, 0), (1, 0), (0, 1), (2, 0),
+                                         (1, 1), (0, 2))))
+    if ncols > m or nrows > n:
+        ncols, nrows = 0, 0
+    if ncols + nrows == 0:
+        members = [M for M in coset if rnd.random() < 0.5]
+    else:
+        A = coset[rnd.randrange(len(coset))]
+        vs = Subspace.from_vectors(spec, m, [vec(m, True) for _ in range(ncols)]).rows
+        As = Subspace.from_vectors(spec, n, [vec(n, True) for _ in range(nrows)]).rows
+        plant = Restriction(spec, n, m, cols=[(v, A.apply(v)) for v in vs],
+                            rows=[(a, A.rapply(a)) for a in As])
+        noise = draw(st.sampled_from((0, 0.05)))
+        members = [M for M in coset if not plant.avoids(M) or rnd.random() < noise]
+    return Family(spec, n, m, members, ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_families(), st.sampled_from((1, 2)),
+       st.sampled_from(("0", "1/q^2", "1/4", "1/2", "default")))
+def test_capture_search_matches_candidate_scan(F, s, eps_name):
+    q = F.field.q
+    eps = {"0": Fraction(0), "1/q^2": Fraction(1, q * q), "1/4": Fraction(1, 4),
+           "1/2": Fraction(1, 2),
+           "default": default_regularity_eps(q, F.m, F.n, 1)}[eps_name]
+    got = is_captureable(F, s, eps)
+    assert got == _captureable_by_scan(F, s, eps)
+    if got is not None:
+        avoid = F.restrict_avoiding(got).measure()
+        assert leq_threshold(avoid, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_families(), st.sampled_from((1, 2)), st.randoms(use_true_random=False))
+def test_density_searches_match_recount(F, s, rnd):
+    mu = F.measure()
+    if mu == 0:
+        return
+    scan = list(_densities_by_scan(F, s))
+    top = max(d for _, d in scan)
+    first = next(R for R, d in scan if d == top)
+    ratio, wit = max_density_ratio(F, s)
+    assert (ratio, wit) == (top / mu, first)
+    assert F.restrict(wit).measure() == ratio * mu
+    for alpha in (Fraction(1), (1 + ratio) / 2, ratio):
+        expect = next((R for R, d in scan if d > alpha * mu), None)
+        assert is_quasiregular(F, s, alpha) == expect
+    if F.context.complexity == 0 and len(F):
+        weights = {M: Fraction(rnd.randrange(1, 6), rnd.randrange(1, 4))
+                   for M in F.members}
+        mean = Fraction(sum(weights.values()), F.field.q ** (F.n * F.m))
+        for C in (Fraction(1), Fraction(3, 2), Fraction(4)):
+            expect = next((R for R, d in _densities_by_scan(F, s, weights)
+                           if d > C * mean), None)
+            assert function_quasiregular_witness(F.field, F.n, F.m, weights,
+                                                 s, C) == expect
+
+
+def test_capture_search_finds_mixed_plants():
+    # exact (1, 1) plants with no noise are captured at eps = 0, often first
+    # by a mixed column/row candidate; the random families above rarely are
+    rnd = random.Random(3)
+    shapes = Counter()
+    for q, n, m in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2),
+                    (3, 2, 3)] * 4:
+        spec = field(q)
+        coset = enumerate_coset(Restriction.empty(spec, n, m))
+        A = rnd.choice(coset)
+        v = tuple(rnd.randrange(q) for _ in range(m))
+        v = v if any(v) else (1,) + v[1:]
+        a = (0,) * (n - 1) + (1,)
+        plant = Restriction(spec, n, m, cols=[(v, A.apply(v))],
+                            rows=[(a, A.rapply(a))])
+        F = Family(spec, n, m, [M for M in coset if not plant.avoids(M)])
+        got = is_captureable(F, 2, Fraction(0))
+        assert got == _captureable_by_scan(F, 2, Fraction(0))
+        assert got is not None and len(F.restrict_avoiding(got)) == 0
+        shapes[(got.dim_col, got.dim_row)] += 1
+    assert shapes[(1, 1)] >= 5, shapes
+
+
+def test_searches_check_the_budget():
+    F = coset_family()
+    with pytest.raises(BudgetExceeded, match="^capture search exceeded 0s "
+                       "time budget after 0 domains$"):
+        is_captureable(F, 1, Fraction(0), Budget(seconds=0))
+    with pytest.raises(BudgetExceeded, match="^density scan exceeded 0s "
+                       "time budget after 0 domains$"):
+        max_density_ratio(F, 1, Budget(seconds=0))
+    with pytest.raises(BudgetExceeded, match="^density scan exceeded"):
+        is_quasiregular(F, 1, Fraction(2), Budget(seconds=0))
+
+    class Ledger(Budget):
+        def check_clock(self, what="operation", done=""):
+            self.seen.append((what, done))
+
+    b = Ledger()
+    b.seen = []
+    regularity_decompose(F, 2, 1, eps=Fraction(1, 16), budget=b)
+    assert ("capture search", "0 domains") in b.seen
 
 
 def test_uncapturability_from_quasiregularity():
