@@ -5,8 +5,11 @@ errors (argparse raises SystemExit) and domain errors (returned).
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +111,59 @@ def test_fourier_requires_exactly_one_input(tmp_path):
     assert run(["fourier"])[0] == 2
     assert run(["fourier", "--function", str(fn), "--family", str(fn)])[0] == 2
     assert run(["fourier", "--function", str(tmp_path / "missing.txt")])[0] == 2
+
+
+def _function_file(q, n, m, irrational, seed):
+    """A function file written line by line: seeded random fractions, or
+    p - 1 seeded coordinates per value when irrational."""
+    rng = random.Random(seed)
+    coords = field(q).p - 1 if irrational else 1
+    lines = [f"{q},{n},{m}"]
+    for _ in range(q ** (n * m)):
+        lines.append(",".join(str(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+                              for _ in range(coords)))
+    return "\n".join(lines) + "\n"
+
+
+def _context_family_file(seed):
+    """Half the members of a q = 3 coset cut by one column and one row
+    constraint, both with their pivot on the second coordinate."""
+    s3 = field(3)
+    ctx = Restriction(s3, 3, 3, cols=[((0, 1, 2), (1, 0, 2))],
+                      rows=[((0, 2, 1), (1, 0, 1))])
+    coset = enumerate_coset(ctx)
+    members = random.Random(seed).sample(coset, len(coset) // 2)
+    return Family(s3, 3, 3, members, ctx).to_text()
+
+
+# sha256 of `linfam fourier` stdout, recorded before the tables became
+# integer columns; the transform's JSON must not change with its storage
+FOURIER_GOLDEN = [
+    ("function", lambda: _function_file(2, 2, 3, False, 1),
+     "934b6b5f48dc6a57fb1f348f0bb55c164305ec7e3217d7ae1d97a4d01034552a"),
+    ("function", lambda: _function_file(3, 1, 3, False, 2),
+     "f8cd7c8065d90c9fd80d37ee864f7cee5401d257199b05a0641ae241855bd97f"),
+    ("function", lambda: _function_file(4, 2, 1, False, 3),
+     "59a37f5f3012cf706146bca41e683fbb7f653ae2467912e094778c0ee4ee6717"),
+    ("function", lambda: _function_file(5, 1, 2, False, 4),
+     "3b08784274107f8b841ea595535801c7f938a9ce13e7754ebbf1166db727c4ec"),
+    ("function", lambda: _function_file(3, 2, 1, True, 5),
+     "732878a6d9bf95dcfbc265799648b5602b8a1ec375fd90fa9bc8361df9790a7d"),
+    ("function", lambda: _function_file(5, 1, 2, True, 6),
+     "11380c53f3f96e920f56e99121c080ab0f93a702fa25545c15e401abb7a2a655"),
+    ("family", lambda: _context_family_file(7),
+     "36ad2e83d3ed264055f858096a1dfab75104c41b5ef111141e43c0b3f347830b"),
+]
+
+
+@pytest.mark.parametrize("kind,text,sha", FOURIER_GOLDEN, ids=[
+    "q2", "q3", "q4", "q5", "q3-irrational", "q5-irrational", "q3-family"])
+def test_fourier_stdout_golden(tmp_path, kind, text, sha):
+    path = tmp_path / "input.txt"
+    path.write_text(text())
+    rc, out, err = run(["fourier", f"--{kind}", str(path)])
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 # --- regularity -------------------------------------------------------------
