@@ -6,14 +6,19 @@ so every identity here is an equality of exact values.  Rank components,
 image/kernel projections, and the restricted hypercontractive inequality
 sit on top of the transform.
 
-The fast transforms, Parseval sums and inner products run on integers: a
-table is scaled once to one common denominator, and each entry becomes a
-root-count vector, the counts of 1, omega, ..., omega^(p-1) (one signed
-integer when p = 2, where omega = -1).  Multiplying by omega^k rotates such
-a vector, so every butterfly cell is integer additions whatever q is, and
-products of entries accumulate into the residue of their exponent
-difference.  Each result is reduced to cyclotomic coordinates once, at the
-end.  The quadratic-time ``transform`` stays as the oracle.
+Every table, a function's values and a spectrum's coefficients alike, is
+stored once, in one exact format: p - 1 columns of Python ints, the
+power-basis coordinates of the entries on 1, omega, ..., omega^(p-2), over
+one shared positive denominator ``den``, the least common one.  Equal
+tables therefore hold equal integers, which equality and hashing compare.
+The kernels read the columns directly.  A butterfly appends a zero column
+for omega^(p-1), making each entry a root-count vector (one signed integer
+when p = 2, where omega = -1); multiplying by omega^k rotates such a
+vector, so every cell is integer additions whatever q is, and products of
+entries accumulate into the residue of their exponent difference.  Each
+result is reduced once, by a gcd.  ``Cyc`` values are built only when a
+caller reads ``values``, ``coeffs``, ``value_at`` or ``coeff``.  The
+quadratic-time ``transform`` stays as the oracle.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import add, mul, sub
 from typing import Iterable
 
@@ -34,87 +40,126 @@ from .matspace import Mat, Subspace, image, kernel, rank, rank_table
 from .families import Family, QPow, function_quasiregular_witness, leq_threshold
 
 
-def _as_cyc(p: int, v) -> Cyc:
-    if isinstance(v, Cyc):
-        if v.p != p:
-            raise FieldMismatch("cyclotomic value for a different characteristic")
-        return v
-    return Cyc.from_rational(p, v)
+def _check_mat(spec: FieldSpec, shape: tuple[int, int], M: Mat) -> None:
+    if M.field != spec:
+        raise FieldMismatch("matrix over a different field")
+    if M.shape != shape:
+        raise ShapeMismatch(f"matrix must be {shape[0]}x{shape[1]}, got "
+                            f"{M.shape[0]}x{M.shape[1]}")
 
 
-class DenseFunction:
+class _Table:
+    """A table indexed by the q^(nm) matrices of one shape, in the one
+    format: entry i is sum_j cols[j][i] * w^j / den."""
+
+    __slots__ = ("field", "n", "m", "den", "cols", "_cyc")
+
+    def __init__(self, spec: FieldSpec, n: int, m: int, entries: Iterable):
+        p = spec.p
+        pad = (0,) * (p - 2)
+        coords = []
+        for v in entries:
+            if isinstance(v, Cyc):
+                if v.p != p:
+                    raise FieldMismatch("cyclotomic value for a different characteristic")
+                coords.append(v.coeffs)
+            else:
+                coords.append((v,) + pad)
+        if len(coords) != spec.q ** (n * m):
+            raise ShapeMismatch(f"expected {spec.q ** (n * m)} entries, got {len(coords)}")
+        ratios = [[x.as_integer_ratio() for x in col] for col in zip(*coords)]
+        den = math.lcm(*{d for col in ratios for _, d in col})
+        self._set(spec, n, m, [[a * (den // d) for a, d in col] for col in ratios], den)
+
+    @classmethod
+    def _from_cols(cls, spec: FieldSpec, n: int, m: int, cols, div: int):
+        """The table whose entry i is sum_j cols[j][i] * w^j / div, div > 0."""
+        self = cls.__new__(cls)
+        self._set(spec, n, m, cols, div)
+        return self
+
+    def _set(self, spec: FieldSpec, n: int, m: int, cols, div: int) -> None:
+        g = math.gcd(div, *chain.from_iterable(cols))
+        self.field, self.n, self.m = spec, n, m
+        self.den = div // g
+        self.cols = tuple(tuple([x // g for x in c]) if g > 1 else tuple(c)
+                          for c in cols)
+        self._cyc = None
+
+    def _cycs(self) -> tuple[Cyc, ...]:
+        """The entries as Cyc values, built on first use and kept."""
+        if self._cyc is None:
+            # tables repeat values, so each distinct numerator becomes one Fraction
+            frac = {x: Fraction(x, self.den) for x in set(chain.from_iterable(self.cols))}
+            self._cyc = tuple(Cyc(self.field.p, map(frac.__getitem__, xs))
+                              for xs in zip(*self.cols))
+        return self._cyc
+
+    def _at(self, M: Mat, shape: tuple[int, int]) -> Cyc:
+        _check_mat(self.field, shape, M)
+        return self._cycs()[M.index()]
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other.field == self.field
+                and (other.n, other.m, other.den, other.cols)
+                == (self.n, self.m, self.den, self.cols))
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.m, self.den, self.cols))
+
+
+class DenseFunction(_Table):
     """A function on all of L(V, W), stored densely in enumeration order."""
 
-    __slots__ = ("field", "n", "m", "values")
+    __slots__ = ()
 
-    def __init__(self, spec: FieldSpec, n: int, m: int, values: Iterable):
-        self.field = spec
-        self.n = n
-        self.m = m
-        vals = tuple(_as_cyc(spec.p, v) for v in values)
-        if len(vals) != spec.q ** (n * m):
-            raise ShapeMismatch(f"expected {spec.q ** (n * m)} values, got {len(vals)}")
-        self.values = vals
+    values = property(_Table._cycs)
 
     @classmethod
     def constant(cls, spec: FieldSpec, n: int, m: int, c) -> "DenseFunction":
-        v = _as_cyc(spec.p, c)
-        return cls(spec, n, m, [v] * (spec.q ** (n * m)))
+        return cls(spec, n, m, [c] * (spec.q ** (n * m)))
 
     @classmethod
     def indicator(cls, spec: FieldSpec, n: int, m: int,
                   members: Iterable[Mat]) -> "DenseFunction":
-        vals = [Cyc.zero(spec.p)] * (spec.q ** (n * m))
-        one = Cyc.from_rational(spec.p, 1)
+        vals = [0] * (spec.q ** (n * m))
         for M in members:
-            vals[M.index()] = one
+            _check_mat(spec, (n, m), M)
+            vals[M.index()] = 1
         return cls(spec, n, m, vals)
 
     def value_at(self, M: Mat) -> Cyc:
-        return self.values[M.index()]
+        return self._at(M, (self.n, self.m))
 
     def is_indicator(self) -> bool:
-        zero, one = Cyc.zero(self.field.p), Cyc.from_rational(self.field.p, 1)
-        return all(v == zero or v == one for v in self.values)
+        return (self.den == 1 and self.is_rational_valued()
+                and all(x == 0 or x == 1 for x in self.cols[0]))
 
     def is_rational_valued(self) -> bool:
-        return all(v.is_rational() for v in self.values)
+        return not any(map(any, self.cols[1:]))
 
     def rational_values(self) -> tuple[Fraction, ...]:
-        try:
-            return tuple(v.as_fraction() for v in self.values)
-        except ValueError:
+        if not self.is_rational_valued():
             raise DomainError("function takes irrational values")
+        return tuple(Fraction(x, self.den) for x in self.cols[0])
 
     def mean(self) -> Cyc:
-        q = self.field.q
-        total = Cyc.zero(self.field.p)
-        for v in self.values:
-            total = total + v
-        return total / (q ** (self.n * self.m))
+        div = self.den * self.field.q ** (self.n * self.m)
+        return Cyc(self.field.p, [Fraction(sum(c), div) for c in self.cols])
 
     def __add__(self, other: "DenseFunction") -> "DenseFunction":
-        self._chk(other)
-        return DenseFunction(self.field, self.n, self.m,
-                             [a + b for a, b in zip(self.values, other.values)])
+        return self._combine(other, add)
 
     def __sub__(self, other: "DenseFunction") -> "DenseFunction":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "DenseFunction", op) -> "DenseFunction":
         self._chk(other)
-        return DenseFunction(self.field, self.n, self.m,
-                             [a - b for a, b in zip(self.values, other.values)])
-
-    def scale(self, c) -> "DenseFunction":
-        cv = _as_cyc(self.field.p, c)
-        return DenseFunction(self.field, self.n, self.m,
-                             [v * cv for v in self.values])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DenseFunction) and other.field == self.field
-                and (other.n, other.m) == (self.n, self.m)
-                and other.values == self.values)
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.m, self.values))
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        cols = [[op(x * a, y * b) for x, y in zip(u, v)]
+                for u, v in zip(self.cols, other.cols)]
+        return DenseFunction._from_cols(self.field, self.n, self.m, cols, den)
 
     def _chk(self, other: "DenseFunction") -> None:
         if other.field != self.field or (other.n, other.m) != (self.n, self.m):
@@ -135,58 +180,45 @@ class DenseFunction:
     def from_text(cls, text: str, spec: FieldSpec | None = None) -> "DenseFunction":
         from .gf import field as gf_field
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        q, n, m = (int(x) for x in lines[0].split(","))
+        if not lines:
+            raise DomainError("empty function file")
+        try:
+            q, n, m = (int(x) for x in lines[0].split(","))
+            rows = [[Fraction(x) for x in ln.split(",")] for ln in lines[1:]]
+        except (ValueError, ZeroDivisionError) as e:
+            raise DomainError(f"malformed function file: {e}") from None
         spec = spec if spec is not None else gf_field(q)
-        vals = [Cyc(spec.p, [Fraction(x) for x in ln.split(",")]) if "," in ln
-                else Fraction(ln) for ln in lines[1:]]
-        return cls(spec, n, m, vals)
+        return cls(spec, n, m, [Cyc(spec.p, r) if len(r) > 1 else r[0] for r in rows])
 
     def __repr__(self):
         return f"DenseFunction(q={self.field.q}, shape {self.n}x{self.m})"
 
 
-class Spectrum:
+class Spectrum(_Table):
     """Fourier coefficients, indexed by the dual matrices X in L(W, V)."""
 
-    __slots__ = ("field", "n", "m", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, spec: FieldSpec, n: int, m: int, coeffs: Iterable):
-        self.field = spec
-        self.n = n
-        self.m = m
-        cs = tuple(_as_cyc(spec.p, c) for c in coeffs)
-        if len(cs) != spec.q ** (n * m):
-            raise ShapeMismatch("coefficient table of wrong size")
-        self.coeffs = cs
+    coeffs = property(_Table._cycs)
 
     def coeff(self, X: Mat) -> Cyc:
-        if X.shape != (self.m, self.n):
-            raise ShapeMismatch(f"dual index must be {self.m}x{self.n}")
-        return self.coeffs[X.index()]
+        return self._at(X, (self.m, self.n))
 
     def nonzero(self):
-        spec = self.field
-        for idx, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield Mat.from_index(spec, self.m, self.n, idx), c
+        spec, coeffs = self.field, self.coeffs
+        for idx, xs in enumerate(zip(*self.cols)):
+            if any(xs):
+                yield Mat.from_index(spec, self.m, self.n, idx), coeffs[idx]
 
     def parseval_sum(self) -> Cyc:
-        return _conj_dot(self.field.p, self.coeffs, self.coeffs, 1)
+        return _conj_dot(self, self, 1)
 
     def to_json(self) -> str:
         entries = []
         for X, c in self.nonzero():
             entries.append({"X": X.to_literal(),
-                            "c": [str(Fraction(x)) for x in c.coeffs]})
+                            "c": [str(x) for x in c.coeffs]})
         return json.dumps(entries, sort_keys=True)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Spectrum) and other.field == self.field
-                and (other.n, other.m) == (self.n, self.m)
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.m, self.coeffs))
 
 
 # --- characters -------------------------------------------------------------
@@ -242,45 +274,23 @@ def _perm_table(spec: FieldSpec, n: int, m: int) -> tuple[int, ...]:
     return _cell_perm(spec.q, n, m)
 
 
-def _root_counts(vals, p: int) -> tuple[list[list[int]], int]:
-    """Integer columns over one common denominator for a table of values.
-
-    Entry i is sum_j cols[j][i] * w^j / den.  For p = 2 the single column is
-    the value itself times den (w = -1).  For p > 2 a zero column for
-    w^(p-1) is appended, making each entry a length-p root-count vector.
-    """
-    ratios = [[c.as_integer_ratio() for c in col]
-              for col in zip(*(v.coeffs for v in vals))]
-    den = math.lcm(*{d for col in ratios for _, d in col})
-    cols = [[n * (den // d) for n, d in col] for col in ratios]
-    if p > 2:
-        cols.append([0] * len(vals))
-    return cols, den
+def _gather(cols, order) -> list[list[int]]:
+    return [list(map(c.__getitem__, order)) for c in cols]
 
 
-def _from_root_counts(p: int, cols: list[list[int]], div: int) -> list[Cyc]:
-    """Entry i is sum_j cols[j][i] * w^j / div, reduced to the power basis by
-    the Cyc.from_root_counts rule."""
-    if p > 2:
-        top = cols[p - 1]
-        cols = [list(map(sub, c, top)) for c in cols[:p - 1]]
-    # tables repeat values, so each distinct numerator becomes one Fraction
-    frac = {v: Fraction(v, div) for v in set().union(*cols)}
-    return [Cyc(p, cs) for cs in zip(*(map(frac.__getitem__, c) for c in cols))]
+def _butterfly(spec: FieldSpec, cols, nm: int, sign: int) -> list[list[int]]:
+    """Sum over a of w^(sign * tr(x a)) along every cell, on coordinate columns.
 
-
-def _butterfly(spec: FieldSpec, cols: list[list[int]], nm: int,
-               sign: int) -> list[list[int]]:
-    """Sum over a of w^(sign * tr(x a)) along every cell, on root-count columns.
-
-    Multiplying a root-count vector by w^k rotates it by k places, so column
-    r of an output gathers column r - k of an input: every cell is integer
-    adds.  For p = 2 the single column is negated instead (w = -1), and at
-    q = 2 a stage is the radix-2 add/sub pair.  Each stage transforms the
-    last base-q digit of the index and moves it to the front,
+    For p > 2 a zero column for w^(p-1) is appended, so every entry is a
+    root-count vector.  Multiplying it by w^k rotates it by k places, so
+    column r of an output gathers column r - k of an input: every cell is
+    integer adds.  For p = 2 the single column is negated instead (w = -1),
+    and at q = 2 a stage is the radix-2 add/sub pair.  Each stage transforms
+    the last base-q digit of the index and moves it to the front,
     out[x * M + j] = sum_a w^K[x][a] in[j * q + a] with M = N / q, so after
     nm stages every digit has been transformed once and is back in place.
-    Every sum runs over whole strided slices.
+    Every sum runs over whole strided slices.  The root counts are reduced
+    back to p - 1 coordinate columns by the Cyc.from_root_counts rule.
     """
     q, p = spec.q, spec.p
     K = [[(sign * spec.trace(spec.mul(x, a))) % p for a in range(q)]
@@ -292,6 +302,7 @@ def _butterfly(spec: FieldSpec, cols: list[list[int]], nm: int,
     else:
         plan = [[[((r - K[x][a]) % p, a, 0) for a in range(q)]
                  for x in range(q)] for r in range(p)]
+        cols = [*cols, [0] * len(cols[0])]
     for _ in range(nm):
         parts = [[c[a::q] for a in range(q)] for c in cols]
         cols = []
@@ -303,24 +314,23 @@ def _butterfly(spec: FieldSpec, cols: list[list[int]], nm: int,
                     acc = map(sub if neg else add, acc, parts[j][a])
                 out.extend(acc)
             cols.append(out)
+    if p > 2:
+        top = cols[p - 1]
+        cols = [list(map(sub, c, top)) for c in cols[:p - 1]]
     return cols
 
 
 def fast_transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
-    """Coordinate-by-coordinate butterfly transform on integer root counts;
+    """Coordinate-by-coordinate butterfly transform on integer columns;
     equal by value to the quadratic-time transform."""
     spec = f.field
     nm = f.n * f.m
-    b = ensure(budget)
-    b.check_items(spec.q ** nm * nm * spec.q, "butterfly transform")
     N = spec.q ** nm
-    perm = _perm_table(spec, f.n, f.m)
-    cols, den = _root_counts(f.values, spec.p)
-    vals = _from_root_counts(spec.p, _butterfly(spec, cols, nm, -1), den * N)
-    out = [None] * N
-    for ridx, v in enumerate(vals):
-        out[perm[ridx]] = v
-    return Spectrum(spec, f.n, f.m, out)
+    ensure(budget).check_items(N * nm * spec.q, "butterfly transform")
+    cols = _butterfly(spec, f.cols, nm, -1)
+    # the m x n transposition undoes the n x m one
+    inv = _perm_table(spec, f.m, f.n)
+    return Spectrum._from_cols(spec, f.n, f.m, _gather(cols, inv), f.den * N)
 
 
 def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
@@ -333,9 +343,9 @@ def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
     b.check_items(N * N, "naive transform")
     all_A = [Mat.from_index(spec, n, m, i) for i in range(N)]
     rational = f.is_rational_valued()
+    fr = f.rational_values() if rational else None
     out = []
     if rational and q == 2:
-        fr = [f.values[i].as_fraction() for i in range(N)]
         flat_a = [sum(1 << (i * m + j) for i in range(n) for j in range(m)
                       if A.rows[i][j]) for A in all_A]
         for xi in range(N):
@@ -355,13 +365,13 @@ def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
         X = Mat.from_index(spec, m, n, xi)
         if rational:
             buckets = [Fraction(0)] * p
-            for A in all_A:
-                buckets[(-char_exponent(X, A)) % p] += f.value_at(A).as_fraction()
+            for A, v in zip(all_A, fr):
+                buckets[(-char_exponent(X, A)) % p] += v
             out.append(Cyc.from_root_counts(p, buckets) / N)
         else:
             acc = Cyc.zero(p)
-            for A in all_A:
-                acc = acc + f.value_at(A) * char_root(p, (-char_exponent(X, A)) % p)
+            for A, v in zip(all_A, f.values):
+                acc = acc + v * char_root(p, (-char_exponent(X, A)) % p)
             out.append(acc / N)
     return Spectrum(spec, n, m, out)
 
@@ -369,15 +379,18 @@ def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
 def inverse_transform(S: Spectrum, budget: Budget | None = None) -> DenseFunction:
     spec = S.field
     nm = S.n * S.m
-    b = ensure(budget)
-    b.check_items(spec.q ** nm * nm * spec.q, "inverse transform")
-    perm = _perm_table(spec, S.n, S.m)
-    cols, den = _root_counts([S.coeffs[i] for i in perm], spec.p)
-    vals = _from_root_counts(spec.p, _butterfly(spec, cols, nm, 1), den)
-    return DenseFunction(spec, S.n, S.m, vals)
+    ensure(budget).check_items(spec.q ** nm * nm * spec.q, "inverse transform")
+    cols = _butterfly(spec, _gather(S.cols, _perm_table(spec, S.n, S.m)), nm, 1)
+    return DenseFunction._from_cols(spec, S.n, S.m, cols, S.den)
 
 
 # --- rank components and projections ----------------------------------------
+
+def _keep(S: Spectrum, mask) -> Spectrum:
+    """S with every coefficient outside mask (one bool per dual index) zeroed."""
+    return Spectrum._from_cols(S.field, S.n, S.m,
+                               [list(map(mul, c, mask)) for c in S.cols], S.den)
+
 
 def rank_component(f: DenseFunction, d: int, budget: Budget | None = None) -> DenseFunction:
     if not 0 <= d <= min(f.m, f.n):
@@ -387,88 +400,69 @@ def rank_component(f: DenseFunction, d: int, budget: Budget | None = None) -> De
 
 def rank_split(f: DenseFunction, budget: Budget | None = None) -> dict[int, DenseFunction]:
     """All rank components from a single transform."""
-    spec = f.field
     S = fast_transform(f, budget)
-    ranks = rank_table(spec, f.m, f.n)
-    zero = Cyc.zero(spec.p)
-    out = {}
-    for d in range(min(f.m, f.n) + 1):
-        cs = [c if ranks[i] == d else zero for i, c in enumerate(S.coeffs)]
-        out[d] = inverse_transform(Spectrum(spec, f.n, f.m, cs), budget)
-    return out
+    ranks = rank_table(f.field, f.m, f.n)
+    return {d: inverse_transform(_keep(S, [r == d for r in ranks]), budget)
+            for d in range(min(f.m, f.n) + 1)}
 
 
 def degree(f: DenseFunction, budget: Budget | None = None) -> int:
-    spec = f.field
     S = fast_transform(f, budget)
-    ranks = rank_table(spec, f.m, f.n)
-    best = -1
-    for i, c in enumerate(S.coeffs):
-        if not c.is_zero() and ranks[i] > best:
-            best = ranks[i]
+    ranks = rank_table(f.field, f.m, f.n)
+    best = max((r for r, *xs in zip(ranks, *S.cols) if any(xs)), default=-1)
     if best < 0:
         raise ZeroFunction("degree of the zero function")
     return best
 
 
 @lru_cache(maxsize=None)
-def _image_keys(spec: FieldSpec, m: int, n: int):
+def _space_keys(spec: FieldSpec, m: int, n: int, space_of) -> tuple:
     N = spec.q ** (n * m)
-    return tuple(image(Mat.from_index(spec, m, n, i)).key() for i in range(N))
+    return tuple(space_of(Mat.from_index(spec, m, n, i)).key() for i in range(N))
 
 
-@lru_cache(maxsize=None)
-def _kernel_keys(spec: FieldSpec, m: int, n: int):
-    N = spec.q ** (n * m)
-    return tuple(kernel(Mat.from_index(spec, m, n, i)).key() for i in range(N))
+def _project(f: DenseFunction, target: Subspace, space_of,
+             budget: Budget | None) -> DenseFunction:
+    """Keep the characters whose dual matrix X has space_of(X) = target."""
+    S = fast_transform(f, budget)
+    want = target.key()
+    keys = _space_keys(f.field, f.m, f.n, space_of)
+    return inverse_transform(_keep(S, [k == want for k in keys]), budget)
 
 
 def project_image(f: DenseFunction, Vp: Subspace,
                   budget: Budget | None = None) -> DenseFunction:
     """Keep the characters whose dual matrix has image exactly Vp <= V."""
-    spec = f.field
     if Vp.ambient != f.m:
         raise DomainError("image subspace must live in the m-dimensional side")
-    S = fast_transform(f, budget)
-    keys = _image_keys(spec, f.m, f.n)
-    zero = Cyc.zero(spec.p)
-    want = Vp.key()
-    cs = [c if keys[i] == want else zero for i, c in enumerate(S.coeffs)]
-    return inverse_transform(Spectrum(spec, f.n, f.m, cs), budget)
+    return _project(f, Vp, image, budget)
 
 
 def project_kernel(f: DenseFunction, Wp: Subspace,
                    budget: Budget | None = None) -> DenseFunction:
     """Keep the characters whose dual matrix has kernel exactly Wp <= W."""
-    spec = f.field
     if Wp.ambient != f.n:
         raise DomainError("kernel subspace must live in the n-dimensional side")
-    S = fast_transform(f, budget)
-    keys = _kernel_keys(spec, f.m, f.n)
-    zero = Cyc.zero(spec.p)
-    want = Wp.key()
-    cs = [c if keys[i] == want else zero for i, c in enumerate(S.coeffs)]
-    return inverse_transform(Spectrum(spec, f.n, f.m, cs), budget)
+    return _project(f, Wp, kernel, budget)
 
 
 # --- inner products and norms ----------------------------------------------
 
-def _conj_dot(p: int, xs, ys, div: int) -> Cyc:
-    """sum_i xs[i] * conj(ys[i]) / div.  The product of coordinates i and j
+def _conj_dot(a: _Table, b: _Table, div: int) -> Cyc:
+    """sum_i a[i] * conj(b[i]) / div.  The product of coordinates i and j
     counts toward w^(i - j), so whole columns multiply into p integer root
     counts and one Cyc is built at the end."""
-    X, dx = _root_counts(xs, p)
-    Y, dy = (X, dx) if ys is xs else _root_counts(ys, p)
+    p = a.field.p
     acc = [0] * p
-    for i, u in enumerate(X[:p - 1]):
-        for j, v in enumerate(Y[:p - 1]):
+    for i, u in enumerate(a.cols):
+        for j, v in enumerate(b.cols):
             acc[(i - j) % p] += sum(map(mul, u, v))
-    return Cyc.from_root_counts(p, acc) / (dx * dy * div)
+    return Cyc.from_root_counts(p, acc) / (a.den * b.den * div)
 
 
 def inner(f: DenseFunction, g: DenseFunction) -> Cyc:
     f._chk(g)
-    return _conj_dot(f.field.p, f.values, g.values, f.field.q ** (f.n * f.m))
+    return _conj_dot(f, g, f.field.q ** (f.n * f.m))
 
 def norm2_sq(f: DenseFunction) -> Cyc:
     return inner(f, f)
@@ -564,7 +558,7 @@ def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
         raise DomainError("need d <= s")
     spec = f.field
     weights = {Mat.from_index(spec, f.n, f.m, i): Fraction(1)
-               for i, v in enumerate(f.values) if not v.is_zero()}
+               for i, x in enumerate(f.cols[0]) if x}
     wit = function_quasiregular_witness(spec, f.n, f.m, weights, s, C, budget)
     if wit is not None:
         raise NotQuasiregular(f"density ratio exceeds {C} at {wit!r}")
@@ -586,35 +580,29 @@ def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
 
 def reduce_family(F: Family) -> DenseFunction:
     """Indicator of a context-restricted family, re-indexed over a fresh
-    full matrix space of shape (n - dim A) x (m - dim S)."""
+    full matrix space of shape (n - dim A) x (m - dim S).
+
+    Every member is base + B R P, where the columns of B span the kernel Z
+    of the row constraints and P kills the column-constraint domain S.
+    B is the identity on the pivot rows of Z's RREF basis, and P on the
+    non-pivot columns of S's, so R is M - base read on those rows and
+    columns.
+    """
     from .families import coset_base
     spec = F.field
     ctx = F.context
-    n_red = F.n - ctx.dim_row
-    m_red = F.m - ctx.dim_col
-    base = coset_base(ctx)
+    base = coset_base(ctx).rows
     Z = kernel(Mat(spec, tuple(a for a, _ in ctx.rows), F.n)) if ctx.rows \
         else Subspace.full(spec, F.n)
-    B = Mat(spec, Z.rows, F.n).transpose()  # n x n_red, columns span Z
-    S_dom = ctx.col_domain()
-    s_pivots = [next(j for j, x in enumerate(r) if x) for r in S_dom.rows]
-    piv = set(s_pivots)
-    nonpiv = [j for j in range(F.m) if j not in piv]
-    # P kills the column-constraint domain and reads off complement coords
-    prows = []
-    for k in nonpiv:
-        row = [0] * F.m
-        row[k] = 1
-        for pi, srow in zip(s_pivots, S_dom.rows):
-            if srow[k]:
-                row[pi] = spec.neg(srow[k])
-        prows.append(tuple(row))
-    P = Mat(spec, tuple(prows), F.m)
-    vals = []
-    one = Cyc.from_rational(spec.p, 1)
-    zero = Cyc.zero(spec.p)
-    for idx in range(spec.q ** (n_red * m_red)):
-        R = Mat.from_index(spec, n_red, m_red, idx)
-        lifted = base + (B @ R @ P)
-        vals.append(one if lifted in F.members else zero)
-    return DenseFunction(spec, n_red, m_red, vals)
+    keep_rows = [next(j for j, x in enumerate(r) if x) for r in Z.rows]
+    s_pivots = {next(j for j, x in enumerate(r) if x) for r in ctx.col_domain().rows}
+    keep_cols = [j for j in range(F.m) if j not in s_pivots]
+    q = spec.q
+    vals = [0] * (q ** (len(keep_rows) * len(keep_cols)))
+    for M in F.members:
+        idx = 0
+        for i in keep_rows:
+            for j in keep_cols:
+                idx = idx * q + spec.sub(M.rows[i][j], base[i][j])
+        vals[idx] = 1
+    return DenseFunction(spec, len(keep_rows), len(keep_cols), vals)

@@ -113,6 +113,14 @@ def test_fourier_requires_exactly_one_input(tmp_path):
     assert run(["fourier", "--function", str(tmp_path / "missing.txt")])[0] == 2
 
 
+@pytest.mark.parametrize("text", ["", "2,1,1\n1/0\n0\n", "2,1\n1\n0\n"])
+def test_fourier_rejects_malformed_function_file(tmp_path, text):
+    fn = tmp_path / "fn.txt"
+    fn.write_text(text)
+    rc, out, err = run(["fourier", "--function", str(fn)])
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def _function_file(q, n, m, irrational, seed):
     """A function file written line by line: seeded random fractions, or
     p - 1 seeded coordinates per value when irrational."""
@@ -136,8 +144,8 @@ def _context_family_file(seed):
     return Family(s3, 3, 3, members, ctx).to_text()
 
 
-# sha256 of `linfam fourier` stdout, recorded before the tables became
-# integer columns; the transform's JSON must not change with its storage
+# sha256 of `linfam fourier` stdout for fixed inputs: the JSON depends on
+# the transform's values only, never on how the tables are stored
 FOURIER_GOLDEN = [
     ("function", lambda: _function_file(2, 2, 3, False, 1),
      "934b6b5f48dc6a57fb1f348f0bb55c164305ec7e3217d7ae1d97a4d01034552a"),

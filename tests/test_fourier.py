@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfam.cyclo import Cyc
-from linfam.errors import (DomainError, NotIndicator, NotInKernelRelation,
-                           NotQuasiregular, RankNotOne, ZeroFunction)
+from linfam.errors import (DomainError, FieldMismatch, NotIndicator,
+                           NotInKernelRelation, NotQuasiregular, RankNotOne,
+                           ShapeMismatch, ZeroFunction)
 from linfam.gf import field
-from linfam.matspace import Mat, Subspace, count_rank_d, subspaces_of_dim
-from linfam.families import Family, Restriction, max_density_ratio
+from linfam.matspace import (Mat, Subspace, count_rank_d, kernel,
+                              subspaces_of_dim)
+from linfam.families import (Family, Restriction, coset_base, enumerate_coset,
+                             max_density_ratio)
 from linfam.fourier import (DenseFunction, Spectrum, character,
                             character_function, check_sum_rank_nullity, degree,
                             fast_transform, inner, inverse_transform,
@@ -249,6 +252,74 @@ def test_reduce_family():
     assert g == DenseFunction.constant(s2, 2, 1, 1)
 
 
+def _reduce_by_lift(F):
+    """reduce_family by lifting: every reduced index R maps to the matrix
+    base + B R P of the coset, looked up among the members."""
+    spec = F.field
+    ctx = F.context
+    n_red = F.n - ctx.dim_row
+    m_red = F.m - ctx.dim_col
+    base = coset_base(ctx)
+    Z = kernel(Mat(spec, tuple(a for a, _ in ctx.rows), F.n)) if ctx.rows \
+        else Subspace.full(spec, F.n)
+    B = Mat(spec, Z.rows, F.n).transpose()  # n x n_red, columns span Z
+    S_dom = ctx.col_domain()
+    s_pivots = [next(j for j, x in enumerate(r) if x) for r in S_dom.rows]
+    piv = set(s_pivots)
+    nonpiv = [j for j in range(F.m) if j not in piv]
+    # P kills the column-constraint domain and reads off complement coords
+    prows = []
+    for k in nonpiv:
+        row = [0] * F.m
+        row[k] = 1
+        for pi, srow in zip(s_pivots, S_dom.rows):
+            if srow[k]:
+                row[pi] = spec.neg(srow[k])
+        prows.append(tuple(row))
+    P = Mat(spec, tuple(prows), F.m)
+    vals = []
+    for idx in range(spec.q ** (n_red * m_red)):
+        R = Mat.from_index(spec, n_red, m_red, idx)
+        vals.append(1 if base + (B @ R @ P) in F.members else 0)
+    return DenseFunction(spec, n_red, m_red, vals)
+
+
+# (q, n, m, row constraints, column constraints) with at most 343 reduced
+# entries and at least one free row and column
+REDUCE_SHAPES = [(q, n, m, kr, kc) for q in (2, 3, 4, 5, 7)
+                 for n in range(1, 4) for m in range(1, 4)
+                 for kr in range(n) for kc in range(m)
+                 if q ** ((n - kr) * (m - kc)) <= 343]
+
+
+@st.composite
+def context_families(draw):
+    """A random half of a coset cut by constraints read off one matrix."""
+    q, n, m, kr, kc = draw(st.sampled_from(REDUCE_SHAPES))
+    rnd = draw(st.randoms(use_true_random=False))
+    spec = field(q)
+    A0 = Mat.from_index(spec, n, m, rnd.randrange(q ** (n * m)))
+
+    def independent(k, length):
+        while True:
+            vs = [tuple(rnd.randrange(q) for _ in range(length)) for _ in range(k)]
+            if Subspace.from_vectors(spec, length, vs).dim == k:
+                return vs
+
+    cols = [(v, A0.apply(v)) for v in independent(kc, m)]
+    rows = [(a, A0.rapply(a)) for a in independent(kr, n)]
+    ctx = Restriction(spec, n, m, cols=cols, rows=rows)
+    assert ctx.coset_cardinality() <= 343
+    members = [M for M in enumerate_coset(ctx) if rnd.random() < 0.5]
+    return Family(spec, n, m, members, ctx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(context_families())
+def test_reduce_family_matches_lift(F):
+    assert reduce_family(F) == _reduce_by_lift(F)
+
+
 def test_function_text_round_trip():
     f = rational_fn(s2, 1, 2, [Fraction(1, 3), 0, Fraction(-2, 7), 1])
     assert DenseFunction.from_text(f.to_text()) == f
@@ -263,6 +334,23 @@ def test_function_text_irrational_values():
     assert DenseFunction.from_text(text) == f
     with pytest.raises(DomainError):
         DenseFunction.from_text("3,1,1\n1,2,3\n0\n0\n")
+
+
+def test_value_at_checks_field_and_shape():
+    f = DenseFunction.constant(s2, 2, 3, 1)
+    with pytest.raises(ShapeMismatch):
+        f.value_at(Mat.zero(s2, 3, 2))
+    with pytest.raises(FieldMismatch):
+        f.value_at(Mat.zero(s3, 2, 3))
+    with pytest.raises(FieldMismatch):
+        fast_transform(f).coeff(Mat.zero(s3, 3, 2))
+
+
+def test_indicator_checks_field_and_shape():
+    with pytest.raises(ShapeMismatch):
+        DenseFunction.indicator(s2, 2, 3, [Mat.zero(s2, 3, 2)])
+    with pytest.raises(FieldMismatch):
+        DenseFunction.indicator(s2, 1, 1, [Mat(s3, ((2,),), 1)])
 
 
 # --- properties over many fields --------------------------------------------
@@ -327,3 +415,45 @@ def test_inner_matches_direct_sum(fs):
 def test_function_text_round_trip_over_fields(fs):
     (f,) = fs
     assert DenseFunction.from_text(f.to_text()) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples(count=2))
+def test_table_arithmetic_matches_entrywise_cyc(fs):
+    f, g = fs
+    spec = f.field
+    assert (f + g).values == tuple(a + b for a, b in zip(f.values, g.values))
+    assert (f - g).values == tuple(a - b for a, b in zip(f.values, g.values))
+    total = Cyc.zero(spec.p)
+    for v in f.values:
+        total = total + v
+    assert f.mean() == total / len(f.values)
+    zero, one = Cyc.zero(spec.p), Cyc.from_rational(spec.p, 1)
+    ind = DenseFunction(spec, f.n, f.m, [int(v == f.values[0]) for v in f.values])
+    for h in (f, f - f, ind, ind + ind):
+        assert h.is_indicator() == all(v in (zero, one) for v in h.values)
+    if all(v.is_rational() for v in f.values):
+        assert f.rational_values() == tuple(v.as_fraction() for v in f.values)
+    else:
+        with pytest.raises(DomainError):
+            f.rational_values()
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_tuples())
+def test_equal_tables_built_three_ways(fs):
+    (f,) = fs
+    spec, p = f.field, f.field.p
+    fracs = [v.coeffs[0] for v in f.values]
+    built = [DenseFunction(spec, f.n, f.m, fracs),
+             DenseFunction(spec, f.n, f.m, [Cyc.from_rational(p, x) for x in fracs])]
+    built.append(inverse_transform(fast_transform(built[0])))
+    for g in built:
+        assert g == built[0] and hash(g) == hash(built[0])
+    same = [f, DenseFunction(spec, f.n, f.m, f.values),
+            inverse_transform(fast_transform(f))]
+    for g in same:
+        assert g == f and hash(g) == hash(f)
+    S = fast_transform(f)
+    assert Spectrum(spec, f.n, f.m, S.coeffs) == S
+    assert hash(Spectrum(spec, f.n, f.m, S.coeffs)) == hash(S)
