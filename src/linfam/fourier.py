@@ -49,8 +49,8 @@ def _check_mat(spec: FieldSpec, shape: tuple[int, int], M: Mat) -> None:
 
 
 class _Table:
-    """A table indexed by the q^(nm) matrices of one shape, in the one
-    format: entry i is sum_j cols[j][i] * w^j / den."""
+    """A table indexed by the q^(nm) matrices of one shape: entry i is
+    sum_j cols[j][i] * w^j / den, den the least common denominator."""
 
     __slots__ = ("field", "n", "m", "den", "cols", "_cyc")
 
@@ -343,7 +343,7 @@ def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
     b.check_items(N * N, "naive transform")
     all_A = [Mat.from_index(spec, n, m, i) for i in range(N)]
     rational = f.is_rational_valued()
-    fr = f.rational_values() if rational else None
+    fr = [f.values[i].as_fraction() for i in range(N)] if rational else None
     out = []
     if rational and q == 2:
         flat_a = [sum(1 << (i * m + j) for i in range(n) for j in range(m)
