@@ -174,6 +174,43 @@ def test_fourier_stdout_golden(tmp_path, kind, text, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+# sha256 of `linfam extremal` stdout at fixed points, one per claim that
+# walks the prefix-fixing family, at q = 2 and q > 2
+EXTREMAL_GOLDEN = [
+    (["canonical", "2", "4", "2"],
+     "d77e8e60d559d72dee59f4a76145f5d3532ac684a6660781c99d6e50cac38413"),
+    (["canonical", "3", "3", "1"],
+     "e0b5a07cefe7fed99674eadb021a671a157c5b6b68fdd44fe9985f8400f0fd8d"),
+    (["canonical", "4", "3", "1"],
+     "09bc768a25e9c72c2e88a46fd91884070d962309f3fb1d06a6f651296678f539"),
+    (["determinant", "3", "3", "1"],
+     "10c71efe7e14662b4958ef6173b69ac3c2ebe427dcb843612011c8eeefecc4c6"),
+    (["determinant", "5", "2", "1"],
+     "a09d1da3797c7664ff9f3b98ca72fef41d70192a24ed4d8972c575e37511f59c"),
+    (["derange", "2", "5", "2", "--tau",
+      "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011"],
+     "a9283716e11cdfa304ead445a7b91239f64648666cd68b62c980f504fe8ed424"),
+    (["derange", "4", "3", "1", "--tau", "q=4;n=3;m=3;rows=322;110;230"],
+     "b4c1dd22d8d1916e290f65c95085e65cf99c3d72ff52b408e6b3eedcf7d9695d"),
+    (["derange", "3", "3", "2", "--tau", "q=3;n=3;m=3;rows=122;001;100"],
+     "db86e34283643947299639b3b157b5c9281c3e749803e3eb5c80f102e00efc50"),
+    (["optimum", "2", "3", "2", "--mode", "sample"],
+     "17fd4f4977ad78e476748241d5b5bbdfa1c757d49dc48b27a791842efaa29a1b"),
+    (["optimum", "5", "2", "1", "--mode", "sample"],
+     "7ea60eb3142e823928e516718bd9bed4faa48f7da3bf1529f2f11fac0b99a572"),
+]
+
+
+@pytest.mark.parametrize("args,sha", EXTREMAL_GOLDEN,
+                         ids=["-".join(a[:4]) for a, _ in EXTREMAL_GOLDEN])
+def test_extremal_stdout_golden(args, sha):
+    claim, q, n, t, *rest = args
+    rc, out, err = run(["extremal", "--claim", claim, "--q", q, "--n", n,
+                        "--t", t] + rest)
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 # --- regularity -------------------------------------------------------------
 
 COL_E1 = Restriction(s2, 2, 2, cols=[((1, 0), (1, 0))])

@@ -4,6 +4,8 @@ Everything brute-forced here stays inside GL(3, F3) or smaller, so the
 oracles are honest full scans.
 """
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ import pytest
 from linfam import extremal as ex
 from linfam.errors import DomainError, PreconditionViolated
 from linfam.gf import field
-from linfam.matspace import Mat, agreement_dim, enumerate_gl, m_qt, rank
+from linfam.matspace import (Mat, agreement_dim, enumerate_gl, m_qt,
+                             mat_from_literal, rank)
 
 
 def ident(spec, n):
@@ -190,6 +193,40 @@ def test_constructive_process_lands_in_target_set():
         H = brute_H(n, q, 1, tau)
         bound = ex.derangement_bound(n, q, 1, 0)
         assert cnt <= H and Fraction(cnt) >= bound and Fraction(H) >= bound
+
+
+# sha256 of the Mat.index() sequence of derangement_construct for fixed
+# targets: pins which maps the process yields and in which order
+CONSTRUCT_GOLDEN = [
+    (4, 2, 1, "q=2;n=4;m=4;rows=1001;1010;0101;1011", None,
+     "3653ff62491b12e311dadf92702ee7bd95527b554585a7200b35c6e9ac9de38b"),
+    (3, 3, 1, "q=3;n=3;m=3;rows=202;022;012", None,
+     "0f1789d30acca92b265f30389d7ae7a9ff865e05c3bd22c963c1a08c5194007b"),
+    (5, 2, 1, "q=2;n=5;m=5;rows=00110;01100;11100;01000;01011", 1500,
+     "f52010ae824e3fdd6a3796ea00d43a58d9fc3919307ae31447dc99dcd9a27ae4"),
+    (6, 2, 2, "q=2;n=6;m=6;rows=110000;000100;001011;101100;110011;001010",
+     300, "b055f647b43922216ab6549b1a15e7849bda0d7befe9259ffecc2b76df44aead"),
+    (6, 2, 2, "q=2;n=6;m=6;rows=010010;010110;110101;111001;000010;110010",
+     300, "29e7649c85caf5a0bc8e97e919c434314d466834c08da914a2b1479ec1084ba9"),
+]
+
+
+@pytest.mark.parametrize("n,q,t,tau,take,sha", CONSTRUCT_GOLDEN, ids=[
+    "n4q2t1", "n3q3t1", "n5q2t1-first1500", "n6q2t2d0-first300",
+    "n6q2t2d1-first300"])
+def test_construct_order_golden(n, q, t, tau, take, sha):
+    outs = itertools.islice(
+        ex.derangement_construct(n, q, t, mat_from_literal(tau)), take)
+    idx = [M.index() for M in outs]
+    assert hashlib.sha256(repr(idx).encode()).hexdigest() == sha
+
+
+def test_enumerate_many_golden():
+    taus = [mat_from_literal(x) for x in (
+        "q=2;n=5;m=5;rows=01100;01110;11010;01011;01111",
+        "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011",
+        "q=2;n=5;m=5;rows=11010;01100;10010;00010;01111")]
+    assert ex.derangement_enumerate_many(5, 2, 2, taus) == [6192, 6432, 6192]
 
 
 # --- optimality reports -----------------------------------------------------
