@@ -22,9 +22,6 @@ class Budget:
         self.seconds = seconds
         self._t0 = time.monotonic()
 
-    def restart_clock(self) -> None:
-        self._t0 = time.monotonic()
-
     def check_items(self, count: int, what: str = "enumeration") -> None:
         if count > self.items:
             raise BudgetExceeded(f"{what} needs {count} items, budget is {self.items}")

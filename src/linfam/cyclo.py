@@ -139,9 +139,6 @@ class Cyc:
             raise DomainError(f"not rational: {self!r}")
         return Fraction(self.coeffs[0])
 
-    def is_real(self) -> bool:
-        return self == self.conj()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -20,7 +20,7 @@ from .families import Family
 from .gf import FieldSpec, field
 from .matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       reduce_bits, reduce_row, rref_rows, subspaces_of_dim,
+                       reduce_row, rref_rows, subspaces_of_dim, vec_code,
                        vec_from_index)
 from . import mis
 
@@ -74,63 +74,117 @@ def _mat_inverse(A: Mat) -> Mat:
 
 # --- prefix-fixing invertible families --------------------------------------
 
-def _fixing_columns(spec: FieldSpec, n: int, t: int,
-                    budget: Budget | None = None) -> Iterator[tuple]:
-    """Column tuples of every invertible map fixing e_1 .. e_t, in
-    lexicographic order of the chosen column encodings."""
+def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence,
+                 targets: Sequence[Sequence], budget: Budget | None):
+    """Depth-first walk over the invertible maps sigma of F_q^n, given by
+    the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
+    j < len(fixed).
+
+    Free images are tried in vec_index order among the nonzero vectors and
+    kept when independent of the images above, held as an echelon basis.
+    targets[i][j] is tau_i(b_j): for each target the walk also keeps an
+    echelon basis of the differences sigma(b_j) - tau_i(b_j) and counts the
+    steps at which a difference falls in the span of the earlier ones; at a
+    leaf that count is dim ker(sigma - tau_i).  A branch is dropped once
+    every target has counted more than t - 1 steps.
+
+    Yields (imgs, last, hits) once per choice of the images above the last
+    position: imgs the vec_code encodings of sigma(b_0) .. sigma(b_{n-2})
+    (one list, changed between yields), last the admissible images of
+    b_{n-1} in order, and hits[i] those members of last whose map has
+    dim ker(sigma - tau_i) = t - 1.
+    """
+    code = vec_code(spec, n)
+    reduce, insert, sub = code.reduce, code.insert, code.sub
+    b = ensure(budget)
+    choices = [[code.encode(v)] for v in fixed]
+    choices += [code.vectors[1:]] * (n - len(fixed))
+    taus = [[code.encode(v) for v in tv] for tv in targets]
+    basis: dict = {}
+    diffs: list[dict] = [{} for _ in taus]
+    steps = [0] * len(taus)
+    imgs: list = []
+
+    def rec(depth: int):
+        if depth == n - 1:
+            b.check_clock("fixed-prefix enumeration")
+            last = [c for c in choices[depth] if reduce(basis, c)]
+            hits = []
+            for dd, k, tv in zip(diffs, steps, taus):
+                u = tv[depth]
+                if k == t - 1:
+                    hits.append([c for c in last if reduce(dd, sub(c, u))])
+                elif k == t - 2:
+                    hits.append([c for c in last if not reduce(dd, sub(c, u))])
+                else:
+                    hits.append([])
+            yield imgs, last, hits
+            return
+        for c in choices[depth]:
+            r = reduce(basis, c)
+            if not r:
+                continue
+            key = insert(basis, r)
+            keys = []
+            for i, (dd, tv) in enumerate(zip(diffs, taus)):
+                rr = reduce(dd, sub(c, tv[depth]))
+                if rr:
+                    keys.append(insert(dd, rr))
+                else:
+                    keys.append(None)
+                    steps[i] += 1
+            if not steps or min(steps) < t:
+                imgs.append(c)
+                yield from rec(depth + 1)
+                imgs.pop()
+            for i, k in enumerate(keys):
+                if k is None:
+                    steps[i] -= 1
+                else:
+                    del diffs[i][k]
+            del basis[key]
+
+    return rec(0)
+
+
+def _fixing_walk(spec: FieldSpec, n: int, t: int, taus: Sequence[Mat],
+                 budget: Budget | None):
+    """The prefix walk over the maps fixing e_1 .. e_t, whose leaves come in
+    lexicographic order of the column encodings, with each tau as a target."""
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
     b = ensure(budget)
     b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
-    cols = [_unit(n, j) for j in range(t)]
-    piv = _echelon(spec, cols)
-    cands = [vec_from_index(spec.q, n, i) for i in range(1, spec.q ** n)]
-    seen = 0
+    return _prefix_walk(spec, n, t, [_unit(n, j) for j in range(t)],
+                        [tuple(zip(*tau.rows)) for tau in taus], b)
 
-    def rec() -> Iterator[tuple]:
-        nonlocal seen
-        if len(cols) == n:
-            seen += 1
-            if seen % 4096 == 0:
-                b.check_clock("fixed-prefix enumeration")
-            yield tuple(cols)
-            return
-        for v in cands:
-            r = reduce_row(spec, piv, v)
-            if r is None:
-                continue
-            piv[r[0]] = r[1]
-            cols.append(v)
-            yield from rec()
-            cols.pop()
-            del piv[r[0]]
 
-    return rec()
+def _fixing_maps(spec: FieldSpec, n: int, t: int,
+                 budget: Budget | None) -> Iterator[Mat]:
+    decode = vec_code(spec, n).decode
+    for imgs, last, _ in _fixing_walk(spec, n, t, (), budget):
+        head = [decode(v) for v in imgs]
+        for c in last:
+            yield _mat_from_columns(spec, head + [decode(c)])
 
 
 def canonical_family(n: int, q: int, t: int, side: str = "column",
                      budget: Budget | None = None) -> Family:
-    """All invertible maps fixing e_1 .. e_t; or the transpose family.
-
-    The transpose of a map whose columns are c_1 .. c_n has those as its
-    rows, so the row side falls out of the same enumeration.
-    """
+    """All invertible maps fixing e_1 .. e_t; or the transpose family."""
     if side not in ("column", "row"):
         raise DomainError(f"side must be column or row, got {side!r}")
     spec = field(q)
-    members = []
-    for cols in _fixing_columns(spec, n, t, budget):
-        if side == "column":
-            members.append(_mat_from_columns(spec, cols))
-        else:
-            members.append(Mat(spec, cols, n))
+    members = list(_fixing_maps(spec, n, t, budget))
+    if side == "row":
+        members = [M.transpose() for M in members]
     return Family(spec, n, n, members)
 
 
 def canonical_family_size(n: int, q: int, t: int,
                           budget: Budget | None = None) -> int:
     """Member count by walking the enumeration, never materializing it."""
-    return sum(1 for _ in _fixing_columns(field(q), n, t, budget))
+    return sum(len(last) for _, last, _ in
+               _fixing_walk(field(q), n, t, (), budget))
 
 
 # --- field-cycle subgroup ----------------------------------------------------
@@ -261,77 +315,10 @@ def derangement_enumerate_many(n: int, q: int, t: int, taus: Sequence[Mat],
     """One shared pass of the prefix-fixing enumeration, counted per tau."""
     for tau in taus:
         _check_tau(n, q, t, tau)
-    if q == 2:
-        return _derangement_counts_gf2(n, t, taus, budget)
-    spec = field(q)
     counts = [0] * len(taus)
-    for cols in _fixing_columns(spec, n, t, budget):
-        sigma = _mat_from_columns(spec, cols)
-        for i, tau in enumerate(taus):
-            if agreement_dim(sigma, tau) == t - 1:
-                counts[i] += 1
-    return counts
-
-
-def _derangement_counts_gf2(n: int, t: int, taus: Sequence[Mat],
-                            budget: Budget | None) -> list[int]:
-    """Bit-packed column walk: columns are ints, independence and the
-    per-tau difference ranks are tracked by incremental elimination."""
-    b = ensure(budget)
-    b.check_items(m_qt(n, 2, t), "fixed-prefix enumeration")
-    tcols = []
-    for tau in taus:
-        tcols.append([sum(tau.rows[i][j] << i for i in range(n))
-                      for j in range(n)])
-    want = n - (t - 1)            # difference rank putting agreement at t - 1
-
-    sig = {j + 1: 1 << j for j in range(t)}
-    diffs = []
-    for tc in tcols:
-        dd: dict = {}
-        for j in range(t):
-            r = reduce_bits(dd, (1 << j) ^ tc[j])
-            if r:
-                dd[r.bit_length()] = r
-        diffs.append(dd)
-    counts = [0] * len(taus)
-    leaves = 0
-
-    def rec(depth: int) -> None:
-        nonlocal leaves
-        last = depth == n - 1
-        for cand in range(1, 1 << n):
-            r = reduce_bits(sig, cand)
-            if not r:
-                continue
-            if last:
-                leaves += 1
-                if leaves % 8192 == 0:
-                    b.check_clock("fixed-prefix enumeration")
-                for i, dd in enumerate(diffs):
-                    rr = reduce_bits(dd, cand ^ tcols[i][depth])
-                    if len(dd) + (rr != 0) == want:
-                        counts[i] += 1
-                continue
-            sig[r.bit_length()] = r
-            keys = []                 # key added to each difference basis, 0 if none
-            for i, dd in enumerate(diffs):
-                rr = reduce_bits(dd, cand ^ tcols[i][depth])
-                if rr:
-                    dd[rr.bit_length()] = rr
-                keys.append(rr.bit_length())
-            rec(depth + 1)
-            for dd, k in zip(diffs, keys):
-                if k:
-                    del dd[k]
-            del sig[r.bit_length()]
-
-    if t == n:
-        for i, dd in enumerate(diffs):
-            if len(dd) == want:
-                counts[i] += 1
-    else:
-        rec(t)
+    for _, _, hits in _fixing_walk(field(q), n, t, taus, budget):
+        for i, h in enumerate(hits):
+            counts[i] += len(h)
     return counts
 
 
@@ -404,16 +391,15 @@ def _construct_setup(n: int, q: int, t: int, tau: Mat):
     return spec, d, seeds
 
 
-def _construct_walk(n: int, q: int, t: int, tau: Mat, materialize: bool,
-                    budget: Budget | None):
-    """Shared walk over the process tree, one yield per leaf: the
-    assembled map when materializing, otherwise 1.  Leaves are distinct
-    maps whenever d = 0 (the agreement space recovers the seed) or the
-    seed is unique."""
+def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
+    """(basis, walk) per admissible seed W: the basis is e_1 .. e_t, W's rows,
+    then unit vectors completing it, and the prefix walk fixes the images
+    e_1 .. e_t, tau(W) with tau as its one target.  That prefix already
+    spends the t - 1 dependent steps (d on the prefix span, one per row of
+    W), so every later difference must be independent: the walk is the
+    process tree.  Leaves are distinct maps whenever d = 0 (the agreement
+    space recovers the seed) or the seed is unique."""
     spec, d, seeds = _construct_setup(n, q, t, tau)
-    b = ensure(budget)
-    leaves = 0
-    cands = [vec_from_index(q, n, i) for i in range(1, q ** n)]
     for W in seeds:
         basis = [_unit(n, j) for j in range(t)] + [tuple(r) for r in W.rows]
         span = _echelon(spec, basis)
@@ -427,44 +413,9 @@ def _construct_walk(n: int, q: int, t: int, tau: Mat, materialize: bool,
             if r is not None:
                 span[r[0]] = r[1]
                 basis.append(u)
-        imgs = [basis[j] for j in range(t)]
-        imgs += [tuple(tau.apply(v)) for v in basis[t:2 * t - d - 1]]
-        img_piv = _echelon(spec, imgs)
-        diff_piv = _echelon(spec, [
-            tuple(spec.sub(a, c) for a, c in zip(imgs[j], tau.apply(basis[j])))
-            for j in range(2 * t - d - 1)])
-        taus_on_basis = [tuple(tau.apply(v)) for v in basis]
-        binv = _mat_inverse(_mat_from_columns(spec, basis)) if materialize else None
-
-        def rec(depth: int):
-            nonlocal leaves
-            tv = taus_on_basis[depth]
-            last = depth == n - 1
-            for cand in cands:
-                r1 = reduce_row(spec, img_piv, cand)
-                if r1 is None:
-                    continue
-                dv = tuple(spec.sub(a, c) for a, c in zip(cand, tv))
-                r2 = reduce_row(spec, diff_piv, dv)
-                if r2 is None:
-                    continue
-                imgs.append(cand)
-                if last:
-                    leaves += 1
-                    if leaves % 4096 == 0:
-                        b.check_clock("constructive walk")
-                    yield _assemble(spec, n, imgs, binv) if materialize else 1
-                else:
-                    img_piv[r1[0]] = r1[1]
-                    diff_piv[r2[0]] = r2[1]
-                    yield from rec(depth + 1)
-                    del img_piv[r1[0]], diff_piv[r2[0]]
-                imgs.pop()
-
-        if len(basis) == 2 * t - d - 1:
-            yield _assemble(spec, n, imgs, binv) if materialize else 1
-        else:
-            yield from rec(2 * t - d - 1)
+        images = [tau.apply(v) for v in basis]
+        fixed = basis[:t] + images[t:2 * t - d - 1]
+        yield basis, _prefix_walk(spec, n, t, fixed, [images], budget)
 
 
 def _assemble(spec: FieldSpec, n: int, imgs, binv: Mat) -> Mat:
@@ -486,7 +437,14 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     prefix span, equal to tau on an admissible seed subspace, images then
     extended avoiding the span of previous images and the affine shift of
     the running difference span."""
-    return _construct_walk(n, q, t, tau, True, budget)
+    spec = field(q)
+    decode = vec_code(spec, n).decode
+    for basis, walk in _seed_walks(n, q, t, tau, budget):
+        binv = _mat_inverse(_mat_from_columns(spec, basis))
+        for imgs, _, (hits,) in walk:
+            head = [decode(v) for v in imgs]
+            for c in hits:
+                yield _assemble(spec, n, head + [decode(c)], binv)
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
@@ -499,8 +457,10 @@ def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
     """
     _, d, _ = _construct_setup(n, q, t, tau)
     if d == 0 or t - d - 1 == 0:
-        return sum(_construct_walk(n, q, t, tau, False, budget))
-    return len({M.index() for M in _construct_walk(n, q, t, tau, True, budget)})
+        return sum(len(hits) for _, walk in _seed_walks(n, q, t, tau, budget)
+                   for _, _, (hits,) in walk)
+    outs = derangement_construct(n, q, t, tau, budget)
+    return len({M.index() for M in outs})
 
 
 # --- maximality checks -------------------------------------------------------
@@ -562,10 +522,7 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "optima": len(optima), "normalized": normalized,
                 "status": status, "witness": witness}
     if mode == "sample":
-        members = {}
-        for cols in _fixing_columns(spec, n, t, budget):
-            M = _mat_from_columns(spec, cols)
-            members[M.index()] = M
+        members = {M.index(): M for M in _fixing_maps(spec, n, t, budget)}
         mem_list = list(members.values())
         b.check_items(gl_order(n, q) * len(mem_list), "augmentation scan")
         scanned = 0
@@ -602,11 +559,7 @@ def sl_family(n: int, q: int, t: int,
               budget: Budget | None = None) -> tuple[Family, dict]:
     """The prefix-fixing family cut down to determinant one."""
     spec = field(q)
-    members = []
-    for cols in _fixing_columns(spec, n, t, budget):
-        M = _mat_from_columns(spec, cols)
-        if M.det_val() == 1:
-            members.append(M)
+    members = [M for M in _fixing_maps(spec, n, t, budget) if M.det_val() == 1]
     total = m_qt(n, q, t)
     if total % (q - 1):
         raise InvariantViolated(f"q - 1 = {q - 1} does not divide m_qt = {total}")

@@ -16,14 +16,18 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
-from .errors import (DomainError, DomainOverlap, FieldMismatch,
-                     InconsistentRestriction, NotQuasiregular, ShapeMismatch,
-                     StepBudgetExhausted)
+from .errors import (BudgetExceeded, DomainError, DomainOverlap,
+                     FieldMismatch, InconsistentRestriction, NotQuasiregular,
+                     ShapeMismatch, StepBudgetExhausted)
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
 from .matspace import (Mat, Subspace, agreement_dim, mat_from_literal,
-                       rank_bits, rref_rows, subspaces_of_dim, vec_dot,
-                       vec_from_index, vec_index, vec_sub)
+                       rref_rows, subspaces_of_dim, vec_dot, vec_from_index,
+                       vec_index, vec_sub)
+
+# beyond this a coset is too large to hold as a list of Mat, whatever the
+# item budget says
+MAX_COSET = 2 ** 16
 
 
 def _canon_pairs(spec: FieldSpec, pairs, dom_len: int, img_len: int):
@@ -229,8 +233,11 @@ def coset_base(R: Restriction) -> Mat:
 
 def enumerate_coset(R: Restriction, budget: Budget | None = None) -> list[Mat]:
     """All matrices satisfying R, sorted in enumeration (index) order."""
-    b = ensure(budget)
-    b.check_items(R.coset_cardinality(), "coset enumeration")
+    size = R.coset_cardinality()
+    if size > MAX_COSET:
+        raise BudgetExceeded(f"coset enumeration needs {size} members, "
+                             f"capped at {MAX_COSET}")
+    ensure(budget).check_items(size, "coset enumeration")
     pivots, reduced, free = _coset_system(R)
     out = [_coset_member(R, pivots, reduced, free, assign)
            for assign in itertools.product(range(R.field.q), repeat=len(free))]
@@ -775,15 +782,6 @@ def agreement_witness(F: Family, pred):
     """The first distinct member pair, in sorted order, whose agreement
     dimension satisfies pred; None if there is none."""
     mem = F.sorted_members()
-    if F.field.q == 2:
-        bits = [M.bits() for M in mem]
-        for i in range(len(mem)):
-            bi = bits[i]
-            for j in range(i + 1, len(mem)):
-                diff = tuple(x ^ y for x, y in zip(bi, bits[j]))
-                if pred(F.m - rank_bits(diff)):
-                    return mem[i], mem[j]
-        return None
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
             if pred(agreement_dim(mem[i], mem[j])):

@@ -2,8 +2,8 @@
 
 Elements are encoded as integers in [0, q): the base-p digits of the code
 are the coefficients of the residue polynomial, constant term first.  A
-FieldSpec owns the arithmetic tables; Fq is a thin element wrapper for the
-operator API.  Moduli default to a fixed Conway-polynomial table for
+FieldSpec owns the arithmetic tables and every element operation on the
+encodings.  Moduli default to a fixed Conway-polynomial table for
 q <= 64 (so encodings are reproducible across runs) and may be overridden.
 """
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from typing import Iterable
 
 from .cyclo import Cyc
-from .errors import DivisionByZero, DomainError, FieldMismatch, GeneratorSearchFailed
+from .errors import DivisionByZero, DomainError, GeneratorSearchFailed
 
 _MAX_Q = 4096
 
@@ -309,64 +309,6 @@ def field(q: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
         spec = FieldSpec(p, s, modulus)
         _FIELDS[key] = spec
     return spec
-
-
-class Fq:
-    """A field element: a FieldSpec plus an integer encoding."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: FieldSpec, val: int):
-        if not 0 <= val < spec.q:
-            raise DomainError(f"encoding {val} out of range for q={spec.q}")
-        self.spec = spec
-        self.val = val
-
-    @classmethod
-    def from_coeffs(cls, spec: FieldSpec, coeffs: Iterable[int]) -> "Fq":
-        return cls(spec, spec.encode(coeffs))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs_of(self.val)
-
-    def _chk(self, other: "Fq") -> "Fq":
-        if not isinstance(other, Fq):
-            raise FieldMismatch(f"expected Fq, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatch("elements from different fields")
-        return other
-
-    def __add__(self, other):
-        return Fq(self.spec, self.spec.add(self.val, self._chk(other).val))
-
-    def __sub__(self, other):
-        return Fq(self.spec, self.spec.sub(self.val, self._chk(other).val))
-
-    def __mul__(self, other):
-        return Fq(self.spec, self.spec.mul(self.val, self._chk(other).val))
-
-    def __truediv__(self, other):
-        return Fq(self.spec, self.spec.div(self.val, self._chk(other).val))
-
-    def __neg__(self):
-        return Fq(self.spec, self.spec.neg(self.val))
-
-    def __pow__(self, e: int):
-        return Fq(self.spec, self.spec.pow(self.val, e))
-
-    def __eq__(self, other):
-        return (isinstance(other, Fq) and other.spec == self.spec
-                and other.val == self.val)
-
-    def __hash__(self):
-        return hash((self.spec, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"Fq(q={self.spec.q}, {self.val})"
 
 
 def char_root(p: int, j: int) -> Cyc:

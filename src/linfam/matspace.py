@@ -8,15 +8,16 @@ a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget, ensure
 from .errors import (DomainError, FieldMismatch, InvariantViolated,
                      PreconditionViolated, ShapeMismatch)
-from .gf import FieldSpec, Fq, field
+from .gf import FieldSpec, field
 
 # --- vectors (tuples of encodings) -----------------------------------------
 
@@ -141,6 +142,45 @@ def reduce_row(spec: FieldSpec, basis: dict[int, tuple[int, ...]],
     return None
 
 
+class VecCode(NamedTuple):
+    """How the echelon walks encode the vectors of F_q^length.
+
+    At q = 2 a vector is the int vec_index(2, v), first coordinate on the
+    top bit, reduced by reduce_bits; otherwise it is the tuple itself,
+    reduced by reduce_row.  `vectors` lists every vector in vec_index
+    order, `reduce(basis, v)` is falsy exactly when v lies in the span, and
+    `insert(basis, r)` stores a nonzero remainder and returns the key to
+    delete on the way back.
+    """
+    vectors: Sequence
+    reduce: Callable
+    insert: Callable
+    sub: Callable
+    encode: Callable
+    decode: Callable
+
+
+def _insert_bits(basis: dict[int, int], r: int) -> int:
+    key = r.bit_length()
+    basis[key] = r
+    return key
+
+
+def _insert_row(basis: dict[int, tuple[int, ...]], r) -> int:
+    basis[r[0]] = r[1]
+    return r[0]
+
+
+def vec_code(spec: FieldSpec, length: int) -> VecCode:
+    if spec.q == 2:
+        return VecCode(range(1 << length), reduce_bits, _insert_bits,
+                       operator.xor, partial(vec_index, 2),
+                       partial(vec_from_index, 2, length))
+    return VecCode(tuple(itertools.product(range(spec.q), repeat=length)),
+                   partial(reduce_row, spec), _insert_row,
+                   partial(vec_sub, spec), tuple, tuple)
+
+
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank of GF(2) rows packed as ints."""
     basis: dict[int, int] = {}
@@ -213,9 +253,6 @@ class Mat:
             self._bits = tuple(sum(x << j for j, x in enumerate(row))
                                for row in self.rows)
         return self._bits
-
-    def entry(self, i: int, j: int) -> Fq:
-        return Fq(self.field, self.rows[i][j])
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -645,30 +682,15 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
 
     A DFS over rows in lexicographic order visits the matrices in index
     order and keeps an incremental echelon basis of the rows above, so each
-    matrix costs one row reduction and no Mat is built.  GF(2) rows are the
-    row indices themselves, first column on the top bit; reversing the
-    columns leaves every rank unchanged.
+    matrix costs one row reduction and no Mat is built.  Rows are encoded
+    by vec_code.
     """
     if n == 0:
         emit([0])
         return
+    code = vec_code(spec, m)
+    rows, reduce, insert = code.vectors, code.reduce, code.insert
     basis: dict = {}
-    if spec.q == 2:
-        rows, reduce = range(1 << m), reduce_bits
-
-        def insert(r: int) -> int:
-            key = r.bit_length()
-            basis[key] = r
-            return key
-    else:
-        rows = tuple(itertools.product(range(spec.q), repeat=m))
-
-        def reduce(basis, v):
-            return reduce_row(spec, basis, v)
-
-        def insert(r) -> int:
-            basis[r[0]] = r[1]
-            return r[0]
 
     def rec(depth: int, rk: int) -> None:
         if depth == n - 1:
@@ -677,7 +699,7 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
         for v in rows:
             r = reduce(basis, v)
             if r:
-                key = insert(r)
+                key = insert(basis, r)
                 rec(depth + 1, rk + 1)
                 del basis[key]
             else:

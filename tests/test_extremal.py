@@ -8,8 +8,10 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfam import extremal as ex
 from linfam.errors import DomainError, PreconditionViolated
@@ -28,11 +30,20 @@ def fixes_prefix(M, t):
                for j in range(t) for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def gl(n, q):
+    return tuple(enumerate_gl(field(q), n))
+
+
+def brute_targets(n, q, t, tau):
+    """Indices of the prefix-fixing maps at agreement exactly t - 1 from
+    tau, by full scan."""
+    return {S.index() for S in gl(n, q)
+            if fixes_prefix(S, t) and agreement_dim(S, tau) == t - 1}
+
+
 def brute_H(n, q, t, tau):
-    """Prefix-fixing maps at agreement exactly t - 1 from tau, by full scan."""
-    spec = field(q)
-    return sum(1 for S in enumerate_gl(spec, n)
-               if fixes_prefix(S, t) and agreement_dim(S, tau) == t - 1)
+    return len(brute_targets(n, q, t, tau))
 
 
 def matmul(A, B):
@@ -159,6 +170,30 @@ def test_enumerate_against_brute_force_t2_and_gf3():
     spec3 = field(3)
     tau3 = Mat(spec3, ((0, 1, 0), (1, 0, 0), (0, 0, 1)), 3)
     assert ex.derangement_enumerate(3, 3, 1, tau3) == brute_H(3, 3, 1, tau3)
+
+
+# GL(1, 2) = {1} fixes e_1, so (n, q, t) = (1, 2, 1) has no target
+DERANGE_POINTS = [(n, q, t) for q in (2, 3) for n in (1, 2, 3)
+                  for t in range(1, n + 1) if (n, q, t) != (1, 2, 1)]
+DERANGE_POINTS += [(2, q, t) for q in (4, 5) for t in (1, 2)]
+
+
+@lru_cache(maxsize=None)
+def valid_taus(n, q, t):
+    return tuple(T for T in gl(n, q) if ex.fixed_prefix_dim(T, t) <= t - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DERANGE_POINTS).flatmap(
+    lambda p: st.tuples(st.just(p), st.sampled_from(valid_taus(*p)))))
+def test_derangement_walks_against_brute_force(point):
+    (n, q, t), tau = point
+    target = brute_targets(n, q, t, tau)
+    assert ex.derangement_enumerate(n, q, t, tau) == len(target)
+    if 3 * t <= n:
+        outs = [S.index() for S in ex.derangement_construct(n, q, t, tau)]
+        assert set(outs) <= target and len(set(outs)) == len(outs)
+        assert ex.derangement_construct_count(n, q, t, tau) == len(outs)
 
 
 def test_derangement_bound_values():

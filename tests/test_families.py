@@ -119,6 +119,15 @@ def test_enumerate_coset_budget():
         enumerate_coset(Restriction.empty(s2, 2, 2), Budget(items=8))
 
 
+def test_enumerate_coset_caps_members_before_building_them():
+    # 7^9 ≈ 40M members is within the default item budget but not in memory
+    s7 = field(7)
+    with pytest.raises(BudgetExceeded, match="capped"):
+        enumerate_coset(Restriction.empty(s7, 3, 3))
+    with pytest.raises(BudgetExceeded):
+        Family.full_space(s7, 3, 3)
+
+
 # --- family bookkeeping -----------------------------------------------------
 
 def test_full_empty_and_coset_measures():
