@@ -1,6 +1,7 @@
 """Transforms on matrix space: characters, rank levels, projections, and the
 moment inequalities, all in exact arithmetic."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -177,6 +178,64 @@ def test_projections_partition_each_level():
                   for Wp in subspaces_of_dim(s2, 2, 2 - d))
         want = norm2_sq_frac(rank_component(f, d))
         assert img == want and ker == want
+
+
+def seeded_function(q, n, m, seed, irrational=False):
+    rng = random.Random(seed)
+    spec = field(q)
+
+    def value():
+        if irrational:
+            return Cyc(spec.p, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                for _ in range(spec.p - 1)])
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    return DenseFunction(spec, n, m, [value() for _ in range(q ** (n * m))])
+
+
+def _sha(parts):
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+# sha256 of the projected values' Cyc coordinates over every image subspace,
+# then every kernel subspace, in subspaces_of_dim order
+PROJECTION_GOLDEN = {
+    (2, 2, 3, False): "54269a6b58bec9d4e4f76dceffd1a96d390b29d76627d03f91f5cef4cdf342f6",
+    (3, 2, 2, False): "31989111a4d1c8b9f2c9dc1a6b1a8d01c19976f490bfccba06267af4096fdce2",
+    (3, 1, 2, True): "0c7058df2e5e88d5185087d020acfb45f92100369508ab288625459ea91875b9",
+    (4, 2, 2, False): "730c4f1dd0be7c065a02d152dfb4797e542fb29bbb256196b983a0103fc04c57",
+    (5, 1, 2, False): "1746d2cbfb100d78733466f564bb6aad4e73ca1ac8afa2fa3f92ed13cc7fe3de",
+    (5, 2, 1, True): "d7bf6bf4a6744cbca02854eb82d4a23c598069f20091bb8f4cd0a61a4af1906b",
+}
+
+
+@pytest.mark.parametrize("q,n,m,irrational", sorted(PROJECTION_GOLDEN))
+def test_projection_golden(q, n, m, irrational):
+    f = seeded_function(q, n, m, 1000 + q, irrational)
+    spec = f.field
+    parts = [repr(tuple(v.coeffs for v in project_image(f, Vp).values))
+             for d in range(m + 1) for Vp in subspaces_of_dim(spec, m, d)]
+    parts += [repr(tuple(v.coeffs for v in project_kernel(f, Wp).values))
+              for d in range(n + 1) for Wp in subspaces_of_dim(spec, n, d)]
+    assert _sha(parts) == PROJECTION_GOLDEN[q, n, m, irrational]
+
+
+# sha256 of the reports' reprs for every degree d and k in (4, 6)
+HYPERCONTRACTIVE_GOLDEN = {
+    (2, 2, 2): "3f077af30f2d8d6330ff4c69c007f7a4a93bfb4e72492c41ca9cd8851ce1313c",
+    (2, 2, 3): "291d74d770cf65194254e8fef6aacd2eab8c528635ee46a5bb2e40ff74d6b16a",
+    (3, 2, 2): "eb63a8f09751a14a397271082f7ee053f2537658c104e789d502bd4d7e81d15f",
+    (4, 2, 2): "3a9537d9774c5ae3fc33d8f2fab600f22f12c62b04159e9283c71a99c9f1881b",
+    (5, 1, 2): "691f770e07034b2f5f3914ccc4c8f7fcb320094e6181916aa8f6bc6d0beb73b9",
+}
+
+
+@pytest.mark.parametrize("q,n,m", sorted(HYPERCONTRACTIVE_GOLDEN))
+def test_hypercontractive_golden(q, n, m):
+    f = seeded_function(q, n, m, 2000 + q)
+    reps = [repr(verify_hypercontractive(f, d, k))
+            for d in range(1, min(n, m) + 1) for k in (4, 6)]
+    assert _sha(reps) == HYPERCONTRACTIVE_GOLDEN[q, n, m]
 
 
 # --- moment inequalities ----------------------------------------------------
