@@ -4,7 +4,10 @@ Characters are indexed by dual matrices X (shape m x n) through the pairing
 omega^(tau(Trace(X A))).  Transforms keep cyclotomic-rational coefficients,
 so every identity here is an equality of exact values.  Rank components,
 image/kernel projections, and the restricted hypercontractive inequality
-sit on top of the transform.
+sit on top of the transform.  A projection's dual matrices, those with
+image or kernel exactly a given subspace, are listed as an index set by
+index arithmetic (all rows in one subspace, then the right rank), with no
+matrix built per dual.
 
 Every table, a function's values and a spectrum's coefficients alike, is
 stored once, in one exact format: p - 1 columns of Python ints, the
@@ -36,7 +39,9 @@ from .errors import (DomainError, FieldMismatch, NotIndicator,
                      NotInKernelRelation, NotQuasiregular, RankNotOne,
                      ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
-from .matspace import Mat, Subspace, image, kernel, rank, rank_table
+from .images import IndexCode
+from .matspace import (Mat, Subspace, image, kernel, rank, rank_table,
+                       subspaces_of_dim, vec_index)
 from .families import Family, QPow, function_quasiregular_witness, leq_threshold
 
 
@@ -250,22 +255,19 @@ def character_function(spec: FieldSpec, n: int, m: int, X: Mat) -> DenseFunction
 # --- transforms -------------------------------------------------------------
 
 def _cell_perm(q: int, n: int, m: int) -> tuple[int, ...]:
-    """perm[i] = dual index whose (j,k) entry equals digit (k,j) of index i."""
+    """perm[i] = index of the m x n transpose of the n x m matrix of index i.
+
+    The indices are listed cell by cell in row-major order of the n x m
+    matrix, so each cell multiplies the list by its q values; cell (i, j)
+    carries its value to the transpose's entry (j, i).
+    """
     nm = n * m
-    out = []
-    weights_x = [q ** (nm - 1 - (j * n + k)) for j in range(m) for k in range(n)]
-    for idx in range(q ** nm):
-        digits = []
-        rem = idx
-        for _ in range(nm):
-            digits.append(rem % q)
-            rem //= q
-        digits.reverse()  # digits[t] = entry at A-cell t = (i, j), t = i*m + j
-        xidx = 0
-        for i in range(n):
-            for j in range(m):
-                xidx += digits[i * m + j] * weights_x[j * n + i]
-        out.append(xidx)
+    out = [0]
+    for i in range(n):
+        for j in range(m):
+            w = q ** (nm - 1 - (j * n + i))
+            steps = [a * w for a in range(q)]
+            out = [x + s for x in out for s in steps]
     return tuple(out)
 
 
@@ -415,19 +417,64 @@ def degree(f: DenseFunction, budget: Budget | None = None) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
-def _space_keys(spec: FieldSpec, m: int, n: int, space_of) -> tuple:
-    N = spec.q ** (n * m)
-    return tuple(space_of(Mat.from_index(spec, m, n, i)).key() for i in range(N))
+def _span_indices(spec: FieldSpec, basis, length: int) -> list[int]:
+    """Indices of every vector in the span of independent length-`length`
+    rows, by index arithmetic: XOR at q = 2, IndexCode otherwise."""
+    q = spec.q
+    out = [0]
+    if q == 2:
+        for r in basis:
+            b = vec_index(2, r)
+            out += [x ^ b for x in out]
+        return out
+    code = IndexCode(spec, length)
+    for r in basis:
+        b = vec_index(q, r)
+        mults = [code.smul(c, b) for c in range(q)]
+        out = [code.add(x, y) for x in out for y in mults]
+    return out
 
 
-def _project(f: DenseFunction, target: Subspace, space_of,
+def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
+                on_image: bool) -> list[bool]:
+    """One flag per m x n dual index X: whether im X (on_image) or ker X is
+    exactly target.
+
+    im X = V' exactly when every row of X^T lies in V' and rank X = dim V';
+    ker X = W' exactly when every row of X lies in the annihilator of W'
+    and rank X = n - dim W'.  Matrices whose rows all lie in one subspace U
+    are a product of digit blocks in index space, so the candidates are
+    listed from U's member indices and kept by rank_table.
+    """
+    q = spec.q
+    if on_image:
+        U, nrows, width, r = target, n, m, target.dim
+    else:
+        U = kernel(Mat(spec, target.rows, n))
+        nrows, width, r = m, n, n - target.dim
+    span = _span_indices(spec, U.rows, width)
+    step = q ** width
+    cand = [0]
+    for _ in range(nrows):
+        cand = [x * step + v for x in cand for v in span]
+    if on_image:
+        # candidates index X^T (n x m); the cell permutation maps them to X
+        cand = map(_perm_table(spec, n, m).__getitem__, cand)
+    ranks = rank_table(spec, m, n)
+    mask = [False] * q ** (n * m)
+    for x in cand:
+        if ranks[x] == r:
+            mask[x] = True
+    return mask
+
+
+def _project(f: DenseFunction, target: Subspace, on_image: bool,
              budget: Budget | None) -> DenseFunction:
-    """Keep the characters whose dual matrix X has space_of(X) = target."""
+    if target.field != f.field:
+        raise FieldMismatch("subspace over a different field")
     S = fast_transform(f, budget)
-    want = target.key()
-    keys = _space_keys(f.field, f.m, f.n, space_of)
-    return inverse_transform(_keep(S, [k == want for k in keys]), budget)
+    mask = _space_mask(f.field, f.n, f.m, target, on_image)
+    return inverse_transform(_keep(S, mask), budget)
 
 
 def project_image(f: DenseFunction, Vp: Subspace,
@@ -435,7 +482,7 @@ def project_image(f: DenseFunction, Vp: Subspace,
     """Keep the characters whose dual matrix has image exactly Vp <= V."""
     if Vp.ambient != f.m:
         raise DomainError("image subspace must live in the m-dimensional side")
-    return _project(f, Vp, image, budget)
+    return _project(f, Vp, True, budget)
 
 
 def project_kernel(f: DenseFunction, Wp: Subspace,
@@ -443,7 +490,7 @@ def project_kernel(f: DenseFunction, Wp: Subspace,
     """Keep the characters whose dual matrix has kernel exactly Wp <= W."""
     if Wp.ambient != f.n:
         raise DomainError("kernel subspace must live in the n-dimensional side")
-    return _project(f, Wp, kernel, budget)
+    return _project(f, Wp, False, budget)
 
 
 # --- inner products and norms ----------------------------------------------
@@ -469,7 +516,10 @@ def norm2_sq(f: DenseFunction) -> Cyc:
 
 
 def norm2_sq_frac(f: DenseFunction) -> Fraction:
-    v = norm2_sq(f)
+    return _rational_norm(norm2_sq(f))
+
+
+def _rational_norm(v: Cyc) -> Fraction:
     if not v.is_rational():
         raise DomainError("2-norm square is irrational")
     return v.as_fraction()
@@ -499,14 +549,19 @@ def verify_hypercontractive(f: DenseFunction, d: int, k: int,
     if d < 1 or d > min(f.m, f.n):
         raise DomainError(f"degree {d} out of range")
     spec = f.field
-    comp = rank_component(f, d, budget)
+    # one transform serves the component and every projection: by Parseval
+    # a projection's squared 2-norm is the mass of its kept coefficients
+    S = fast_transform(f, budget)
+    ranks = rank_table(spec, f.m, f.n)
+    comp = inverse_transform(_keep(S, [r == d for r in ranks]), budget)
     lhs = abs_pow_mean(comp, k)
-    from .matspace import subspaces_of_dim
+    sides = ((subspaces_of_dim(spec, f.m, d), True),
+             (subspaces_of_dim(spec, f.n, f.n - d), False))
     proj_sum = Fraction(0)
-    for Vp in subspaces_of_dim(spec, f.m, d):
-        proj_sum += norm2_sq_frac(project_image(f, Vp, budget)) ** (k // 2)
-    for Wp in subspaces_of_dim(spec, f.n, f.n - d):
-        proj_sum += norm2_sq_frac(project_kernel(f, Wp, budget)) ** (k // 2)
+    for spaces, on_image in sides:
+        for U in spaces:
+            mass = _keep(S, _space_mask(spec, f.n, f.m, U, on_image)).parseval_sum()
+            proj_sum += _rational_norm(mass) ** (k // 2)
     coeff = Fraction(k ** 7 * d ** 6) * proj_sum
     exp = Fraction(k ** 3 * d * d, 2) + (Fraction(3 * k, 4) - 1) * d * max(f.m, f.n)
     rhs = QPow(spec.q, coeff, exp)

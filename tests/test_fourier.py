@@ -13,12 +13,13 @@ from linfam.errors import (DomainError, FieldMismatch, NotIndicator,
                            NotInKernelRelation, NotQuasiregular, RankNotOne,
                            ShapeMismatch, ZeroFunction)
 from linfam.gf import field
-from linfam.matspace import (Mat, Subspace, count_rank_d, kernel,
+from linfam.matspace import (Mat, Subspace, count_rank_d, image, kernel,
                               subspaces_of_dim)
-from linfam.families import (Family, Restriction, coset_base, enumerate_coset,
-                             max_density_ratio)
-from linfam.fourier import (DenseFunction, Spectrum, character,
-                            character_function, check_sum_rank_nullity, degree,
+from linfam.families import (Family, QPow, Restriction, coset_base,
+                             enumerate_coset, leq_threshold, max_density_ratio)
+from linfam.fourier import (DenseFunction, Spectrum, _cell_perm, abs_pow_mean,
+                            character, character_function,
+                            check_sum_rank_nullity, degree,
                             fast_transform, inner, inverse_transform,
                             level_d_bound_check, norm2_sq, norm2_sq_frac,
                             project_image, project_kernel, rank_component,
@@ -180,6 +181,91 @@ def test_projections_partition_each_level():
         assert img == want and ker == want
 
 
+def test_projection_rejects_subspace_over_another_field():
+    f = DenseFunction(s2, 2, 2, [Fraction(i, 3) for i in range(16)])
+    with pytest.raises(FieldMismatch):
+        project_image(f, Subspace.zero(s3, 2))
+    with pytest.raises(FieldMismatch):
+        project_kernel(f, Subspace.full(s3, 2))
+
+
+def _project_by_scan(f, target, on_image):
+    """The per-dual scan: keep the coefficient of every dual matrix whose
+    image (or kernel) subspace equals target."""
+    spec = f.field
+    space_of = image if on_image else kernel
+    zero = Cyc.zero(spec.p)
+    kept = [c if space_of(Mat.from_index(spec, f.m, f.n, i)) == target else zero
+            for i, c in enumerate(fast_transform(f).coeffs)]
+    return inverse_transform(Spectrum(spec, f.n, f.m, kept))
+
+
+PROJECT_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                  for n in range(1, 11) for m in range(1, 11)
+                  if q ** (n * m) <= 1024]
+
+
+@st.composite
+def projection_cases(draw):
+    """A rational or cyclotomic-valued function, a side and a subspace of
+    that side of any dimension."""
+    q, n, m = draw(st.sampled_from(PROJECT_SHAPES))
+    irrational = draw(st.booleans())
+    on_image = draw(st.booleans())
+    ambient = m if on_image else n
+    d = draw(st.integers(0, ambient))
+    rnd = draw(st.randoms(use_true_random=False))
+    spec = field(q)
+
+    def value():
+        coords = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+                  for _ in range(spec.p - 1 if irrational else 1)]
+        return Cyc(spec.p, coords) if irrational else coords[0]
+
+    f = DenseFunction(spec, n, m, [value() for _ in range(q ** (n * m))])
+    while True:
+        vs = [tuple(rnd.randrange(q) for _ in range(ambient)) for _ in range(d)]
+        U = Subspace.from_vectors(spec, ambient, vs)
+        if U.dim == d:
+            return f, U, on_image
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_cases())
+def test_projections_match_scan(case):
+    f, U, on_image = case
+    got = project_image(f, U) if on_image else project_kernel(f, U)
+    assert got == _project_by_scan(f, U, on_image)
+
+
+def _cell_perm_by_digits(q, n, m):
+    """The transposition permutation by decoding every index's digits."""
+    nm = n * m
+    out = []
+    weights_x = [q ** (nm - 1 - (j * n + k)) for j in range(m) for k in range(n)]
+    for idx in range(q ** nm):
+        digits = []
+        rem = idx
+        for _ in range(nm):
+            digits.append(rem % q)
+            rem //= q
+        digits.reverse()  # digits[t] = entry at A-cell t = (i, j), t = i*m + j
+        xidx = 0
+        for i in range(n):
+            for j in range(m):
+                xidx += digits[i * m + j] * weights_x[j * n + i]
+        out.append(xidx)
+    return tuple(out)
+
+
+def test_cell_perm_matches_digit_decode():
+    shapes = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)
+              for n in range(1, 13) for m in range(1, 13) if q ** (n * m) <= 4096]
+    assert len(shapes) > 90
+    for q, n, m in shapes:
+        assert _cell_perm(q, n, m) == _cell_perm_by_digits(q, n, m), (q, n, m)
+
+
 def seeded_function(q, n, m, seed, irrational=False):
     rng = random.Random(seed)
     spec = field(q)
@@ -254,6 +340,37 @@ def test_hypercontractive_random_signs():
         f = DenseFunction(s2, 2, 2, [rng.choice((-1, 1)) for _ in range(16)])
         for d in (1, 2):
             assert verify_hypercontractive(f, d, 4)["holds"]
+
+
+def _hypercontractive_by_projections(f, d, k):
+    """verify_hypercontractive with one projection, so one transform pair,
+    per subspace."""
+    spec = f.field
+    lhs = abs_pow_mean(rank_component(f, d), k)
+    proj_sum = sum(norm2_sq_frac(project_image(f, Vp)) ** (k // 2)
+                   for Vp in subspaces_of_dim(spec, f.m, d))
+    proj_sum += sum(norm2_sq_frac(project_kernel(f, Wp)) ** (k // 2)
+                    for Wp in subspaces_of_dim(spec, f.n, f.n - d))
+    coeff = Fraction(k ** 7 * d ** 6) * proj_sum
+    exp = Fraction(k ** 3 * d * d, 2) + (Fraction(3 * k, 4) - 1) * d * max(f.m, f.n)
+    rhs = QPow(spec.q, coeff, exp)
+    return {"lhs": lhs, "rhs": rhs, "holds": leq_threshold(lhs, rhs),
+            "d": d, "k": k}
+
+
+HYPER_SHAPES = [(q, n, m) for q in (2, 3, 4) for n in range(1, 4)
+                for m in range(1, 4) if q ** (n * m) <= 256]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYPER_SHAPES), st.sampled_from((4, 6)), st.data())
+def test_hypercontractive_matches_per_subspace_path(shape, k, data):
+    q, n, m = shape
+    d = data.draw(st.integers(1, min(n, m)))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    f = DenseFunction(field(q), n, m, [Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                                      for _ in range(q ** (n * m))])
+    assert verify_hypercontractive(f, d, k) == _hypercontractive_by_projections(f, d, k)
 
 
 def test_sum_rank_nullity_pairs():
