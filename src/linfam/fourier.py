@@ -419,14 +419,9 @@ def degree(f: DenseFunction, budget: Budget | None = None) -> int:
 
 def _span_indices(spec: FieldSpec, basis, length: int) -> list[int]:
     """Indices of every vector in the span of independent length-`length`
-    rows, by index arithmetic: XOR at q = 2, IndexCode otherwise."""
+    rows, by IndexCode add/smul."""
     q = spec.q
     out = [0]
-    if q == 2:
-        for r in basis:
-            b = vec_index(2, r)
-            out += [x ^ b for x in out]
-        return out
     code = IndexCode(spec, length)
     for r in basis:
         b = vec_index(q, r)
