@@ -249,6 +249,74 @@ def test_regularity_empty_family(tmp_path):
     assert junta["components"] == []
 
 
+def _planted_family_file(q, n, m, context, noise, seed):
+    """A seeded sample of a noise fraction of the coset (the whole space
+    without a context), plus every coset member sending e_m to e_1 and
+    every one whose last row is e_1^T, so captures exist on both sides."""
+    spec = field(q)
+    e = lambda k, i: tuple(int(j == i) for j in range(k))
+    ctx = (Restriction(spec, n, m, cols=[(e(m, 0), e(n, n - 1))]) if context
+           else Restriction.empty(spec, n, m))
+    coset = enumerate_coset(ctx)
+    members = set(random.Random(seed).sample(coset, int(len(coset) * noise)))
+    for P in (Restriction(spec, n, m, cols=[(e(m, m - 1), e(n, 0))]),
+              Restriction(spec, n, m, rows=[(e(n, n - 1), e(m, 0))])):
+        members.update(M for M in coset if P.matches(M))
+    return Family(spec, n, m, members, ctx).to_text()
+
+
+# sha256 of `linfam regularity` stdout, junta file and log file at r = 2:
+# the log fixes the node order, so these pin how captures open children
+REGULARITY_GOLDEN = [
+    ((2, 3, 3, False, "1/10"), ["--s", "1", "--eps", "1/4"], (
+        "a58187d042f5adacada264d9224d013039fe5dedc0c3119d8f9cddbaecf96960",
+        "e538cde922ae3b3f0f7a510fc9aebaf9ccff985f2c581e15fb6e4c1a72e39c63",
+        "259a2249a6a63d5f5d97f0858b6dc33cb0329e0728d2f943fc2c1251f0fa19c9")),
+    ((2, 3, 3, False, "1/10"), ["--s", "2", "--eps", "1/8"], (
+        "15967093a84cfeec0ddda71af5774414d22caac88fb60977c8124c2e5bd39ee2",
+        "c0ae62399f29772723ba265699001b22f29f6db20eca0e6fddf8725304e5cbd1",
+        "8c84f4c764e2ce7f1378954d755551f315d5af9d9d2a103b2ecb21492eab04e2")),
+    ((2, 3, 3, True, "3/10"), ["--s", "2", "--eps", "1/16"], (
+        "b146d292ead0ccd2d4eab867f7a47e46c80cefa7579a3d456f68d3b0620d3ea2",
+        "398a0d1509e07905c1ab69216b447982d52ac8c51ca0c5a9efe7f5a8e10a0d0f",
+        "b9ab7ffccf49b6ec1543dc050f336fc3f7d018c4d23f154efbd8e7c1c351da02")),
+    ((3, 2, 3, False, "1/10"), ["--s", "1", "--eps", "1/6"], (
+        "83706a353e41853baf0fdb910cc9e1472305fac8c03fb92e15ae2c4f540ea2d6",
+        "4015baf086c5797851f6fbb695e9b1004dcec2ea340221c3ff3600595be9b509",
+        "1a3ff564b99a3f223e016915be8301e357f504a5e3acc921ca64622dfa568df5")),
+    ((3, 2, 3, False, "3/10"), ["--s", "2", "--eps", "1/6"], (
+        "654860f59df55bf052862f7308a9064d2af70df00471f5d4c5b7694b37eefcbd",
+        "61f379bc68363ce00b2a62eea2d5fcdfe85a8b1aa5ac4e9aac6a6afacfe5ca1e",
+        "54e5d1a2e62f6fe83d6f6703b80a71dcbd3f442ad60819944c03247734dab8c9")),
+    ((3, 2, 3, True, "1/10"), ["--s", "1", "--eps", "1/6"], (
+        "727d724449c969a00d63322e3665fb1b4e82c81a941b03fe433aa932b1d992d5",
+        "f8808f8549cf2f252afade021baf1cee381685aa302553ff0b08a6e27d3147f2",
+        "6e82621fae66e3c31874a7ff3aaa4986a713f48a296da2b052d6000b048e3d7a")),
+    ((3, 2, 3, True, "1/10"), ["--s", "2"], (
+        "4714efdf20b07c3b9061b52b423e6b2bf88b60eb824839743d6de92819d20e94",
+        "668ac720cb216638e1012c8f09c7b474c568789860bff2bef5a63c3e7d9e5e94",
+        "ce1bff42b4fd8caea5e3328e78898a2becf34b89f635c7f43f100a2428557b4f")),
+]
+
+
+@pytest.mark.parametrize("fam,extra,shas", REGULARITY_GOLDEN, ids=[
+    "q2-s1", "q2-s2", "q2-context-s2", "q3-s1", "q3-s2", "q3-context-s1",
+    "q3-context-s2"])
+def test_regularity_output_golden(tmp_path, monkeypatch, fam, extra, shas):
+    q, n, m, context, noise = fam
+    (tmp_path / "family.txt").write_text(
+        _planted_family_file(q, n, m, context, Fraction(noise), 1))
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["regularity", "--family", "family.txt", "--r", "2",
+                        "--out-junta", "junta.json", "--out-log", "log.json"]
+                       + extra)
+    assert rc == 0, err
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                (out, (tmp_path / "junta.json").read_text(),
+                 (tmp_path / "log.json").read_text()))
+    assert got == shas
+
+
 # --- bootstrap --------------------------------------------------------------
 
 def test_bootstrap_full_space_holds(tmp_path):
