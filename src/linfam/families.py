@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, DomainOverlap,
@@ -22,8 +22,8 @@ from .errors import (BudgetExceeded, DomainError, DomainOverlap,
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
 from .matspace import (Mat, Subspace, agreement_dim, mat_from_literal,
-                       rref_rows, subspaces_of_dim, vec_dot, vec_from_index,
-                       vec_index, vec_sub)
+                       rref_rows, span_indices, subspaces_of_dim, vec_dot,
+                       vec_from_index, vec_index, vec_sub)
 
 # beyond this a coset is too large to hold as a list of Mat, whatever the
 # item budget says
@@ -681,24 +681,21 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
             continue
         node.status = "internal"
         node.capture = witness
-        for x in _nonzero_span_vectors(spec, [v for v, _ in witness.cols]):
-            wx = _partial_image(spec, witness.cols, x)
-            child_R = _try_extend(node.restriction, spec, F.n, F.m, col=(x, wx))
-            if child_R is None:
-                continue
-            child = TreeNode(len(nodes), nid, node.depth + 1, child_R)
-            nodes.append(child)
-            node.children.append(child.id)
-            stack.append(child.id)
-        for a in _nonzero_span_vectors(spec, [a for a, _ in witness.rows]):
-            ba = _partial_image(spec, witness.rows, a)
-            child_R = _try_extend(node.restriction, spec, F.n, F.m, row=(a, ba))
-            if child_R is None:
-                continue
-            child = TreeNode(len(nodes), nid, node.depth + 1, child_R)
-            nodes.append(child)
-            node.children.append(child.id)
-            stack.append(child.id)
+        # a child pins one nonzero point (x, image of x) of the capture's
+        # graph on one side, the span of its rows v||w
+        for side, pairs, dom, img in (("cols", witness.cols, F.m, F.n),
+                                      ("rows", witness.rows, F.n, F.m)):
+            graph = span_indices(spec, [v + w for v, w in pairs], dom + img)
+            for g in sorted(graph)[1:]:
+                x, y = divmod(g, q ** img)
+                pair = (vec_from_index(q, dom, x), vec_from_index(q, img, y))
+                child_R = _try_extend(node.restriction, **{side: (pair,)})
+                if child_R is None:
+                    continue
+                child = TreeNode(len(nodes), nid, node.depth + 1, child_R)
+                nodes.append(child)
+                node.children.append(child.id)
+                stack.append(child.id)
     C = max(1, (q ** s - 1) ** r)
     junta = Junta(spec, F.n, F.m, good, C, r)
     eps_desc = eps.describe() if isinstance(eps, QPow) else str(eps)
@@ -706,40 +703,10 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
     return junta, log
 
 
-def _nonzero_span_vectors(spec: FieldSpec, basis: list) -> list:
-    """Nonzero vectors of the span, in lexicographic order."""
-    if not basis:
-        return []
-    length = len(basis[0])
-    out = set()
-    for cs in itertools.product(range(spec.q), repeat=len(basis)):
-        v = (0,) * length
-        for c, bvec in zip(cs, basis):
-            if c:
-                v = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(v, bvec))
-        if any(v):
-            out.add(v)
-    return sorted(out, key=lambda v: vec_index(spec.q, v))
-
-
-def _partial_image(spec: FieldSpec, pairs, x):
-    """Image of x under the partial map given by canonical (v, w) pairs."""
-    S = Subspace.from_vectors(spec, len(pairs[0][0]), [v for v, _ in pairs])
-    cs = S.coords(x)
-    # canonical pairs have RREF domain rows, so coords follow pivot order
-    img_len = len(pairs[0][1])
-    out = (0,) * img_len
-    for c, (_, w) in zip(cs, pairs):
-        if c:
-            out = tuple(spec.add(u, spec.mul(c, y)) for u, y in zip(out, w))
-    return out
-
-
-def _try_extend(base: Restriction, spec, n, m, col=None, row=None):
+def _try_extend(base: Restriction, cols=(), rows=()):
     try:
-        return Restriction(spec, n, m,
-                           cols=base.cols + ((col,) if col else ()),
-                           rows=base.rows + ((row,) if row else ()))
+        return Restriction(base.field, base.n, base.m,
+                           cols=base.cols + cols, rows=base.rows + rows)
     except InconsistentRestriction:
         # no matrix satisfies the extended constraints; the branch is empty
         return None

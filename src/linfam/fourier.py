@@ -39,9 +39,8 @@ from .errors import (DomainError, FieldMismatch, NotIndicator,
                      NotInKernelRelation, NotQuasiregular, RankNotOne,
                      ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
-from .images import IndexCode
 from .matspace import (Mat, Subspace, image, kernel, null_basis, rank,
-                       rank_table, subspaces_of_dim, vec_index)
+                       rank_table, span_indices, subspaces_of_dim)
 from .families import Family, QPow, function_quasiregular_witness, leq_threshold
 
 
@@ -417,19 +416,6 @@ def degree(f: DenseFunction, budget: Budget | None = None) -> int:
     return best
 
 
-def _span_indices(spec: FieldSpec, basis, length: int) -> list[int]:
-    """Indices of every vector in the span of independent length-`length`
-    rows, by IndexCode add/smul."""
-    q = spec.q
-    out = [0]
-    code = IndexCode(spec, length)
-    for r in basis:
-        b = vec_index(q, r)
-        mults = [code.smul(c, b) for c in range(q)]
-        out = [code.add(x, y) for x in out for y in mults]
-    return out
-
-
 def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
                 on_image: bool) -> list[bool]:
     """One flag per m x n dual index X: whether im X (on_image) or ker X is
@@ -447,7 +433,7 @@ def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
     else:
         basis = null_basis(spec, target.rows, n)
         nrows, width, r = m, n, n - target.dim
-    span = _span_indices(spec, basis, width)
+    span = span_indices(spec, basis, width)
     step = q ** width
     cand = [0]
     for _ in range(nrows):

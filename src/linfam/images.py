@@ -1,65 +1,21 @@
 """Index-coded image tables of a matrix family, for the restriction searches.
 
-A vector is coded by its index (matspace.vec_index).  ImageTables holds, for
-every column vector v and row covector a of M(n, m), the tuple of the
-members' image indices M v and a^T M, and tallies member weight by the
-images of a few of them at once.  capture_keys walks the candidate images
-of a constraint domain and counts avoiders from those tallies.
+A vector is coded by its index (matspace.vec_index) and added and scaled
+by matspace.IndexCode.  ImageTables holds, for every column vector v and
+row covector a of M(n, m), the tuple of the members' image indices M v and
+a^T M, and tallies member weight by the images of a few of them at once.
+capture_keys walks the candidate images of a constraint domain and counts
+avoiders from those tallies; it reads every combination of the domain's
+basis off one matspace.span_indices listing per side.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .gf import FieldSpec
-from .matspace import Mat, subspaces_of_dim, vec_add, vec_index, vec_smul
-
-
-@lru_cache(maxsize=None)
-def _index_tables(spec: FieldSpec, length: int) -> tuple[list, list]:
-    """add[x][y] and mul[c][x] on the indices of length-`length` vectors."""
-    q = spec.q
-    vecs = list(itertools.product(range(q), repeat=length))
-    add = [[vec_index(q, vec_add(spec, u, v)) for v in vecs] for u in vecs]
-    mul = [[vec_index(q, vec_smul(spec, c, v)) for v in vecs] for c in range(q)]
-    return add, mul
-
-
-class IndexCode:
-    """Vector add and scalar multiply on the indices of length-L vectors.
-
-    An index splits into its leading ceil(L/2) and trailing floor(L/2)
-    coordinates; each half has its own tables, so no table holds more than
-    q^(L+1) entries.
-    """
-
-    __slots__ = ("base", "hadd", "hmul", "ladd", "lmul")
-
-    def __init__(self, spec: FieldSpec, length: int):
-        low = length // 2
-        self.base = spec.q ** low
-        self.hadd, self.hmul = _index_tables(spec, length - low)
-        self.ladd, self.lmul = _index_tables(spec, low)
-
-    def add(self, x: int, y: int) -> int:
-        B = self.base
-        return self.hadd[x // B][y // B] * B + self.ladd[x % B][y % B]
-
-    def smul(self, c: int, x: int) -> int:
-        B = self.base
-        return self.hmul[c][x // B] * B + self.lmul[c][x % B]
-
-
-def combination(spec: FieldSpec, u: Sequence[int], basis) -> int:
-    """Index of sum_i u_i basis_i."""
-    out = (0,) * len(basis[0])
-    for c, v in zip(u, basis):
-        if c:
-            out = vec_add(spec, out, vec_smul(spec, c, v))
-    return vec_index(spec.q, out)
+from .matspace import IndexCode, Mat, span_indices, subspaces_of_dim, vec_index
 
 
 class ImageTables:
@@ -146,13 +102,16 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     q = spec.q
     c, r = len(colbasis), len(rowbasis)
     depth = c + r
+    # entry vec_index(u) of a span holds the index of sum u_i basis_i
+    cspan = span_indices(spec, colbasis, tables.m)
+    rspan = span_indices(spec, rowbasis, tables.n)
     lines_at: list[list] = [[] for _ in range(depth)]
     line_max = [0] * depth
-    for basis, col, offset in ((colbasis, True, 0), (rowbasis, False, c)):
-        for U in subspaces_of_dim(spec, len(basis), 1):
+    for span, dim, col, offset in ((cspan, c, True, 0), (rspan, r, False, c)):
+        for U in subspaces_of_dim(spec, dim, 1):
             u = U.rows[0]
             last = max(i for i, x in enumerate(u) if x)
-            x = (combination(spec, u, basis),)
+            x = (span[vec_index(q, u)],)
             cnt = tables.marginal(x, ()) if col else tables.marginal((), x)
             lines_at[offset + last].append((vec_index(q, u[:last + 1]), cnt))
             line_max[offset + last] += max(cnt.values(), default=0)
@@ -168,11 +127,10 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
                     continue
                 for V in subspaces_of_dim(spec, r, l):
                     mu = (-1) ** (k + l) * q ** ((k * (k - 1) + l * (l - 1)) // 2)
-                    higher.append((mu,
-                                   [vec_index(q, u) for u in U.rows],
-                                   [vec_index(q, a) for a in V.rows],
-                                   tuple(combination(spec, u, colbasis) for u in U.rows),
-                                   tuple(combination(spec, a, rowbasis) for a in V.rows)))
+                    cpos, rpos = U.key(), V.key()
+                    higher.append((mu, cpos, rpos,
+                                   tuple(cspan[p] for p in cpos),
+                                   tuple(rspan[p] for p in rpos)))
     chosen = [0] * depth
     # the domain's own tallies, built at the first leaf that needs them;
     # only the line tallies are shared between domains

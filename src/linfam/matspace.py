@@ -4,6 +4,11 @@ A Mat is an immutable n x m array of field-element encodings together with
 its FieldSpec.  Subspaces are kept in reduced row echelon form, so equal
 subspaces have identical representations.  GF(2) matrices additionally use
 a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
+
+A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds
+and scales indices by table lookup, and span_indices lists a span by the
+index of every combination of its basis: the one span listing that the
+subspace walks, the capture search and the projections share.
 """
 from __future__ import annotations
 
@@ -61,6 +66,55 @@ def vec_dot(spec: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     for a, b in zip(u, v):
         t = spec.add(t, spec.mul(a, b))
     return t
+
+
+@lru_cache(maxsize=None)
+def _index_tables(spec: FieldSpec, length: int) -> tuple[list, list]:
+    """add[x][y] and mul[c][x] on the indices of length-`length` vectors."""
+    q = spec.q
+    vecs = list(itertools.product(range(q), repeat=length))
+    add = [[vec_index(q, vec_add(spec, u, v)) for v in vecs] for u in vecs]
+    mul = [[vec_index(q, vec_smul(spec, c, v)) for v in vecs] for c in range(q)]
+    return add, mul
+
+
+class IndexCode:
+    """Vector add and scalar multiply on the indices of length-L vectors.
+
+    An index splits into its leading ceil(L/2) and trailing floor(L/2)
+    coordinates; each half has its own tables, so no table holds more than
+    q^(L+1) entries.
+    """
+
+    __slots__ = ("base", "hadd", "hmul", "ladd", "lmul")
+
+    def __init__(self, spec: FieldSpec, length: int):
+        low = length // 2
+        self.base = spec.q ** low
+        self.hadd, self.hmul = _index_tables(spec, length - low)
+        self.ladd, self.lmul = _index_tables(spec, low)
+
+    def add(self, x: int, y: int) -> int:
+        B = self.base
+        return self.hadd[x // B][y // B] * B + self.ladd[x % B][y % B]
+
+    def smul(self, c: int, x: int) -> int:
+        B = self.base
+        return self.hmul[c][x // B] * B + self.lmul[c][x % B]
+
+
+def span_indices(spec: FieldSpec, basis: Sequence[Sequence[int]],
+                 length: int) -> list[int]:
+    """Entry vec_index(q, u) is the index of sum_i u_i basis_i, for every
+    coefficient vector u, by IndexCode add/smul on length-`length` rows."""
+    q = spec.q
+    out = [0]
+    code = IndexCode(spec, length)
+    for r in basis:
+        b = vec_index(q, r)
+        mults = [code.smul(c, b) for c in range(q)]
+        out = [code.add(x, y) for x in out for y in mults]
+    return out
 
 
 # --- row reduction ----------------------------------------------------------
@@ -459,21 +513,6 @@ class Subspace:
                 w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
         return not any(w)
 
-    def coords(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Coefficients of v over the RREF basis, or None if v is outside."""
-        f = self.field
-        w = list(v)
-        cs = []
-        for row in self.rows:
-            piv = next(j for j, x in enumerate(row) if x)
-            c = w[piv]
-            cs.append(c)
-            if c:
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        if any(w):
-            return None
-        return tuple(cs)
-
     def sum_(self, other: "Subspace") -> "Subspace":
         self._chk(other)
         return Subspace.from_vectors(self.field, self.ambient, self.rows + other.rows)
@@ -492,15 +531,11 @@ class Subspace:
         if other.field != self.field or other.ambient != self.ambient:
             raise ShapeMismatch("subspaces in different ambient spaces")
 
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All member vectors (q^dim of them)."""
-        f = self.field
-        for cs in itertools.product(range(f.q), repeat=self.dim):
-            v = (0,) * self.ambient
-            for c, row in zip(cs, self.rows):
-                if c:
-                    v = vec_add(f, v, vec_smul(f, c, row))
-            yield v
+    def vectors(self) -> list[tuple[int, ...]]:
+        """All member vectors (q^dim of them), in span_indices order."""
+        q, amb = self.field.q, self.ambient
+        return [vec_from_index(q, amb, x)
+                for x in span_indices(self.field, self.rows, amb)]
 
     def key(self) -> tuple[int, ...]:
         return tuple(vec_index(self.field.q, r) for r in self.rows)
