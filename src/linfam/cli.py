@@ -30,6 +30,13 @@ def _budget(args: argparse.Namespace) -> Budget:
     return Budget(items=args.budget_items, seconds=args.budget_seconds)
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{flag} needs a fraction, got {text!r}") from None
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -88,7 +95,7 @@ def cmd_fourier(args: argparse.Namespace) -> int:
 
 def cmd_regularity(args: argparse.Namespace) -> int:
     F = Family.from_text(_read(args.family))
-    eps = Fraction(args.eps) if args.eps is not None else None
+    eps = _fraction(args.eps, "--eps") if args.eps is not None else None
     J, log = regularity_decompose(F, args.r, args.s, eps=eps,
                                   budget=_budget(args))
     junta_doc = json.dumps({
@@ -114,7 +121,8 @@ def cmd_regularity(args: argparse.Namespace) -> int:
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     F = Family.from_text(_read(args.family))
     rep = quasiregular_implies_uncaptureable_check(
-        F, args.b, args.N, Fraction(args.delta), Fraction(args.beta))
+        F, args.b, args.N, _fraction(args.delta, "--delta"),
+        _fraction(args.beta, "--beta"))
     wit = rep["witness"]
     print(json.dumps({
         "holds": rep["holds"],

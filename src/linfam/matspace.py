@@ -446,8 +446,12 @@ def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
     if not text.startswith("q="):
         raise DomainError(f"bad matrix literal {text!r}")
     head, _, tail = text.partition(";rows=")
-    parts = dict(kv.split("=", 1) for kv in head.split(";"))
-    q, n, m = int(parts["q"]), int(parts["n"]), int(parts["m"])
+    try:
+        parts = dict(kv.split("=", 1) for kv in head.split(";"))
+        q, n, m = (int(parts[k]) for k in "qnm")
+    except (KeyError, ValueError):
+        raise DomainError(f"matrix literal {text!r} needs integer q=, n= "
+                          "and m= fields") from None
     spec = spec if spec is not None else field(q)
     if spec.q != q:
         raise FieldMismatch(f"literal q={q} but field has q={spec.q}")

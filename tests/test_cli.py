@@ -359,6 +359,30 @@ def test_extremal_claims():
     assert doc["status"] == "exploratory" and doc["value"] == doc["bound"] == "2"
 
 
+# a typo in an argument is a usage error (2), never a failed claim (1)
+MALFORMED = [
+    ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "1",
+     "--tau", "q=2;m=2;rows=10;01"],
+    ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "1",
+     "--tau", "q=2;n=two;m=2;rows=10;01"],
+    ["regularity", "--r", "1", "--s", "1", "--eps", "1/0"],
+    ["bootstrap", "--b", "0", "--N", "1", "--delta", "1/0", "--beta", "3/2"],
+    ["bootstrap", "--b", "0", "--N", "1", "--delta", "1", "--beta", "1/0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=[
+    "tau-without-n", "tau-non-integer-n", "eps-zero-denominator",
+    "delta-zero-denominator", "beta-zero-denominator"])
+def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):
+    (tmp_path / "family.txt").write_text(Family.full_space(s2, 2, 2).to_text())
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "extremal":
+        argv = argv + ["--family", "family.txt"]
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_extremal_flag_requirements():
     assert run(["extremal", "--claim", "canonical", "--q", "2", "--n", "3"])[0] == 2
     assert run(["extremal", "--claim", "derange", "--q", "2", "--n", "3",

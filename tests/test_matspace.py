@@ -18,8 +18,9 @@ from linfam.matspace import (Mat, Subspace, agreement, agreement_dim,
                              count_subspaces_avoiding, enumerate_all,
                              enumerate_gl, gaussian_binomial, gl_order, image,
                              kernel, m_qt, mat_from_literal, phi, rank,
-                             rank_census, rank_table, subspaces_of_dim,
-                             vec_from_index, vec_index)
+                             rank_census, rank_table, span_indices,
+                             subspaces_of_dim, vec_add, vec_from_index,
+                             vec_index, vec_smul)
 
 s2 = field(2)
 s3 = field(3)
@@ -95,6 +96,39 @@ def test_literal_and_index_round_trips():
     for q in (2, 3):
         for idx in range(q ** 3):
             assert vec_index(q, vec_from_index(q, 3, idx)) == idx
+
+
+@pytest.mark.parametrize("text", ["q=2;m=2;rows=10;01", "q=2;n=x;m=2;rows=10;01",
+                                  "q=2;n;m=2;rows=10;01"])
+def test_literal_header_errors(text):
+    with pytest.raises(DomainError):
+        mat_from_literal(text)
+
+
+def test_span_indices_against_tuple_combinations():
+    rng = random.Random(3)
+    for q in (2, 3, 4, 5):
+        spec = field(q)
+        for length in range(1, 5):
+            for _ in range(4):
+                k = rng.randint(0, 3)
+                basis = [tuple(rng.randrange(q) for _ in range(length))
+                         for _ in range(k)]
+                got = span_indices(spec, basis, length)
+                assert len(got) == q ** k
+                for u in itertools.product(range(q), repeat=k):
+                    v = (0,) * length
+                    for c, b in zip(u, basis):
+                        v = vec_add(spec, v, vec_smul(spec, c, b))
+                    assert got[vec_index(q, u)] == vec_index(q, v)
+
+
+def test_subspace_vectors_list_the_span():
+    for spec in (s2, s3):
+        for S in subspaces_of_dim(spec, 3, 2):
+            vecs = S.vectors()
+            assert len(set(vecs)) == spec.q ** 2
+            assert all(S.contains(v) for v in vecs)
 
 
 # --- counting formulas ------------------------------------------------------
