@@ -180,10 +180,6 @@ def _frame_independent(spec: FieldSpec, diffs: list) -> bool:
     return len(reduced) == k
 
 
-def coset_cardinality(R: Restriction) -> int:
-    return R.coset_cardinality()
-
-
 def _coset_system(R: Restriction):
     """RREF of the linear system on the n*m entries cut out by R."""
     spec = R.field

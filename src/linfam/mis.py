@@ -90,19 +90,16 @@ def _translation_transitive(adj: Sequence[int], nverts: int) -> bool:
 
 
 def max_clique(adj: Sequence[int], nverts: int,
-               budget: Budget | None = None,
-               incumbent: tuple[int, int] | None = None) -> tuple[int, int]:
+               budget: Budget | None = None) -> tuple[int, int]:
     """(size, vertex bitset) of one maximum clique.
 
-    incumbent, when given, must be a valid clique (size, bitset); it
-    seeds the bound so the search only has to beat it.  On a graph that
-    _translation_transitive certifies, only cliques through vertex 0 are
-    searched.
+    On a graph that _translation_transitive certifies, only cliques
+    through vertex 0 are searched.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
     b = ensure(budget)
-    best_size, best_set = incumbent if incumbent is not None else (0, 0)
+    best_size, best_set = 0, 0
     nodes = 0
     rooted = _translation_transitive(adj, nverts)
     what = ("independent set search rooted at vertex 0" if rooted

@@ -23,7 +23,6 @@ from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
-from .families import Family, is_intersection_free
 from .fourier import DenseFunction, char_exponent, fast_transform
 from .gf import FieldSpec, field
 from .matspace import (Mat, count_rank_d, digit_mask, gaussian_binomial, phi,
@@ -37,7 +36,6 @@ __all__ = [
     "generator_count",
     "graph_bitsets",
     "hoffman_bound",
-    "independence_check",
     "rank_invariance_check",
     "spectrum",
 ]
@@ -242,15 +240,6 @@ def hoffman_bound(S: CayleySpectrum) -> Fraction:
     if lam_min >= 0:
         raise NoNegativeEigenvalue(f"smallest eigenvalue is {lam_min}")
     return -lam_min / (1 - lam_min)
-
-
-def independence_check(F: Family, t: int):
-    """No distinct pair of members agrees on exactly t dimensions.
-
-    Families with that property are exactly the independent sets of the
-    agreement-t graph.  Returns (bool, witness pair or None).
-    """
-    return is_intersection_free(F, t)
 
 
 def graph_bitsets(q: int, m: int, n: int, t: int,

@@ -13,11 +13,10 @@ from linfam.errors import BudgetExceeded, DomainError
 from linfam.gf import field
 from linfam.matspace import Mat, phi, rank, vec_from_index
 from linfam.fourier import DenseFunction
-from linfam.families import Family
+from linfam.families import Family, is_intersection_free
 from linfam.spectra import (bilinear_decomposition, eigenvalue,
                             eigenvalue_bound_check, graph_bitsets,
-                            hoffman_bound, independence_check,
-                            rank_invariance_check, spectrum)
+                            hoffman_bound, rank_invariance_check, spectrum)
 from linfam.verify import swept_spectrum
 
 s2 = field(2)
@@ -181,12 +180,12 @@ def test_independence_check_families():
     I = Mat(s2, ((1, 0), (0, 1)), 2)
     U = Mat(s2, ((1, 1), (0, 1)), 2)    # agrees with I exactly on <e1>
     single = Family(s2, 2, 2, [I])
-    ok, wit = independence_check(single, 1)
+    ok, wit = is_intersection_free(single, 1)
     assert ok and wit is None
     pair = Family(s2, 2, 2, [I, U])
-    ok1, wit1 = independence_check(pair, 1)
+    ok1, wit1 = is_intersection_free(pair, 1)
     assert not ok1 and set(wit1) == {I, U}
-    ok0, _ = independence_check(pair, 0)
+    ok0, _ = is_intersection_free(pair, 0)
     assert ok0
 
 
