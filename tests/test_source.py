@@ -1,18 +1,25 @@
-"""Source-level guards on the exactness promise.
+"""Source-level guards on the exactness promise and on dead code.
 
 `assert` statements vanish under `python -O`, so library checks must raise.
 Floats appear only where they are wall-clock limits or sampling
-probabilities: budget.py, cli.py and verify.py.
+probabilities: budget.py, cli.py and verify.py.  Every import in the
+library is used, and every function, class and method it defines is named
+somewhere besides its own definition: in the library, the tests or the
+benchmark.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "linfam"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "linfam"
 FLOATS_ALLOWED = {"budget.py", "cli.py", "verify.py"}
 MODULES = sorted(SRC.glob("*.py"))
+CORPUS = sorted(p for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+                for p in d.glob("*.py"))
 
 
 def _floats(tree):
@@ -37,3 +44,60 @@ def test_no_assert_and_no_float(path):
 def test_every_module_is_checked():
     assert len(MODULES) >= 10 and {"extremal.py", "fourier.py"} <= {
         p.name for p in MODULES}
+
+
+def _exported(tree):
+    """Names listed in a module's __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used | _exported(tree))
+    assert unused == [], f"unused imports (line, name): {unused}"
+
+
+def _definitions(path):
+    """(line, name, is_method) of the non-dunder top-level functions and
+    classes of a module and of the methods of its top-level classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.lineno, node.name, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs):
+                    yield sub.lineno, sub.name, True
+
+
+def test_every_definition_is_named_elsewhere():
+    lines = [(p, i, text) for p in CORPUS
+             for i, text in enumerate(p.read_text().splitlines(), 1)]
+    unused = []
+    for path in MODULES:
+        for lineno, name, method in _definitions(path):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # a method is reached as an attribute, anything else by name
+            word = re.compile((r"\." if method else r"\b") + name + r"\b")
+            if not any(word.search(text) for p, i, text in lines
+                       if (p, i) != (path, lineno)):
+                unused.append(f"{path.name}:{lineno} {name}")
+    assert unused == [], f"defined but never named: {unused}"
