@@ -102,7 +102,6 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     q = spec.q
     c, r = len(colbasis), len(rowbasis)
     depth = c + r
-    # entry vec_index(u) of a span holds the index of sum u_i basis_i
     cspan = span_indices(spec, colbasis, tables.m)
     rspan = span_indices(spec, rowbasis, tables.n)
     lines_at: list[list] = [[] for _ in range(depth)]

@@ -123,14 +123,6 @@ def test_span_indices_against_tuple_combinations():
                     assert got[vec_index(q, u)] == vec_index(q, v)
 
 
-def test_subspace_vectors_list_the_span():
-    for spec in (s2, s3):
-        for S in subspaces_of_dim(spec, 3, 2):
-            vecs = S.vectors()
-            assert len(set(vecs)) == spec.q ** 2
-            assert all(S.contains(v) for v in vecs)
-
-
 # --- counting formulas ------------------------------------------------------
 
 def test_rank_census_small():
