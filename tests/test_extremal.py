@@ -63,11 +63,13 @@ def matmul(A, B):
 # --- prefix-fixing families -------------------------------------------------
 
 def test_canonical_sizes_and_membership():
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 5):
             for t in range(1, n + 1):
                 want = m_qt(n, q, t)
                 if want > 5000:
+                    if q > 3:
+                        continue
                     got = ex.canonical_family_size(n, q, t)
                 else:
                     fam = ex.canonical_family(n, q, t)
@@ -231,7 +233,9 @@ def test_constructive_process_lands_in_target_set():
 
 
 # sha256 of the Mat.index() sequence of derangement_construct for fixed
-# targets: pins which maps the process yields and in which order
+# targets: pins which maps the process yields and in which order.  Family
+# holds its members as a frozenset, so walk order is pinned only here; the
+# q > 2 rows swap e_1 and e_2, and GF(4) has sub equal to add.
 CONSTRUCT_GOLDEN = [
     (4, 2, 1, "q=2;n=4;m=4;rows=1001;1010;0101;1011", None,
      "3653ff62491b12e311dadf92702ee7bd95527b554585a7200b35c6e9ac9de38b"),
@@ -243,12 +247,23 @@ CONSTRUCT_GOLDEN = [
      300, "b055f647b43922216ab6549b1a15e7849bda0d7befe9259ffecc2b76df44aead"),
     (6, 2, 2, "q=2;n=6;m=6;rows=010010;010110;110101;111001;000010;110010",
      300, "29e7649c85caf5a0bc8e97e919c434314d466834c08da914a2b1479ec1084ba9"),
+    (3, 4, 1, "q=4;n=3;m=3;rows=010;100;001", None,
+     "d956aa232a3d0675aec0984a785af4ec524b594968d74d3d3b4ffc9088fabac0"),
+    (3, 5, 1, "q=5;n=3;m=3;rows=010;100;001", None,
+     "68da26d9f22339a9a0081843659014808e12a5ac2c13d2c6ec9980095809850d"),
+    (3, 7, 1, "q=7;n=3;m=3;rows=010;100;001", 500,
+     "f6ec1d807803498c41bdc8b1bd73fd15ff105f91eb6537c23fc18dbb2b828881"),
+    (3, 8, 1, "q=8;n=3;m=3;rows=010;100;001", 500,
+     "ff34da77b5bcf740d1e65657e751e45028d44d3493bb2454e72fbd73d0c22d40"),
+    (3, 9, 1, "q=9;n=3;m=3;rows=010;100;001", 500,
+     "037b1bfc35a54f84fa35c014ac25bdf86bc75fc4d8b6d432a2b96e1da5a79024"),
 ]
 
 
 @pytest.mark.parametrize("n,q,t,tau,take,sha", CONSTRUCT_GOLDEN, ids=[
     "n4q2t1", "n3q3t1", "n5q2t1-first1500", "n6q2t2d0-first300",
-    "n6q2t2d1-first300"])
+    "n6q2t2d1-first300", "n3q4t1", "n3q5t1", "n3q7t1-first500",
+    "n3q8t1-first500", "n3q9t1-first500"])
 def test_construct_order_golden(n, q, t, tau, take, sha):
     outs = itertools.islice(
         ex.derangement_construct(n, q, t, mat_from_literal(tau)), take)
