@@ -18,10 +18,10 @@ from .errors import (BudgetExceeded, DomainError, GeneratorSearchFailed,
                      InvariantViolated, PreconditionViolated)
 from .families import Family
 from .gf import FieldSpec, field
-from .matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
+from .matspace import (IndexCode, Mat, Subspace, agreement_dim, enumerate_gl,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       reduce_row, rref_rows, subspaces_of_dim, vec_code,
-                       vec_from_index)
+                       rref_rows, span_indices, subspaces_of_dim, vec_code,
+                       vec_from_index, vec_index)
 from . import mis
 
 __all__ = [
@@ -42,16 +42,6 @@ __all__ = [
 
 
 # --- small helpers ------------------------------------------------------------
-
-def _echelon(spec: FieldSpec, vecs) -> dict:
-    """Echelon basis of span(vecs), keyed by leading column."""
-    basis: dict = {}
-    for v in vecs:
-        r = reduce_row(spec, basis, v)
-        if r is not None:
-            basis[r[0]] = r[1]
-    return basis
-
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
@@ -74,11 +64,11 @@ def _mat_inverse(A: Mat) -> Mat:
 
 # --- prefix-fixing invertible families --------------------------------------
 
-def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence,
-                 targets: Sequence[Sequence], budget: Budget | None):
+def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence[int],
+                 targets: Sequence[Sequence[int]], budget: Budget | None):
     """Depth-first walk over the invertible maps sigma of F_q^n, given by
     the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
-    j < len(fixed).
+    j < len(fixed).  Every vector is its vec_index code.
 
     Free images are tried in vec_index order among the nonzero vectors and
     kept when independent of the images above, held as an echelon basis.
@@ -89,20 +79,18 @@ def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence,
     every target has counted more than t - 1 steps.
 
     Yields (imgs, last, hits) once per choice of the images above the last
-    position: imgs the vec_code encodings of sigma(b_0) .. sigma(b_{n-2})
-    (one list, changed between yields), last the admissible images of
-    b_{n-1} in order, and hits[i] those members of last whose map has
+    position: imgs the codes of sigma(b_0) .. sigma(b_{n-2}) (one list,
+    changed between yields), last the admissible images of b_{n-1} in
+    order, and hits[i] those members of last whose map has
     dim ker(sigma - tau_i) = t - 1.
     """
-    code = vec_code(spec, n)
-    reduce, insert, sub = code.reduce, code.insert, code.sub
+    reduce, insert, sub = vec_code(spec, n)
     b = ensure(budget)
-    choices = [[code.encode(v)] for v in fixed]
-    choices += [code.vectors[1:]] * (n - len(fixed))
-    taus = [[code.encode(v) for v in tv] for tv in targets]
+    choices = [[v] for v in fixed]
+    choices += [range(1, spec.q ** n)] * (n - len(fixed))
     basis: dict = {}
-    diffs: list[dict] = [{} for _ in taus]
-    steps = [0] * len(taus)
+    diffs: list[dict] = [{} for _ in targets]
+    steps = [0] * len(targets)
     imgs: list = []
 
     def rec(depth: int):
@@ -110,7 +98,7 @@ def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence,
             b.check_clock("fixed-prefix enumeration")
             last = [c for c in choices[depth] if reduce(basis, c)]
             hits = []
-            for dd, k, tv in zip(diffs, steps, taus):
+            for dd, k, tv in zip(diffs, steps, targets):
                 u = tv[depth]
                 if k == t - 1:
                     hits.append([c for c in last if reduce(dd, sub(c, u))])
@@ -126,7 +114,7 @@ def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence,
                 continue
             key = insert(basis, r)
             keys = []
-            for i, (dd, tv) in enumerate(zip(diffs, taus)):
+            for i, (dd, tv) in enumerate(zip(diffs, targets)):
                 rr = reduce(dd, sub(c, tv[depth]))
                 if rr:
                     keys.append(insert(dd, rr))
@@ -153,19 +141,21 @@ def _fixing_walk(spec: FieldSpec, n: int, t: int, taus: Sequence[Mat],
     lexicographic order of the column encodings, with each tau as a target."""
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
+    q = spec.q
     b = ensure(budget)
-    b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
-    return _prefix_walk(spec, n, t, [_unit(n, j) for j in range(t)],
-                        [tuple(zip(*tau.rows)) for tau in taus], b)
+    b.check_items(m_qt(n, q, t), "fixed-prefix enumeration")
+    fixed = [vec_index(q, _unit(n, j)) for j in range(t)]
+    targets = [[vec_index(q, col) for col in zip(*tau.rows)] for tau in taus]
+    return _prefix_walk(spec, n, t, fixed, targets, b)
 
 
 def _fixing_maps(spec: FieldSpec, n: int, t: int,
                  budget: Budget | None) -> Iterator[Mat]:
-    decode = vec_code(spec, n).decode
+    q = spec.q
     for imgs, last, _ in _fixing_walk(spec, n, t, (), budget):
-        head = [decode(v) for v in imgs]
+        head = [vec_from_index(q, n, v) for v in imgs]
         for c in last:
-            yield _mat_from_columns(spec, head + [decode(c)])
+            yield _mat_from_columns(spec, head + [vec_from_index(q, n, c)])
 
 
 def canonical_family(n: int, q: int, t: int, side: str = "column",
@@ -400,35 +390,37 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
     process tree.  Leaves are distinct maps whenever d = 0 (the agreement
     space recovers the seed) or the seed is unique."""
     spec, d, seeds = _construct_setup(n, q, t, tau)
+    reduce, insert, _ = vec_code(spec, n)
+    units = [vec_index(q, _unit(n, j)) for j in range(n)]
+    # entry v is the code of tau applied to the vector with code v
+    act = span_indices(spec, tuple(zip(*tau.rows)), n)
     for W in seeds:
-        basis = [_unit(n, j) for j in range(t)] + [tuple(r) for r in W.rows]
-        span = _echelon(spec, basis)
-        if len(span) < len(basis):
-            raise DomainError("seed subspace meets the prefix span")
-        for j in range(n):
-            if len(basis) == n:
-                break
-            u = _unit(n, j)
-            r = reduce_row(spec, span, u)
-            if r is not None:
-                span[r[0]] = r[1]
+        basis = units[:t] + [vec_index(q, r) for r in W.rows]
+        span: dict = {}
+        for v in basis:
+            r = reduce(span, v)
+            if not r:
+                raise DomainError("seed subspace meets the prefix span")
+            insert(span, r)
+        for u in units:
+            r = reduce(span, u)
+            if r:
+                insert(span, r)
                 basis.append(u)
-        images = [tau.apply(v) for v in basis]
+        images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
         yield basis, _prefix_walk(spec, n, t, fixed, [images], budget)
 
 
-def _assemble(spec: FieldSpec, n: int, imgs, binv: Mat) -> Mat:
+def _assemble(code: IndexCode, n: int, imgs: Sequence[int], binv: Mat) -> Mat:
+    """The map sending b_j to imgs[j]: column k is sum_j binv[j][k] imgs[j]."""
     cols = []
     for k in range(n):
-        acc = (0,) * n
+        acc = 0
         for j in range(n):
-            c = binv.rows[j][k]
-            if c:
-                acc = tuple(spec.add(x, spec.mul(c, y))
-                            for x, y in zip(acc, imgs[j]))
-        cols.append(acc)
-    return _mat_from_columns(spec, cols)
+            acc = code.add(acc, code.smul(binv.rows[j][k], imgs[j]))
+        cols.append(vec_from_index(code.field.q, n, acc))
+    return _mat_from_columns(code.field, cols)
 
 
 def derangement_construct(n: int, q: int, t: int, tau: Mat,
@@ -438,13 +430,13 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     extended avoiding the span of previous images and the affine shift of
     the running difference span."""
     spec = field(q)
-    decode = vec_code(spec, n).decode
+    code = IndexCode(spec, n)
     for basis, walk in _seed_walks(n, q, t, tau, budget):
-        binv = _mat_inverse(_mat_from_columns(spec, basis))
+        binv = _mat_inverse(_mat_from_columns(
+            spec, [vec_from_index(q, n, v) for v in basis]))
         for imgs, _, (hits,) in walk:
-            head = [decode(v) for v in imgs]
             for c in hits:
-                yield _assemble(spec, n, head + [decode(c)], binv)
+                yield _assemble(code, n, imgs + [c], binv)
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,

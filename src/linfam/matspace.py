@@ -5,18 +5,20 @@ its FieldSpec.  Subspaces are kept in reduced row echelon form, so equal
 subspaces have identical representations.  GF(2) matrices additionally use
 a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
 
-A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds
-and scales indices by table lookup, and span_indices lists a span by the
-index of every combination of its basis: the one span listing that the
-subspace walks, the capture search and the projections share.
+A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds,
+scales and row-reduces indices by table lookup; every echelon walk codes
+its vectors this way (vec_code).  span_indices lists a span by the index of
+every combination of its basis: the one span listing that the subspace
+walks, the capture search and the projections share.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget, ensure
@@ -79,28 +81,58 @@ def _index_tables(spec: FieldSpec, length: int) -> tuple[list, list]:
 
 
 class IndexCode:
-    """Vector add and scalar multiply on the indices of length-L vectors.
+    """Vector arithmetic and echelon reduction on the indices of length-L
+    vectors.
 
     An index splits into its leading ceil(L/2) and trailing floor(L/2)
     coordinates; each half has its own tables, so no table holds more than
     q^(L+1) entries.
     """
 
-    __slots__ = ("base", "hadd", "hmul", "ladd", "lmul")
+    __slots__ = ("field", "powers", "base", "hadd", "hmul", "ladd", "lmul",
+                 "minus_one")
 
     def __init__(self, spec: FieldSpec, length: int):
         low = length // 2
+        self.field = spec
+        self.powers = [spec.q ** k for k in range(length)]
         self.base = spec.q ** low
         self.hadd, self.hmul = _index_tables(spec, length - low)
         self.ladd, self.lmul = _index_tables(spec, low)
+        self.minus_one = spec.neg(1)
 
     def add(self, x: int, y: int) -> int:
         B = self.base
         return self.hadd[x // B][y // B] * B + self.ladd[x % B][y % B]
 
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.smul(self.minus_one, y))
+
     def smul(self, c: int, x: int) -> int:
         B = self.base
         return self.hmul[c][x // B] * B + self.lmul[c][x % B]
+
+    def reduce(self, basis: dict[int, list[int]], v: int) -> int:
+        """Remainder of v against an echelon basis keyed by digit length, as
+        reduce_bits keys by bit length; 0 exactly when v lies in the span.
+        basis[k][d] is the index of -d times the row scaled to leading
+        digit 1, so cancelling a leading digit d is one add."""
+        powers = self.powers
+        while v:
+            k = bisect_right(powers, v)
+            negs = basis.get(k)
+            if negs is None:
+                return v
+            v = self.add(v, negs[v // powers[k - 1]])
+        return 0
+
+    def insert(self, basis: dict[int, list[int]], r: int) -> int:
+        """Store a nonzero remainder and return its key."""
+        spec = self.field
+        k = bisect_right(self.powers, r)
+        row = self.smul(spec.inv(r // self.powers[k - 1]), r)
+        basis[k] = [self.smul(spec.neg(d), row) for d in range(spec.q)]
+        return k
 
 
 def span_indices(spec: FieldSpec, basis: Sequence[Sequence[int]],
@@ -158,10 +190,10 @@ def rref_rows(spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: int,
     return tuple(pivots), reduced, leftover
 
 
-# Both helpers reduce a new row against an echelon basis held as a dict with
-# one row per leading position, so a row costs one left-to-right pass and an
-# insertion is one dict store.  A search tree stores the reduced row under its
-# key before descending and deletes that key on the way back.
+# The echelon walks reduce a new row against a basis held as a dict with one
+# row per leading position, so a row costs one pass from its leading place
+# down and an insertion is one dict store.  A search tree stores the reduced
+# row under its key before descending and deletes that key on the way back.
 
 def reduce_bits(basis: dict[int, int], v: int) -> int:
     """Remainder of the GF(2) row v (packed int) against a basis keyed by bit
@@ -175,43 +207,18 @@ def reduce_bits(basis: dict[int, int], v: int) -> int:
     return 0
 
 
-def reduce_row(spec: FieldSpec, basis: dict[int, tuple[int, ...]],
-               v: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
-    """(lead, remainder) of v against a basis keyed by leading column, the
-    remainder scaled to leading entry 1; None when v lies in the span.
-    Insert it as basis[lead] = remainder."""
-    w = tuple(v)
-    for j in range(len(w)):
-        x = w[j]
-        if not x:
-            continue
-        b = basis.get(j)
-        if b is None:
-            if x != 1:
-                inv = spec.inv(x)
-                w = tuple(spec.mul(inv, y) for y in w)
-            return j, w
-        # b vanishes left of column j, so the pass never looks back
-        w = tuple(spec.sub(y, spec.mul(x, c)) for y, c in zip(w, b))
-    return None
-
-
 class VecCode(NamedTuple):
-    """How the echelon walks encode the vectors of F_q^length.
+    """Echelon arithmetic on the vec_index codes of F_q^length.
 
-    At q = 2 a vector is the int vec_index(2, v), first coordinate on the
-    top bit, reduced by reduce_bits; otherwise it is the tuple itself,
-    reduced by reduce_row.  `vectors` lists every vector in vec_index
-    order, `reduce(basis, v)` is falsy exactly when v lies in the span, and
-    `insert(basis, r)` stores a nonzero remainder and returns the key to
-    delete on the way back.
+    `reduce(basis, v)` is 0 exactly when v lies in the span, `insert(basis,
+    r)` stores a nonzero remainder and returns the key to delete on the way
+    back, and `sub` subtracts two codes.  At q = 2 the code is a packed int
+    reduced by XOR (reduce_bits), which is faster there than table adds;
+    at every other q it is reduced by IndexCode.
     """
-    vectors: Sequence
     reduce: Callable
     insert: Callable
     sub: Callable
-    encode: Callable
-    decode: Callable
 
 
 def _insert_bits(basis: dict[int, int], r: int) -> int:
@@ -220,19 +227,11 @@ def _insert_bits(basis: dict[int, int], r: int) -> int:
     return key
 
 
-def _insert_row(basis: dict[int, tuple[int, ...]], r) -> int:
-    basis[r[0]] = r[1]
-    return r[0]
-
-
 def vec_code(spec: FieldSpec, length: int) -> VecCode:
     if spec.q == 2:
-        return VecCode(range(1 << length), reduce_bits, _insert_bits,
-                       operator.xor, partial(vec_index, 2),
-                       partial(vec_from_index, 2, length))
-    return VecCode(tuple(itertools.product(range(spec.q), repeat=length)),
-                   partial(reduce_row, spec), _insert_row,
-                   partial(vec_sub, spec), tuple, tuple)
+        return VecCode(reduce_bits, _insert_bits, operator.xor)
+    code = IndexCode(spec, length)
+    return VecCode(code.reduce, code.insert, code.sub)
 
 
 def rank_bits(rows: Iterable[int]) -> int:
@@ -731,13 +730,13 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
     A DFS over rows in lexicographic order visits the matrices in index
     order and keeps an incremental echelon basis of the rows above, so each
     matrix costs one row reduction and no Mat is built.  Rows are encoded
-    by vec_code.
+    by vec_index and reduced by vec_code.
     """
     if n == 0:
         emit([0])
         return
-    code = vec_code(spec, m)
-    rows, reduce, insert = code.vectors, code.reduce, code.insert
+    reduce, insert, _ = vec_code(spec, m)
+    rows = range(spec.q ** m)
     basis: dict = {}
 
     def rec(depth: int, rk: int) -> None:
