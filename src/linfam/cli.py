@@ -22,6 +22,7 @@ from .families import (Family, measure_outside_junta,
                        quasiregular_implies_uncaptureable_check,
                        regularity_decompose)
 from .fourier import DenseFunction, fast_transform, reduce_family
+from .gf import prime_power
 from .matspace import (agreement_dim, count_rank_d, count_subspaces_avoiding,
                        gaussian_binomial, m_qt, mat_from_literal, phi)
 
@@ -53,6 +54,7 @@ COUNT_PARAMS = {
 
 def cmd_count(args: argparse.Namespace) -> int:
     kind, q = args.kind, args.q
+    prime_power(q)
     for name in COUNT_PARAMS[kind]:
         if getattr(args, name) is None:
             raise DomainError(f"--{name} is required for --kind {kind}")
@@ -170,8 +172,9 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         _, rep = extremal.sl_family(args.n, q, args.t, b)
     else:
         tau = mat_from_literal(args.tau)
-        d = extremal.fixed_prefix_dim(tau, args.t)
+        # the count checks n, t and tau before fixed_prefix_dim reads them
         cnt = extremal.derangement_enumerate(args.n, q, args.t, tau, b)
+        d = extremal.fixed_prefix_dim(tau, args.t)
         bound = extremal.derangement_bound(args.n, q, args.t, d)
         rep = {"claim": "near-agreement derangement count",
                "params": {"n": args.n, "q": q, "t": args.t, "d": d},

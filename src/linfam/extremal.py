@@ -286,6 +286,8 @@ def fixed_prefix_dim(tau: Mat, t: int) -> int:
 def _check_tau(n: int, q: int, t: int, tau: Mat) -> None:
     if tau.n != n or tau.m != n or tau.field.q != q:
         raise DomainError("tau must be a square matrix of the stated shape")
+    if not 1 <= t <= n:
+        raise DomainError(f"need 1 <= t <= n, got t={t}")
     if rank(tau) != n:
         raise PreconditionViolated("tau must be invertible")
     if fixed_prefix_dim(tau, t) > t - 1:

@@ -9,6 +9,7 @@ q <= 64 (so encodings are reproducible across runs) and may be overridden.
 from __future__ import annotations
 
 import json
+from math import isqrt
 from typing import Iterable
 
 from .cyclo import Cyc
@@ -287,26 +288,26 @@ def _search_irreducible(p: int, s: int) -> tuple[int, ...]:
 _FIELDS: dict[tuple[int, tuple[int, ...] | None], FieldSpec] = {}
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, s) with q = p^s; DomainError when q is not a prime power."""
+    if q < 2:
+        raise DomainError(f"q={q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    s, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        s += 1
+    if rest != 1:
+        raise DomainError(f"q={q} is not a prime power")
+    return p, s
+
+
 def field(q: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:
     """Shared FieldSpec for the given order (cached)."""
     key = (q, tuple(modulus) if modulus is not None else None)
     spec = _FIELDS.get(key)
     if spec is None:
-        p = None
-        for cand in range(2, q + 1):
-            if is_prime(cand) and q % cand == 0:
-                p = cand
-                break
-        if p is None:
-            raise DomainError(f"q={q} is not a prime power")
-        s = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            s += 1
-        if qq != 1:
-            raise DomainError(f"q={q} is not a prime power")
-        spec = FieldSpec(p, s, modulus)
+        spec = FieldSpec(*prime_power(q), modulus)
         _FIELDS[key] = spec
     return spec
 

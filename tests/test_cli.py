@@ -45,6 +45,10 @@ def test_count_values():
     assert doc["value"] == 6
     doc = run_json(["count", "--kind", "gauss", "--q", "2", "--m", "4", "--d", "2"])
     assert doc["value"] == 35
+    # prime powers above field()'s table cap stay countable
+    doc = run_json(["count", "--kind", "gauss", "--q", "8192", "--m", "2",
+                    "--d", "1"])
+    assert doc["value"] == 8193
     doc = run_json(["count", "--kind", "rank", "--q", "2", "--n", "2", "--m", "2",
                     "--d", "1"])
     assert doc["value"] == 9
@@ -64,6 +68,11 @@ def test_count_error_exits():
     assert rc == 2 and "error" in err
     rc, _, err = run(["count", "--kind", "mqt", "--q", "3", "--n", "2"])
     assert rc == 2 and "--t is required" in err
+    for argv in (["--kind", "rank", "--q", "1", "--n", "2", "--m", "2",
+                  "--d", "1"],
+                 ["--kind", "gauss", "--q", "6", "--m", "2", "--d", "1"]):
+        rc, out, err = run(["count"] + argv)
+        assert rc == 2 and out == "" and "not a prime power" in err
     rc, _, _ = run(["count", "--kind", "nonsense", "--q", "2"])
     assert rc == 2    # argparse rejects the choice
 
@@ -365,6 +374,8 @@ MALFORMED = [
      "--tau", "q=2;m=2;rows=10;01"],
     ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "1",
      "--tau", "q=2;n=two;m=2;rows=10;01"],
+    ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "5",
+     "--tau", "q=2;n=2;m=2;rows=10;01"],
     ["regularity", "--r", "1", "--s", "1", "--eps", "1/0"],
     ["bootstrap", "--b", "0", "--N", "1", "--delta", "1/0", "--beta", "3/2"],
     ["bootstrap", "--b", "0", "--N", "1", "--delta", "1", "--beta", "1/0"],
@@ -372,7 +383,8 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=[
-    "tau-without-n", "tau-non-integer-n", "eps-zero-denominator",
+    "tau-without-n", "tau-non-integer-n", "derange-t-above-n",
+    "eps-zero-denominator",
     "delta-zero-denominator", "beta-zero-denominator"])
 def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):
     (tmp_path / "family.txt").write_text(Family.full_space(s2, 2, 2).to_text())
