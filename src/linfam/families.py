@@ -741,27 +741,15 @@ def bootstrap_quasiregular(F: Family, s_target: int, alpha: Fraction,
 
 # --- intersection testers ---------------------------------------------------
 
-def agreement_witness(F: Family, pred):
-    """The first distinct member pair, in sorted order, whose agreement
-    dimension satisfies pred; None if there is none."""
+def is_intersection_free(F: Family, t_minus_1: int):
+    """No distinct pair agrees on exactly t_minus_1 dimensions.  Returns
+    (bool, the first such pair in sorted order or None)."""
     mem = F.sorted_members()
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
-            if pred(agreement_dim(mem[i], mem[j])):
-                return mem[i], mem[j]
-    return None
-
-
-def is_t_intersecting(F: Family, t: int):
-    """Every distinct pair agrees on >= t dimensions.  (bool, witness pair)."""
-    w = agreement_witness(F, lambda a: a < t)
-    return w is None, w
-
-
-def is_intersection_free(F: Family, t_minus_1: int):
-    """No distinct pair agrees on exactly t_minus_1 dimensions."""
-    w = agreement_witness(F, lambda a: a == t_minus_1)
-    return w is None, w
+            if agreement_dim(mem[i], mem[j]) == t_minus_1:
+                return False, (mem[i], mem[j])
+    return True, None
 
 
 def partial_agreement_dim(spec: FieldSpec, pairs1, pairs2, dom_len: int,

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget, ensure
 from .errors import (DomainError, FieldMismatch, InvariantViolated,
-                     PreconditionViolated, ShapeMismatch)
+                     ShapeMismatch)
 from .gf import FieldSpec, field
 
 # --- vectors (tuples of encodings) -----------------------------------------
@@ -534,12 +534,6 @@ class Subspace:
         if other.field != self.field or other.ambient != self.ambient:
             raise ShapeMismatch("subspaces in different ambient spaces")
 
-    def vectors(self) -> list[tuple[int, ...]]:
-        """All member vectors (q^dim of them), in span_indices order."""
-        q, amb = self.field.q, self.ambient
-        return [vec_from_index(q, amb, x)
-                for x in span_indices(self.field, self.rows, amb)]
-
     def key(self) -> tuple[int, ...]:
         return tuple(vec_index(self.field.q, r) for r in self.rows)
 
@@ -601,41 +595,6 @@ def agreement(A1: Mat, A2: Mat) -> Subspace:
 
 def agreement_dim(A1: Mat, A2: Mat) -> int:
     return A1.m - rank(A1 - A2)
-
-
-def block_agreement_dim(A1p: Mat, A2p: Mat, D0: Mat, F0: Mat,
-                        D0p: Mat, F0p: Mat) -> int:
-    """dim{z in ker(D0) : (A1' - A2' + F0' D0') z in colspace(F0)}.
-
-    Shapes: A1', A2': h x w; D0: * x w with independent rows; D0': u x w;
-    F0: h x * with independent columns; F0': h x u.
-    """
-    spec = A1p.field
-    for M in (A2p, D0, F0, D0p, F0p):
-        if M.field != spec:
-            raise FieldMismatch("mixed fields in block data")
-    h, w = A1p.shape
-    if A2p.shape != (h, w):
-        raise ShapeMismatch("A1' and A2' differ in shape")
-    if D0.m != w or D0p.m != w:
-        raise ShapeMismatch("D0/D0' column count must match A' columns")
-    if F0.n != h or F0p.n != h:
-        raise ShapeMismatch("F0/F0' row count must match A' rows")
-    if F0p.m != D0p.n:
-        raise ShapeMismatch("F0' columns must match D0' rows")
-    if rank(D0) != D0.n:
-        raise PreconditionViolated("D0 rows must be linearly independent")
-    if rank(F0) != F0.m:
-        raise PreconditionViolated("F0 columns must be linearly independent")
-    K = kernel(D0)
-    if K.dim == 0:
-        return 0
-    M = A1p - A2p + (F0p @ D0p)
-    f0_cols = tuple(zip(*F0.rows)) if F0.rows and F0.m else ()
-    imgs = [M.apply(z) for z in K.rows]
-    r_f0 = len(rref_rows(spec, f0_cols, h)[1]) if f0_cols else 0
-    r_all = len(rref_rows(spec, list(f0_cols) + imgs, h)[1])
-    return K.dim - (r_all - r_f0)
 
 
 # --- counting ---------------------------------------------------------------

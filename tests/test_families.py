@@ -23,7 +23,7 @@ from linfam.families import (Family, Junta, Restriction, _domains,
                              enumerate_coset,
                              is_captureable, is_intersection_free,
                              is_quasiregular, is_strongly_t_intersecting,
-                             is_t_intersecting, junta_measure, leq_threshold,
+                             junta_measure, leq_threshold,
                              max_density_ratio, measure_outside_junta,
                              quasiregular_implies_uncaptureable_check,
                              regularity_decompose)
@@ -235,10 +235,6 @@ def test_pairwise_agreement_testers():
     I = Mat.identity(s2, 2)
     U = Mat(s2, ((1, 1), (0, 1)), 2)     # agrees with I exactly on <e1>
     pair = Family(s2, 2, 2, [I, U])
-    ok, wit = is_t_intersecting(pair, 1)
-    assert ok and wit is None
-    ok2, wit2 = is_t_intersecting(pair, 2)
-    assert not ok2 and set(wit2) == {I, U}
     assert is_intersection_free(pair, 0)[0]
     assert not is_intersection_free(pair, 1)[0]
 

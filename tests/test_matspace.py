@@ -1,8 +1,8 @@
 """Matrix-space linear algebra and the counting formulas behind everything.
 
-The randomized block-agreement identity runs against direct
-computations on freshly assembled instances, so a formula bug cannot hide
-behind its own enumeration.
+Counting formulas, rank tables and span listings run against direct
+computations on enumerated or randomly assembled instances, so a formula
+bug cannot hide behind its own enumeration.
 """
 
 import itertools
@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from linfam.errors import DomainError, PreconditionViolated, ShapeMismatch
+from linfam.errors import DomainError
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, agreement, agreement_dim,
-                             block_agreement_dim, count_rank_d,
+                             count_rank_d,
                              count_subspaces_avoiding, enumerate_all,
                              enumerate_gl, gaussian_binomial, gl_order, image,
                              kernel, m_qt, mat_from_literal, phi, rank,
@@ -258,46 +258,3 @@ def test_phi_values():
 
 
 # --- block reductions ------------------------------------------------------
-
-def _random_basis(spec, rng, width):
-    # rref rows of a random span: independent by construction, possibly empty
-    cand = [tuple(rng.randrange(spec.q) for _ in range(width))
-            for _ in range(rng.randint(0, width))]
-    return Subspace.from_vectors(spec, width, cand).rows
-
-
-def test_block_agreement_matches_direct_scan():
-    rng = random.Random(41)
-    for trial in range(1000):
-        spec = s2 if trial % 2 == 0 else s3
-        q = spec.q
-        h, w = rng.randint(1, 3), rng.randint(1, 3)
-        u = rng.randint(0, 2)
-
-        def rnd(nr, nc):
-            return Mat(spec, tuple(tuple(rng.randrange(q) for _ in range(nc))
-                                   for _ in range(nr)), nc)
-
-        A1p, A2p = rnd(h, w), rnd(h, w)
-        D0 = Mat(spec, _random_basis(spec, rng, w), w)
-        F0 = Mat(spec, _random_basis(spec, rng, h), h).transpose()
-        D0p, F0p = rnd(u, w), rnd(h, u)
-
-        got = block_agreement_dim(A1p, A2p, D0, F0, D0p, F0p)
-        M = A1p - A2p + (F0p @ D0p)
-        col = image(F0)
-        count = sum(1 for z in kernel(D0).vectors() if col.contains(M.apply(z)))
-        assert count == q ** got, (trial, got, count)
-
-
-def test_block_agreement_preconditions():
-    A = Mat(s2, ((1, 0), (0, 1)), 2)
-    dep = Mat(s2, ((1, 0), (1, 0)), 2)      # dependent rows
-    D0 = Mat(s2, ((1, 0),), 2)
-    F0 = Mat(s2, ((1,), (0,)), 1)
-    D0p = Mat(s2, ((0, 1),), 2)
-    F0p = Mat(s2, ((1,), (1,)), 1)
-    with pytest.raises(PreconditionViolated):
-        block_agreement_dim(A, A, dep, F0, D0p, F0p)
-    with pytest.raises(ShapeMismatch):
-        block_agreement_dim(A, Mat(s2, ((1, 0, 0), (0, 1, 0)), 3), D0, F0, D0p, F0p)
