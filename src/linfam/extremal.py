@@ -414,17 +414,6 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
         yield basis, _prefix_walk(spec, n, t, fixed, [images], budget)
 
 
-def _assemble(code: IndexCode, n: int, imgs: Sequence[int], binv: Mat) -> Mat:
-    """The map sending b_j to imgs[j]: column k is sum_j binv[j][k] imgs[j]."""
-    cols = []
-    for k in range(n):
-        acc = 0
-        for j in range(n):
-            acc = code.add(acc, code.smul(binv.rows[j][k], imgs[j]))
-        cols.append(vec_from_index(code.field.q, n, acc))
-    return _mat_from_columns(code.field, cols)
-
-
 def derangement_construct(n: int, q: int, t: int, tau: Mat,
                           budget: Budget | None = None) -> Iterator[Mat]:
     """Every map the constructive process can produce: identity on the
@@ -433,12 +422,21 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     the running difference span."""
     spec = field(q)
     code = IndexCode(spec, n)
+    add, smul = code.add, code.smul
     for basis, walk in _seed_walks(n, q, t, tau, budget):
         binv = _mat_inverse(_mat_from_columns(
             spec, [vec_from_index(q, n, v) for v in basis]))
+        *head, last = binv.rows
         for imgs, _, (hits,) in walk:
+            # column k of the map sending b_j to imgs[j] is
+            # sum_j binv[j][k] imgs[j]; only the last term varies in a batch
+            part = [0] * n
+            for row, v in zip(head, imgs):
+                part = [add(a, smul(x, v)) for a, x in zip(part, row)]
             for c in hits:
-                yield _assemble(code, n, imgs + [c], binv)
+                yield _mat_from_columns(spec, [
+                    vec_from_index(q, n, add(a, smul(x, c)))
+                    for a, x in zip(part, last)])
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
