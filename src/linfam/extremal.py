@@ -384,13 +384,13 @@ def _construct_setup(n: int, q: int, t: int, tau: Mat):
 
 
 def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
-    """(basis, walk) per admissible seed W: the basis is e_1 .. e_t, W's rows,
-    then unit vectors completing it, and the prefix walk fixes the images
-    e_1 .. e_t, tau(W) with tau as its one target.  That prefix already
-    spends the t - 1 dependent steps (d on the prefix span, one per row of
-    W), so every later difference must be independent: the walk is the
-    process tree.  Leaves are distinct maps whenever d = 0 (the agreement
-    space recovers the seed) or the seed is unique."""
+    """(basis, walk) per admissible seed W: the basis, as vec_index codes, is
+    e_1 .. e_t, W's rows, then unit vectors completing it, and the prefix
+    walk fixes the images e_1 .. e_t, tau(W) with tau as its one target.
+    That prefix already spends the t - 1 dependent steps (d on the prefix
+    span, one per row of W), so every later difference must be independent:
+    the walk is the process tree.  Leaves are distinct maps whenever d = 0
+    (the agreement space recovers the seed) or the seed is unique."""
     spec, d, seeds = _construct_setup(n, q, t, tau)
     reduce, insert, _ = vec_code(spec, n)
     units = [vec_index(q, _unit(n, j)) for j in range(n)]

@@ -6,10 +6,11 @@ subspaces have identical representations.  GF(2) matrices additionally use
 a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
 
 A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds,
-scales and row-reduces indices by table lookup; every echelon walk codes
-its vectors this way (vec_code).  span_indices lists a span by the index of
-every combination of its basis: the one span listing that the subspace
-walks, the capture search and the projections share.
+scales and row-reduces indices by table lookup.  Every echelon walk codes
+its vectors by index, reduced by XOR at q = 2 and by IndexCode at other q
+(vec_code).  span_indices lists a span by the index of every combination
+of its basis: the one span listing that the subspace walks, the capture
+search and the projections share.
 """
 from __future__ import annotations
 
