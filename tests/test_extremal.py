@@ -292,11 +292,74 @@ def test_exhaustive_bound_reports():
     assert rep3["optima"] == 64
 
 
+# sha256 of report_to_json(verify_extremal_bound(n, q, t, "sample")): pins
+# value (outside maps scanned) and witness (the first addable map in
+# enumerate_gl order); t = n points are violated, the family being {I}
+SAMPLE_GOLDEN = [
+    (4, 2, 1, "exploratory",
+     "8fc06f186011550ebf4652a85216400211dff5450a9d65636aa2cc8b3a3dfd47"),
+    (3, 2, 1, "exploratory",
+     "5e32c3756b0794617075da5ef192c327ac12db837e0b97509da4b7f7f8547570"),
+    (3, 2, 2, "exploratory",
+     "79d3fc4f588111b39c293ae9b557add038c7108afd06bcfd0cb2a8f86c383005"),
+    (3, 2, 3, "violated",
+     "5b38c09d74cf210bfb000036c5dba46368675c3e38b19ad29e523a8f09be73f4"),
+    (2, 3, 1, "exploratory",
+     "9b0748d8bffc0f31ff5f67e7672e9b8160cc5448bb6c92d71b98344952aa557a"),
+    (2, 3, 2, "violated",
+     "b69aa8da3a2ae21b43e6451f5091d495d0759c839faf87099cbdc6b5d51cdb79"),
+    (2, 4, 1, "exploratory",
+     "ba7715cd1fc4f985b03ae93fc437b6e2e6914dd4dba8c5f64a4ccd8dc3291a5c"),
+    (2, 4, 2, "violated",
+     "4f127ef5fb261f517a6031c38b1cd097e550aa86f3fe88cc56fa1dd7c3e8f8a9"),
+    (2, 5, 1, "exploratory",
+     "cb32a932705117d47804077d5c4b5e3e933438aeb6ade35a4c03c267e2524373"),
+    (2, 5, 2, "violated",
+     "a1980ee8d52f6fa81a496d3fdb3429b3962ce91eaabeed91b8e045d75dc8726a"),
+]
+
+
 def test_sample_bound_reports():
-    rep = ex.verify_extremal_bound(3, 2, 1, "sample")
-    assert rep["status"] == "exploratory" and rep["witness"] == [], rep
-    rep4 = ex.verify_extremal_bound(4, 2, 1, "sample")
-    assert rep4["status"] == "exploratory", rep4
+    for n, q, t, status, sha in SAMPLE_GOLDEN:
+        rep = ex.verify_extremal_bound(n, q, t, "sample")
+        assert rep["status"] == status, rep
+        text = ex.report_to_json(rep)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, text
+
+
+def sample_oracle(n, q, t):
+    """(scanned, witness index): the agreement_dim scan of every map outside
+    the prefix-fixing family against every member, in enumerate_gl order."""
+    members = [S for S in gl(n, q) if fixes_prefix(S, t)]
+    scanned = 0
+    for S in gl(n, q):
+        if fixes_prefix(S, t):
+            continue
+        scanned += 1
+        if not any(agreement_dim(S, M) == t - 1 for M in members):
+            return scanned, S.index()
+    return scanned, None
+
+
+# GL sizes at most 480, so the oracle's pair scan stays a full scan
+SAMPLE_POINTS = [(n, q, t) for n, q in ((1, 2), (1, 3), (2, 2), (2, 3),
+                                        (2, 4), (2, 5), (3, 2))
+                 for t in range(1, n + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SAMPLE_POINTS))
+def test_sample_report_matches_oracle(point):
+    rep = ex.verify_extremal_bound(*point, "sample")
+    scanned, wit = sample_oracle(*point)
+    assert rep["value"] == str(scanned)
+    if wit is None:
+        assert rep["status"] == "exploratory" and rep["witness"] == []
+    else:
+        n, q, _ = point
+        assert rep["status"] == "violated"
+        assert rep["witness"] == [
+            Mat.from_index(field(q), n, n, wit).to_literal()]
 
 
 def test_spectral_bound_reports():
