@@ -54,7 +54,7 @@ COUNT_PARAMS = {
 
 def cmd_count(args: argparse.Namespace) -> int:
     kind, q = args.kind, args.q
-    prime_power(q)
+    prime_power(q, _budget(args))
     for name in COUNT_PARAMS[kind]:
         if getattr(args, name) is None:
             raise DomainError(f"--{name} is required for --kind {kind}")

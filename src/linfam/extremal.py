@@ -10,6 +10,7 @@ exhaustive or sampled maximality checks.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -20,7 +21,7 @@ from .families import Family
 from .gf import FieldSpec, field
 from .matspace import (IndexCode, Mat, Subspace, agreement_dim, enumerate_gl,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       rref_rows, span_indices, subspaces_of_dim, vec_code,
+                       rref_rows, span_indices, subspaces_of_dim,
                        vec_from_index, vec_index)
 from . import mis
 
@@ -64,89 +65,88 @@ def _mat_inverse(A: Mat) -> Mat:
 
 # --- prefix-fixing invertible families --------------------------------------
 
-def _prefix_walk(spec: FieldSpec, n: int, t: int, fixed: Sequence[int],
+def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
                  targets: Sequence[Sequence[int]], budget: Budget | None):
     """Depth-first walk over the invertible maps sigma of F_q^n, given by
     the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
-    j < len(fixed).  Every vector is its vec_index code.
+    j < len(fixed).  Every vector is its vec_index code, and every span is
+    held as the set of its members, grown by code.extend (XOR at q = 2).
 
-    Free images are tried in vec_index order among the nonzero vectors and
-    kept when independent of the images above, held as an echelon basis.
-    targets[i][j] is tau_i(b_j): for each target the walk also keeps an
-    echelon basis of the differences sigma(b_j) - tau_i(b_j) and counts the
-    steps at which a difference falls in the span of the earlier ones; at a
-    leaf that count is dim ker(sigma - tau_i).  A branch is dropped once
-    every target has counted more than t - 1 steps.
+    Free images are tried in code order among the nonzero vectors outside
+    the span of the images above.  targets[i][j] is tau_i(b_j): for each
+    target the walk also holds the span of the differences sigma(b_j) -
+    tau_i(b_j) and counts the steps at which a difference already lies in
+    it; at a leaf that count is dim ker(sigma - tau_i).  A branch is
+    dropped once every target has counted more than t - 1 steps.
 
     Yields (imgs, last, hits) once per choice of the images above the last
     position: imgs the codes of sigma(b_0) .. sigma(b_{n-2}) (one list,
     changed between yields), last the admissible images of b_{n-1} in
-    order, and hits[i] those members of last whose map has
-    dim ker(sigma - tau_i) = t - 1.
+    order, and hits[i] those members of last whose map has dim ker(sigma -
+    tau_i) = t - 1: with k steps above, those outside the coset
+    tau_i(b_{n-1}) + span if k = t - 1, inside it if k = t - 2.
     """
-    reduce, insert, sub = vec_code(spec, n)
+    q = code.field.q
+    sub = operator.xor if q == 2 else code.sub
     b = ensure(budget)
-    choices = [[v] for v in fixed]
-    choices += [range(1, spec.q ** n)] * (n - len(fixed))
-    basis: dict = {}
-    diffs: list[dict] = [{} for _ in targets]
+    choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
+    span = {0}
+    diffs = [{0} for _ in targets]
     steps = [0] * len(targets)
     imgs: list = []
 
     def rec(depth: int):
+        pool = choices[depth].difference(span)
         if depth == n - 1:
             b.check_clock("fixed-prefix enumeration")
-            last = [c for c in choices[depth] if reduce(basis, c)]
             hits = []
             for dd, k, tv in zip(diffs, steps, targets):
-                u = tv[depth]
-                if k == t - 1:
-                    hits.append([c for c in last if reduce(dd, sub(c, u))])
-                elif k == t - 2:
-                    hits.append([c for c in last if not reduce(dd, sub(c, u))])
+                if k == t - 1 or k == t - 2:
+                    coset = code.shift(dd, tv[depth])
+                    hits.append(sorted(pool.difference(coset) if k == t - 1
+                                       else pool.intersection(coset)))
                 else:
                     hits.append([])
-            yield imgs, last, hits
+            yield imgs, sorted(pool), hits
             return
-        for c in choices[depth]:
-            r = reduce(basis, c)
-            if not r:
-                continue
-            key = insert(basis, r)
-            keys = []
+        for c in sorted(pool):
+            new = code.extend(span, c)
+            span.update(new)
+            grown = []
             for i, (dd, tv) in enumerate(zip(diffs, targets)):
-                rr = reduce(dd, sub(c, tv[depth]))
-                if rr:
-                    keys.append(insert(dd, rr))
-                else:
-                    keys.append(None)
-                    steps[i] += 1
+                d = sub(c, tv[depth])
+                grown.append([] if d in dd else code.extend(dd, d))
+                dd.update(grown[-1])
+                steps[i] += not grown[-1]
             if not steps or min(steps) < t:
                 imgs.append(c)
                 yield from rec(depth + 1)
                 imgs.pop()
-            for i, k in enumerate(keys):
-                if k is None:
-                    steps[i] -= 1
-                else:
-                    del diffs[i][k]
-            del basis[key]
+            for i, g in enumerate(grown):
+                diffs[i].difference_update(g)
+                steps[i] -= not g
+            span.difference_update(new)
 
     return rec(0)
 
 
-def _fixing_walk(spec: FieldSpec, n: int, t: int, taus: Sequence[Mat],
-                 budget: Budget | None):
-    """The prefix walk over the maps fixing e_1 .. e_t, whose leaves come in
-    lexicographic order of the column encodings, with each tau as a target."""
+def _fixing_setup(spec: FieldSpec, n: int, t: int, b: Budget):
+    """(code, fixed) for the prefix walk over the maps fixing e_1 .. e_t,
+    whose leaves come in lexicographic order of the column encodings."""
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
-    q = spec.q
+    b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
+    return IndexCode(spec, n), [spec.q ** (n - 1 - j) for j in range(t)]
+
+
+def _fixing_walk(spec: FieldSpec, n: int, t: int, taus: Sequence[Mat],
+                 budget: Budget | None):
+    """The prefix walk over the maps fixing e_1 .. e_t, each tau a target."""
     b = ensure(budget)
-    b.check_items(m_qt(n, q, t), "fixed-prefix enumeration")
-    fixed = [vec_index(q, _unit(n, j)) for j in range(t)]
-    targets = [[vec_index(q, col) for col in zip(*tau.rows)] for tau in taus]
-    return _prefix_walk(spec, n, t, fixed, targets, b)
+    code, fixed = _fixing_setup(spec, n, t, b)
+    targets = [[vec_index(spec.q, col) for col in zip(*tau.rows)]
+               for tau in taus]
+    return _prefix_walk(code, n, t, fixed, targets, b)
 
 
 def _fixing_maps(spec: FieldSpec, n: int, t: int,
@@ -392,26 +392,24 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
     the walk is the process tree.  Leaves are distinct maps whenever d = 0
     (the agreement space recovers the seed) or the seed is unique."""
     spec, d, seeds = _construct_setup(n, q, t, tau)
-    reduce, insert, _ = vec_code(spec, n)
+    code = IndexCode(spec, n)
     units = [vec_index(q, _unit(n, j)) for j in range(n)]
     # entry v is the code of tau applied to the vector with code v
     act = span_indices(spec, tuple(zip(*tau.rows)), n)
     for W in seeds:
         basis = units[:t] + [vec_index(q, r) for r in W.rows]
-        span: dict = {}
+        span = {0}
         for v in basis:
-            r = reduce(span, v)
-            if not r:
+            if v in span:
                 raise DomainError("seed subspace meets the prefix span")
-            insert(span, r)
+            span.update(code.extend(span, v))
         for u in units:
-            r = reduce(span, u)
-            if r:
-                insert(span, r)
+            if u not in span:
+                span.update(code.extend(span, u))
                 basis.append(u)
         images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
-        yield basis, _prefix_walk(spec, n, t, fixed, [images], budget)
+        yield basis, _prefix_walk(code, n, t, fixed, [images], budget)
 
 
 def derangement_construct(n: int, q: int, t: int, tau: Mat,
@@ -514,26 +512,26 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "optima": len(optima), "normalized": normalized,
                 "status": status, "witness": witness}
     if mode == "sample":
-        members = {M.index(): M for M in _fixing_maps(spec, n, t, budget)}
-        mem_list = list(members.values())
-        b.check_items(gl_order(n, q) * len(mem_list), "augmentation scan")
-        scanned = 0
+        code, fixed = _fixing_setup(spec, n, t, b)
+        b.check_items(gl_order(n, q) * bound, "augmentation scan")
+        scanned, witness = 0, []
         for sigma in enumerate_gl(spec, n):
-            if sigma.index() in members:
+            cols = [vec_index(q, col) for col in zip(*sigma.rows)]
+            if cols[:t] == fixed:
                 continue
             scanned += 1
             if scanned % 512 == 0:
                 b.check_clock("augmentation scan")
-            if not any(agreement_dim(sigma, M) == t - 1 for M in mem_list):
-                return {"claim": "no single map outside the prefix-fixing "
-                                 "family can be added",
-                        "params": params, "value": str(scanned),
-                        "bound": str(bound), "status": "violated",
-                        "witness": [sigma.to_literal()]}
+            # sigma can join unless some member meets it in t - 1 dimensions
+            if not any(h for _, _, (h,) in
+                       _prefix_walk(code, n, t, fixed, [cols], b)):
+                witness = [sigma.to_literal()]
+                break
         return {"claim": "no single map outside the prefix-fixing family "
                          "can be added",
-                "params": params, "value": str(scanned),
-                "bound": str(bound), "status": "exploratory", "witness": []}
+                "params": params, "value": str(scanned), "bound": str(bound),
+                "status": "violated" if witness else "exploratory",
+                "witness": witness}
     if mode == "spectral":
         from .spectra import hoffman_bound, spectrum
         S = spectrum(q, n, n, t - 1)
@@ -553,9 +551,11 @@ def sl_family(n: int, q: int, t: int,
     spec = field(q)
     members = [M for M in _fixing_maps(spec, n, t, budget) if M.det_val() == 1]
     total = m_qt(n, q, t)
-    if total % (q - 1):
+    # a free column makes det onto F_q^*; at t = n the family is {I}
+    classes = q - 1 if t < n else 1
+    if total % classes:
         raise InvariantViolated(f"q - 1 = {q - 1} does not divide m_qt = {total}")
-    expected = total // (q - 1)
+    expected = total // classes
     fam = Family(spec, n, n, members)
     rep = {"claim": "prefix-fixing determinant-one family size",
            "params": {"n": n, "q": q, "t": t},

@@ -12,6 +12,7 @@ import json
 from math import isqrt
 from typing import Iterable
 
+from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import DivisionByZero, DomainError, GeneratorSearchFailed
 
@@ -288,11 +289,19 @@ def _search_irreducible(p: int, s: int) -> tuple[int, ...]:
 _FIELDS: dict[tuple[int, tuple[int, ...] | None], FieldSpec] = {}
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, s) with q = p^s; DomainError when q is not a prime power."""
+def prime_power(q: int, budget: Budget | None = None) -> tuple[int, int]:
+    """(p, s) with q = p^s; DomainError when q is not a prime power.  Trial
+    division checks the budget's clock after every 65536 divisors."""
     if q < 2:
         raise DomainError(f"q={q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    b, top, p = ensure(budget), isqrt(q) + 1, q
+    for lo in range(2, top, 65536):
+        if lo > 2:
+            b.check_clock("prime power test", f"{lo - 2} trial divisors")
+        d = next((d for d in range(lo, min(lo + 65536, top)) if q % d == 0), 0)
+        if d:
+            p = d
+            break
     s, rest = 0, q
     while rest % p == 0:
         rest //= p

@@ -6,21 +6,22 @@ subspaces have identical representations.  GF(2) matrices additionally use
 a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
 
 A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds,
-scales and row-reduces indices by table lookup.  Every echelon walk codes
-its vectors by index, reduced by XOR at q = 2 and by IndexCode at other q
-(vec_code).  span_indices lists a span by the index of every combination
-of its basis: the one span listing that the subspace walks, the capture
-search and the projections share.
+scales and row-reduces indices by table lookup.  The rank walk codes its
+rows by index, reduced by XOR at q = 2 and by IndexCode at other q.  A span
+is also held as its listing, the indices of its members: IndexCode.extend
+lists what one more vector adds to a span.  It builds span_indices, the
+listing by the index of every combination of a basis that the capture
+search and the projections share, and the member sets of the extremal
+prefix walk.
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
 from .errors import (DomainError, FieldMismatch, InvariantViolated,
@@ -82,8 +83,8 @@ def _index_tables(spec: FieldSpec, length: int) -> tuple[list, list]:
 
 
 class IndexCode:
-    """Vector arithmetic and echelon reduction on the indices of length-L
-    vectors.
+    """Vector arithmetic, span listings and echelon reduction on the
+    indices of length-L vectors.
 
     An index splits into its leading ceil(L/2) and trailing floor(L/2)
     coordinates; each half has its own tables, so no table holds more than
@@ -113,6 +114,24 @@ class IndexCode:
         B = self.base
         return self.hmul[c][x // B] * B + self.lmul[c][x % B]
 
+    def shift(self, span: Iterable[int], u: int) -> list[int]:
+        """x + u for each x listed in span: XOR at q = 2, else one add."""
+        if self.field.q == 2:
+            return [x ^ u for x in span]
+        B = self.base
+        hrow, lrow = self.hadd[u // B], self.ladd[u % B]
+        return [hrow[x // B] * B + lrow[x % B] for x in span]
+
+    def extend(self, span: Iterable[int], v: int) -> list[int]:
+        """The shifts of span by c v for c = 1 .. q - 1, in that order: the
+        members that v adds to the span listed when v lies outside it."""
+        if self.field.q == 2:
+            return [x ^ v for x in span]
+        out: list[int] = []
+        for c in range(1, self.field.q):
+            out += self.shift(span, self.smul(c, v))
+        return out
+
     def reduce(self, basis: dict[int, list[int]], v: int) -> int:
         """Remainder of v against an echelon basis keyed by digit length, as
         reduce_bits keys by bit length; 0 exactly when v lies in the span.
@@ -138,15 +157,12 @@ class IndexCode:
 
 def span_indices(spec: FieldSpec, basis: Sequence[Sequence[int]],
                  length: int) -> list[int]:
-    """Entry vec_index(q, u) is the index of sum_i u_i basis_i, for every
-    coefficient vector u, by IndexCode add/smul on length-`length` rows."""
-    q = spec.q
+    """Entry vec_index(q, u) is the index of sum_i u_i basis_i for every
+    coefficient vector u: IndexCode.extend adds the rows last first."""
     out = [0]
     code = IndexCode(spec, length)
-    for r in basis:
-        b = vec_index(q, r)
-        mults = [code.smul(c, b) for c in range(q)]
-        out = [code.add(x, y) for x in out for y in mults]
+    for r in reversed(basis):
+        out += code.extend(out, vec_index(spec.q, r))
     return out
 
 
@@ -208,31 +224,10 @@ def reduce_bits(basis: dict[int, int], v: int) -> int:
     return 0
 
 
-class VecCode(NamedTuple):
-    """Echelon arithmetic on the vec_index codes of F_q^length.
-
-    `reduce(basis, v)` is 0 exactly when v lies in the span, `insert(basis,
-    r)` stores a nonzero remainder and returns the key to delete on the way
-    back, and `sub` subtracts two codes.  At q = 2 the code is a packed int
-    reduced by XOR (reduce_bits), which is faster there than table adds;
-    at every other q it is reduced by IndexCode.
-    """
-    reduce: Callable
-    insert: Callable
-    sub: Callable
-
-
 def _insert_bits(basis: dict[int, int], r: int) -> int:
     key = r.bit_length()
     basis[key] = r
     return key
-
-
-def vec_code(spec: FieldSpec, length: int) -> VecCode:
-    if spec.q == 2:
-        return VecCode(reduce_bits, _insert_bits, operator.xor)
-    code = IndexCode(spec, length)
-    return VecCode(code.reduce, code.insert, code.sub)
 
 
 def rank_bits(rows: Iterable[int]) -> int:
@@ -690,12 +685,17 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
     A DFS over rows in lexicographic order visits the matrices in index
     order and keeps an incremental echelon basis of the rows above, so each
     matrix costs one row reduction and no Mat is built.  Rows are encoded
-    by vec_index and reduced by vec_code.
+    by vec_index and reduced by XOR (reduce_bits) at q = 2, which is faster
+    there than table adds, and by IndexCode at every other q.
     """
     if n == 0:
         emit([0])
         return
-    reduce, insert, _ = vec_code(spec, m)
+    if spec.q == 2:
+        reduce, insert = reduce_bits, _insert_bits
+    else:
+        code = IndexCode(spec, m)
+        reduce, insert = code.reduce, code.insert
     rows = range(spec.q ** m)
     basis: dict = {}
 

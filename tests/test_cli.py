@@ -77,6 +77,16 @@ def test_count_error_exits():
     assert rc == 2    # argparse rejects the choice
 
 
+def test_count_prime_power_test_keeps_budget():
+    # 10^12 + 39 is prime: trial division runs to 10^6, past one clock check
+    argv = ["count", "--kind", "mqt", "--q", "1000000000039", "--n", "2",
+            "--t", "1"]
+    rc, out, err = run(argv + ["--budget-seconds", "0"])
+    assert rc == 3 and out == "" and "prime power test" in err
+    assert run_json(argv) == {"kind": "mqt", "q": 1000000000039, "n": 2,
+                              "t": 1, "value": 1000000000077000000001482}
+
+
 # --- spectrum ---------------------------------------------------------------
 
 def test_spectrum_json():
@@ -196,6 +206,8 @@ EXTREMAL_GOLDEN = [
      "10c71efe7e14662b4958ef6173b69ac3c2ebe427dcb843612011c8eeefecc4c6"),
     (["determinant", "5", "2", "1"],
      "a09d1da3797c7664ff9f3b98ca72fef41d70192a24ed4d8972c575e37511f59c"),
+    (["determinant", "3", "2", "2"],
+     "be437651de69a0fb7779b1e44ed8c1ef3facecafbe1a99ebd60c33793ca38051"),
     (["derange", "2", "5", "2", "--tau",
       "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011"],
      "a9283716e11cdfa304ead445a7b91239f64648666cd68b62c980f504fe8ed424"),

@@ -80,6 +80,8 @@ def test_canonical_sizes_and_membership():
                         assert got == 1
                         assert next(iter(fam.members)) == ident(field(q), n)
                 assert got == want, (q, n, t, got, want)
+                if n <= 3:
+                    assert ex.canonical_family_size(n, q, t) == want
 
 
 def test_canonical_size_streams_without_materializing():
@@ -134,6 +136,13 @@ def test_sl_cut_sizes():
     assert rep2["status"] == "confirmed"
     assert '"status": "confirmed"' in ex.report_to_json(rep2)
 
+    # at t = n the family is {I}: no determinant classes to divide by
+    for n, q in ((2, 3), (2, 5), (3, 4)):
+        famn, repn = ex.sl_family(n, q, n)
+        assert famn.members == {ident(field(q), n)}
+        assert repn["value"] == repn["bound"] == "1"
+        assert repn["status"] == "confirmed"
+
 
 # --- near-agreement derangements --------------------------------------------
 
@@ -177,7 +186,7 @@ def test_enumerate_against_brute_force_t2_and_gf3():
 # GL(1, 2) = {1} fixes e_1, so (n, q, t) = (1, 2, 1) has no target
 DERANGE_POINTS = [(n, q, t) for q in (2, 3) for n in (1, 2, 3)
                   for t in range(1, n + 1) if (n, q, t) != (1, 2, 1)]
-DERANGE_POINTS += [(2, q, t) for q in (4, 5) for t in (1, 2)]
+DERANGE_POINTS += [(2, q, t) for q in (4, 5, 7, 8, 9) for t in (1, 2)]
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from linfam.budget import Budget
 from linfam.cyclo import Cyc
-from linfam.errors import DivisionByZero, DomainError
-from linfam.gf import char_root, field, is_prime
+from linfam.errors import BudgetExceeded, DivisionByZero, DomainError
+from linfam.gf import char_root, field, is_prime, prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -44,6 +45,16 @@ def test_non_prime_power_order_rejected():
     for bad in (0, 1, 6, 10, 12):
         with pytest.raises(DomainError):
             field(bad)
+
+
+def test_prime_power_trial_division_checks_the_clock():
+    # 65543 is prime, so the divisor search passes one full block of 65536
+    assert prime_power(65543 ** 2) == (65543, 2)
+    assert prime_power(2 ** 20, Budget(seconds=0)) == (2, 20)
+    with pytest.raises(BudgetExceeded, match="prime power test"):
+        prime_power(65543 ** 2, Budget(seconds=0))
+    with pytest.raises(DomainError):
+        prime_power(65543 * 65551)
 
 
 def test_field_axioms_exhaustive_small_orders():
