@@ -90,49 +90,49 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     sub = operator.xor if q == 2 else code.sub
     b = ensure(budget)
     choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
-    span = {0}
-    diffs = [{0} for _ in targets]
+    spans = [{0} for _ in range(len(targets) + 1)]
+    span, diffs = spans[0], spans[1:]
     steps = [0] * len(targets)
     imgs: list = []
 
-    def rec(depth: int):
-        pool = choices[depth].difference(span)
+    def rec(depth: int, added: list):
+        # added[0], added[1 + i]: what the image above adds to the span and
+        # to target i's; a position before the last merges them into the sets
         if depth == n - 1:
             b.check_clock("fixed-prefix enumeration")
+            pool = choices[depth].difference(span, added[0])
             hits = []
-            for dd, k, tv in zip(diffs, steps, targets):
+            for dd, g, k, tv in zip(diffs, added[1:], steps, targets):
                 if k == t - 1 or k == t - 2:
-                    coset = code.shift(dd, tv[depth])
+                    coset = code.shift(dd, tv[depth]) + code.shift(g, tv[depth])
                     hits.append(sorted(pool.difference(coset) if k == t - 1
                                        else pool.intersection(coset)))
                 else:
                     hits.append([])
             yield imgs, sorted(pool), hits
             return
-        for c in sorted(pool):
-            new = code.extend(span, c)
-            span.update(new)
-            grown = []
+        for s, g in zip(spans, added):
+            s.update(g)
+        for c in sorted(choices[depth].difference(span)):
+            below = []
             for i, (dd, tv) in enumerate(zip(diffs, targets)):
                 d = sub(c, tv[depth])
-                grown.append([] if d in dd else code.extend(dd, d))
-                dd.update(grown[-1])
-                steps[i] += not grown[-1]
+                below.append([] if d in dd else code.extend(dd, d))
+                steps[i] += not below[-1]
             if not steps or min(steps) < t:
                 imgs.append(c)
-                yield from rec(depth + 1)
+                yield from rec(depth + 1, [code.extend(span, c)] + below)
                 imgs.pop()
-            for i, g in enumerate(grown):
-                diffs[i].difference_update(g)
+            for i, g in enumerate(below):
                 steps[i] -= not g
-            span.difference_update(new)
+        for s, g in zip(spans, added):
+            s.difference_update(g)
 
-    return rec(0)
+    return rec(0, [[] for _ in spans])
 
 
 def _fixing_setup(spec: FieldSpec, n: int, t: int, b: Budget):
-    """(code, fixed) for the prefix walk over the maps fixing e_1 .. e_t,
-    whose leaves come in lexicographic order of the column encodings."""
+    """(code, fixed): the walk fixing e_1 .. e_t, in column-code order."""
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
     b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
