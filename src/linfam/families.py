@@ -244,7 +244,7 @@ def enumerate_coset(R: Restriction, budget: Budget | None = None) -> list[Mat]:
 class Family:
     """An explicit set of matrices inside the coset of a context restriction."""
 
-    __slots__ = ("field", "n", "m", "members", "context", "_sorted")
+    __slots__ = ("field", "n", "m", "members", "context", "_sorted", "_tables")
 
     def __init__(self, spec: FieldSpec, n: int, m: int,
                  members: Iterable[Mat], context: Restriction | None = None):
@@ -264,6 +264,7 @@ class Family:
                 raise InconsistentRestriction("member violates the context restriction")
         self.members = mem
         self._sorted = None
+        self._tables = None
 
     # constructors ---------------------------------------------------------
 
@@ -287,6 +288,11 @@ class Family:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.members, key=Mat.index))
         return self._sorted
+
+    def tables(self) -> ImageTables:
+        if self._tables is None:
+            self._tables = ImageTables(self.field, self.n, self.m, self.sorted_members())
+        return self._tables
 
     def measure(self) -> Fraction:
         return Fraction(len(self.members), self.context.coset_cardinality())
@@ -458,11 +464,10 @@ def is_captureable(F: Family, s: int, eps,
         else:
             hi = mid - 1
     max_avoid = lo
-    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
     b = ensure(budget)
     for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
         b.check_clock("capture search", f"{k} domains")
-        for key in capture_keys(tables, colbasis, rowbasis, max_avoid):
+        for key in capture_keys(F.tables(), colbasis, rowbasis, max_avoid):
             try:
                 return _witness(F, colbasis, rowbasis, key)
             except InconsistentRestriction:
@@ -505,8 +510,7 @@ def is_quasiregular(F: Family, s: int, alpha: Fraction,
                     budget: Budget | None = None) -> Restriction | None:
     """None iff no complexity-<= s restriction pushes the conditional
     density above alpha * mu(F); otherwise the first violating witness."""
-    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
-    return _first_dense(F, tables, s, alpha * F.measure(), budget)
+    return _first_dense(F, F.tables(), s, alpha * F.measure(), budget)
 
 
 def max_density_ratio(F: Family, s: int, budget: Budget | None = None
@@ -517,8 +521,7 @@ def max_density_ratio(F: Family, s: int, budget: Budget | None = None
     if mu == 0:
         raise DomainError("density ratio undefined for an empty family")
     best, best_w = Fraction(0), None
-    tables = ImageTables(F.field, F.n, F.m, F.sorted_members())
-    for colbasis, rowbasis, sub_card, weights in _density_scan(F, tables, s, budget):
+    for colbasis, rowbasis, sub_card, weights in _density_scan(F, F.tables(), s, budget):
         top = max(weights.values())
         if Fraction(top, sub_card) > best:
             best = Fraction(top, sub_card)

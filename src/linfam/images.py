@@ -1,26 +1,39 @@
 """Index-coded image tables of a matrix family, for the restriction searches.
 
-A vector is coded by its index (matspace.vec_index) and added and scaled
-by matspace.IndexCode.  ImageTables holds, for every column vector v and
-row covector a of M(n, m), the tuple of the members' image indices M v and
-a^T M, and tallies member weight by the images of a few of them at once.
-capture_keys walks the candidate images of a constraint domain and counts
-avoiders from those tallies; it reads every combination of the domain's
-basis off one matspace.span_indices listing per side.
+A vector is coded by its index (matspace.vec_index).  ImageTables lists, for
+every column vector v and row covector a of M(n, m), the tuple of the
+members' image indices M v and a^T M, and tallies member weight by the
+images of a few of them at once; a Family builds its tables once.
+capture_keys walks the candidate images of a constraint domain, its spans
+grown by IndexCode.extend, and counts avoiders from those tallies.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import xor
 from typing import Sequence
 
 from .gf import FieldSpec
 from .matspace import IndexCode, Mat, span_indices, subspaces_of_dim, vec_index
 
 
+def _listing(code: IndexCode, gens: list, count: int) -> list:
+    """Entry vec_index(u) is the tuple of sum_k u_k gens[k], member by
+    member: span_indices' order, the last generator added first, by XOR at
+    q = 2 and by IndexCode.add/smul at every other q."""
+    q = code.field.q
+    op = xor if q == 2 else code.add
+    out = [(0,) * count]
+    for g in reversed(gens):
+        shifts = [g] if q == 2 else [[code.smul(c, y) for y in g] for c in range(1, q)]
+        out += [tuple(map(op, x, d)) for d in shifts for x in out]
+    return out
+
+
 class ImageTables:
-    """Image indices of n x m members, in the given order, built lazily by
-    linearity: image(v + d e_k) = image(v) + image(d e_k)."""
+    """Image indices of n x m members, in the given order: col[v] holds
+    the members' M v and row[a] their a^T M, both listed in full."""
 
     def __init__(self, spec: FieldSpec, n: int, m: int, mats: Sequence[Mat],
                  weights: Sequence[Fraction] | None = None):
@@ -30,44 +43,20 @@ class ImageTables:
         self.colcode = IndexCode(spec, n)
         self.rowcode = IndexCode(spec, m)
         q = spec.q
-        self._colgens = [tuple(vec_index(q, [row[k] for row in M.rows]) for M in mats)
-                         for k in range(m)]
-        self._rowgens = [tuple(vec_index(q, M.rows[i]) for M in mats)
-                         for i in range(n)]
-        self._col = {0: (0,) * len(mats)}
-        self._row = {0: (0,) * len(mats)}
+        self.col = _listing(self.colcode, [
+            tuple(vec_index(q, [row[k] for row in M.rows]) for M in mats)
+            for k in range(m)], len(mats))
+        self.row = _listing(self.rowcode, [
+            tuple(vec_index(q, M.rows[i]) for M in mats)
+            for i in range(n)], len(mats))
         self._marg: dict = {}
-
-    def col(self, v: int) -> tuple[int, ...]:
-        return self._image(self._col, self._colgens, self.colcode, v)
-
-    def row(self, a: int) -> tuple[int, ...]:
-        return self._image(self._row, self._rowgens, self.rowcode, a)
-
-    def _image(self, cache: dict, gens: list, code: IndexCode, v: int):
-        out = cache.get(v)
-        if out is None:
-            # split off the lowest nonzero coordinate k of v, with value d
-            q = self.spec.q
-            place, k = 1, len(gens) - 1
-            while v // place % q == 0:
-                place *= q
-                k -= 1
-            d = v // place % q
-            if v == d * place:
-                out = tuple(code.smul(d, g) for g in gens[k])
-            else:
-                out = tuple(map(code.add, self._image(cache, gens, code, v - d * place),
-                                self._image(cache, gens, code, d * place)))
-            cache[v] = out
-        return out
 
     def tally(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:
         """Member weight by the flat tuple of image indices of the column
         vectors cols and then the row covectors rows.  Sorted keys follow
         the lexicographic order of the image vectors."""
-        arrays = [self.col(v) for v in cols] + [self.row(a) for a in rows]
-        keys = zip(*arrays) if arrays else [()] * len(self._col[0])
+        arrays = [self.col[v] for v in cols] + [self.row[a] for a in rows]
+        keys = zip(*arrays) if arrays else [()] * len(self.col[0])
         if self.weights is None:
             return Counter(keys)
         out: dict = {}
@@ -102,18 +91,21 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     q = spec.q
     c, r = len(colbasis), len(rowbasis)
     depth = c + r
-    cspan = span_indices(spec, colbasis, tables.m)
-    rspan = span_indices(spec, rowbasis, tables.n)
+    # the walk's spans lead with the newest image, so the domain listings
+    # run over the bases reversed: entry vec_index(u) is sum u_i basis_{dim-1-i}
+    cspan = span_indices(spec, colbasis[::-1], tables.m)
+    rspan = span_indices(spec, rowbasis[::-1], tables.n)
     lines_at: list[list] = [[] for _ in range(depth)]
     line_max = [0] * depth
     for span, dim, col, offset in ((cspan, c, True, 0), (rspan, r, False, c)):
         for U in subspaces_of_dim(spec, dim, 1):
             u = U.rows[0]
-            last = max(i for i, x in enumerate(u) if x)
-            x = (span[vec_index(q, u)],)
+            level = offset + dim - 1 - u.index(1)
+            p = vec_index(q, u)
+            x = (span[p],)
             cnt = tables.marginal(x, ()) if col else tables.marginal((), x)
-            lines_at[offset + last].append((vec_index(q, u[:last + 1]), cnt))
-            line_max[offset + last] += max(cnt.values(), default=0)
+            lines_at[level].append((p, cnt))
+            line_max[level] += max(cnt.values(), default=0)
     need = tables.total - max_avoid
     if sum(line_max) < need:
         return
@@ -152,10 +144,8 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
         lines = lines_at[level]
         floor = need - open_after[level]
         for w in range(q ** (tables.n if col else tables.m)):
-            # span of the images fixed so far: entry vec_index(u) holds
-            # sum u_i w_i over the prefix u
-            mults = [code.smul(d, w) for d in range(q)]
-            grown = [code.add(x, y) for x in span for y in mults]
+            # span of the images fixed so far, the newest leading
+            grown = span + code.extend(span, w)
             got = fixed + sum(cnt.get((grown[p],), 0) for p, cnt in lines)
             if got < floor:
                 continue
