@@ -19,10 +19,9 @@ from .errors import (BudgetExceeded, DomainError, GeneratorSearchFailed,
                      InvariantViolated, PreconditionViolated)
 from .families import Family
 from .gf import FieldSpec, field
-from .matspace import (IndexCode, Mat, Subspace, agreement_dim, enumerate_gl,
-                       gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       rref_rows, span_indices, subspaces_of_dim,
-                       vec_from_index, vec_index)
+from .matspace import (IndexCode, Mat, Subspace, gaussian_binomial, gl_order,
+                       kernel, m_qt, rank, rank_table, rref_rows, span_indices,
+                       subspaces_of_dim, vec_from_index, vec_index)
 from . import mis
 
 __all__ = [
@@ -491,21 +490,25 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
         if order > 200:
             raise BudgetExceeded(f"exhaustive search capped near |GL| = 200, "
                                  f"got {order}")
-        verts = list(enumerate_gl(spec, n))
+        # sigma_1, sigma_2 agree on n - rank(sigma_1 - sigma_2) dimensions
+        ranks = rank_table(spec, n, n)
+        verts = [i for i, rk in enumerate(ranks) if rk == n]
+        sub = IndexCode(spec, n * n).sub
         adj = [0] * order
         for i in range(order):
             for j in range(i + 1, order):
-                if agreement_dim(verts[i], verts[j]) == t - 1:
+                if n - ranks[sub(verts[i], verts[j])] == t - 1:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         optima = mis.all_maximum_independent_sets(adj, order, b)
         size = optima[0].bit_count()
+        mats = [Mat.from_index(spec, n, n, i) for i in verts]
         normalized = all(
-            _common_agreement_ok([verts[i] for i in mis.bits_of(bs)], t, False)
-            or _common_agreement_ok([verts[i] for i in mis.bits_of(bs)], t, True)
+            _common_agreement_ok([mats[i] for i in mis.bits_of(bs)], t, False)
+            or _common_agreement_ok([mats[i] for i in mis.bits_of(bs)], t, True)
             for bs in optima)
         status = "exploratory" if size == bound and normalized else "violated"
-        witness = [verts[i].to_literal() for i in mis.bits_of(optima[0])]
+        witness = [mats[i].to_literal() for i in mis.bits_of(optima[0])]
         return {"claim": "maximum family avoiding agreement dimension t-1 "
                          "in GL matches the prefix-fixing size",
                 "params": params, "value": str(size), "bound": str(bound),
@@ -515,8 +518,10 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
         code, fixed = _fixing_setup(spec, n, t, b)
         b.check_items(gl_order(n, q) * bound, "augmentation scan")
         scanned, witness = 0, []
-        for sigma in enumerate_gl(spec, n):
-            cols = [vec_index(q, col) for col in zip(*sigma.rows)]
+        # sigma runs over GL in index order; its columns read off the digits
+        for i in [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]:
+            flat = vec_from_index(q, n * n, i)
+            cols = [vec_index(q, flat[k::n]) for k in range(n)]
             if cols[:t] == fixed:
                 continue
             scanned += 1
@@ -525,7 +530,7 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
             # sigma can join unless some member meets it in t - 1 dimensions
             if not any(h for _, _, (h,) in
                        _prefix_walk(code, n, t, fixed, [cols], b)):
-                witness = [sigma.to_literal()]
+                witness = [Mat.from_index(spec, n, n, i).to_literal()]
                 break
         return {"claim": "no single map outside the prefix-fixing family "
                          "can be added",
