@@ -263,8 +263,7 @@ class Family:
             if not self.context.matches(M):
                 raise InconsistentRestriction("member violates the context restriction")
         self.members = mem
-        self._sorted = None
-        self._tables = None
+        self._sorted = self._tables = None
 
     # constructors ---------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """Index-coded image tables of a matrix family, for the restriction searches.
 
 A vector is coded by its index (matspace.vec_index).  ImageTables lists, for
-every column vector v and row covector a of M(n, m), the tuple of the
-members' image indices M v and a^T M, and tallies member weight by the
-images of a few of them at once; a Family builds its tables once.
-capture_keys walks the candidate images of a constraint domain, its spans
-grown by IndexCode.extend, and counts avoiders from those tallies.
+the column vectors v and row covectors a of M(n, m) with leading coordinate
+1, the array of the members' image indices M v and a^T M, and tallies member
+weight by the images of a few of them at once.  A Family builds its tables
+once (Family.tables).  capture_keys walks the candidate images of a
+constraint domain, its spans grown by IndexCode.extend, and counts avoiders
+from those tallies.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from fractions import Fraction
 from operator import xor
@@ -19,21 +21,31 @@ from .matspace import IndexCode, Mat, span_indices, subspaces_of_dim, vec_index
 
 
 def _listing(code: IndexCode, gens: list, count: int) -> list:
-    """Entry vec_index(u) is the tuple of sum_k u_k gens[k], member by
-    member: span_indices' order, the last generator added first, by XOR at
-    q = 2 and by IndexCode.add/smul at every other q."""
+    """Entry vec_index(v) is the array of sum_k v_k gens[k], member by
+    member, for v = 0 and each v with leading coordinate 1 (the only vectors
+    the searches read); other entries are None.  Coordinate k adds e_k and
+    v + d e_k for each d != 0 and listed v != 0 above k, by XOR in
+    characteristic 2 and by IndexCode.add otherwise."""
     q = code.field.q
-    op = xor if q == 2 else code.add
-    out = [(0,) * count]
-    for g in reversed(gens):
-        shifts = [g] if q == 2 else [[code.smul(c, y) for y in g] for c in range(1, q)]
-        out += [tuple(map(op, x, d)) for d in shifts for x in out]
+    op = xor if code.field.p == 2 else code.add
+    # one byte per member while the image indices fit, else four
+    typecode = "B" if q ** len(code.powers) <= 256 else "I"
+    out = [None] * q ** len(gens)
+    out[0] = array(typecode, [0]) * count
+    for k, g in enumerate(gens):
+        place = q ** (len(gens) - 1 - k)
+        above = [v for v in range(place * q, len(out), place * q) if out[v] is not None]
+        out[place] = array(typecode, g)
+        for d in range(1, q if above else 1):      # none above the first
+            gd = g if d == 1 else [code.smul(d, y) for y in g]
+            for v in above:
+                out[v + d * place] = array(typecode, map(op, out[v], gd))
     return out
 
 
 class ImageTables:
     """Image indices of n x m members, in the given order: col[v] holds
-    the members' M v and row[a] their a^T M, both listed in full."""
+    the members' M v and row[a] their a^T M, as _listing lists them."""
 
     def __init__(self, spec: FieldSpec, n: int, m: int, mats: Sequence[Mat],
                  weights: Sequence[Fraction] | None = None):
@@ -42,12 +54,11 @@ class ImageTables:
         self.total = len(mats) if weights is None else sum(weights)
         self.colcode = IndexCode(spec, n)
         self.rowcode = IndexCode(spec, m)
-        q = spec.q
         self.col = _listing(self.colcode, [
-            tuple(vec_index(q, [row[k] for row in M.rows]) for M in mats)
+            tuple(vec_index(spec.q, [row[k] for row in M.rows]) for M in mats)
             for k in range(m)], len(mats))
         self.row = _listing(self.rowcode, [
-            tuple(vec_index(q, M.rows[i]) for M in mats)
+            tuple(vec_index(spec.q, M.rows[i]) for M in mats)
             for i in range(n)], len(mats))
         self._marg: dict = {}
 
@@ -67,10 +78,9 @@ class ImageTables:
     def marginal(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:
         """tally(cols, rows), memoised."""
         key = (cols, rows)
-        out = self._marg.get(key)
-        if out is None:
-            out = self._marg[key] = self.tally(cols, rows)
-        return out
+        if key not in self._marg:
+            self._marg[key] = self.tally(cols, rows)
+        return self._marg[key]
 
 
 def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
@@ -91,8 +101,8 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     q = spec.q
     c, r = len(colbasis), len(rowbasis)
     depth = c + r
-    # the walk's spans lead with the newest image, so the domain listings
-    # run over the bases reversed: entry vec_index(u) is sum u_i basis_{dim-1-i}
+    # IndexCode.extend puts the newest image first, so the domain listings
+    # run over the bases reversed: sum u_i basis_i sits at vec_index(u[::-1])
     cspan = span_indices(spec, colbasis[::-1], tables.m)
     rspan = span_indices(spec, rowbasis[::-1], tables.n)
     lines_at: list[list] = [[] for _ in range(depth)]
@@ -100,8 +110,8 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     for span, dim, col, offset in ((cspan, c, True, 0), (rspan, r, False, c)):
         for U in subspaces_of_dim(spec, dim, 1):
             u = U.rows[0]
-            level = offset + dim - 1 - u.index(1)
-            p = vec_index(q, u)
+            level = offset + max(i for i, x in enumerate(u) if x)
+            p = vec_index(q, u[::-1])
             x = (span[p],)
             cnt = tables.marginal(x, ()) if col else tables.marginal((), x)
             lines_at[level].append((p, cnt))
@@ -118,7 +128,8 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
                     continue
                 for V in subspaces_of_dim(spec, r, l):
                     mu = (-1) ** (k + l) * q ** ((k * (k - 1) + l * (l - 1)) // 2)
-                    cpos, rpos = U.key(), V.key()
+                    cpos = tuple(vec_index(q, u[::-1]) for u in U.rows)
+                    rpos = tuple(vec_index(q, a[::-1]) for a in V.rows)
                     higher.append((mu, cpos, rpos,
                                    tuple(cspan[p] for p in cpos),
                                    tuple(rspan[p] for p in rpos)))
@@ -144,7 +155,7 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
         lines = lines_at[level]
         floor = need - open_after[level]
         for w in range(q ** (tables.n if col else tables.m)):
-            # span of the images fixed so far, the newest leading
+            # span of the images fixed so far: sum u_i w_i at vec_index(u[::-1])
             grown = span + code.extend(span, w)
             got = fixed + sum(cnt.get((grown[p],), 0) for p, cnt in lines)
             if got < floor:
