@@ -288,6 +288,27 @@ def test_enumerate_many_golden():
     assert ex.derangement_enumerate_many(5, 2, 2, taus) == [6192, 6432, 6192]
 
 
+# near-agreement counts at points past the brute-force scans, as walked by
+# the prefix-fixing enumeration
+ENUMERATE_GOLDEN = [
+    (5, 2, 1, "q=2;n=5;m=5;rows=00110;01100;11100;01000;01011", 96256),
+    (6, 2, 2, "q=2;n=6;m=6;rows=110000;000100;001011;101100;110011;001010",
+     2979072),
+    (6, 2, 2, "q=2;n=6;m=6;rows=010010;010110;110101;111001;000010;110010",
+     3030528),
+    (4, 3, 1, "q=3;n=4;m=4;rows=0100;1000;0010;0001", 172044),
+    (4, 3, 2, "q=3;n=4;m=4;rows=1100;0120;0010;0001", 3267),
+    (3, 7, 1, "q=7;n=3;m=3;rows=010;100;001", 82908),
+    (3, 8, 2, "q=8;n=3;m=3;rows=130;010;001", 440),
+]
+
+
+@pytest.mark.parametrize("n,q,t,tau,count", ENUMERATE_GOLDEN, ids=[
+    "n5q2t1", "n6q2t2d0", "n6q2t2d1", "n4q3t1", "n4q3t2", "n3q7t1", "n3q8t2"])
+def test_enumerate_golden(n, q, t, tau, count):
+    assert ex.derangement_enumerate(n, q, t, mat_from_literal(tau)) == count
+
+
 # --- optimality reports -----------------------------------------------------
 
 def test_exhaustive_bound_reports():
