@@ -173,7 +173,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     else:
         tau = mat_from_literal(args.tau)
         # the count checks n, t and tau before fixed_prefix_dim reads them
-        cnt = extremal.derangement_enumerate(args.n, q, args.t, tau, b)
+        cnt = extremal.derangement_enumerate(args.n, q, args.t, tau)
         d = extremal.fixed_prefix_dim(tau, args.t)
         bound = extremal.derangement_bound(args.n, q, args.t, d)
         rep = {"claim": "near-agreement derangement count",

@@ -19,9 +19,10 @@ from .errors import (BudgetExceeded, DomainError, GeneratorSearchFailed,
                      InvariantViolated, PreconditionViolated)
 from .families import Family
 from .gf import FieldSpec, field
-from .matspace import (IndexCode, Mat, Subspace, gaussian_binomial, gl_order,
-                       kernel, m_qt, rank, rank_table, rref_rows, span_indices,
-                       subspaces_of_dim, vec_from_index, vec_index)
+from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
+                       gaussian_binomial, gl_order, kernel, m_qt, rank,
+                       rank_table, rref_rows, span_indices, subspaces_of_dim,
+                       vec_from_index, vec_index)
 from . import mis
 
 __all__ = [
@@ -31,9 +32,9 @@ __all__ = [
     "derangement_construct",
     "derangement_construct_count",
     "derangement_enumerate",
-    "derangement_enumerate_many",
     "derangement_ratio_chain",
     "fixed_prefix_dim",
+    "prefix_meet_dim",
     "report_to_json",
     "singer_cycle",
     "sl_family",
@@ -65,69 +66,69 @@ def _mat_inverse(A: Mat) -> Mat:
 # --- prefix-fixing invertible families --------------------------------------
 
 def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
-                 targets: Sequence[Sequence[int]], budget: Budget | None):
+                 target: Sequence[int] | None, budget: Budget | None):
     """Depth-first walk over the invertible maps sigma of F_q^n, given by
     the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
     j < len(fixed).  Every vector is its vec_index code, and every span is
     held as the set of its members, grown by code.extend (XOR at q = 2).
 
     Free images are tried in code order among the nonzero vectors outside
-    the span of the images above.  targets[i][j] is tau_i(b_j): for each
-    target the walk also holds the span of the differences sigma(b_j) -
-    tau_i(b_j) and counts the steps at which a difference already lies in
-    it; at a leaf that count is dim ker(sigma - tau_i).  A branch is
-    dropped once every target has counted more than t - 1 steps.
+    the span of the images above.  target[j], if a target is given, is
+    tau(b_j): the walk also holds the span of the differences sigma(b_j) -
+    tau(b_j) and counts the steps at which a difference already lies in
+    it; at a leaf that count is dim ker(sigma - tau).  A branch is dropped
+    once it has counted more than t - 1 steps.
 
     Yields (imgs, last, hits) once per choice of the images above the last
     position: imgs the codes of sigma(b_0) .. sigma(b_{n-2}) (one list,
     changed between yields), last the admissible images of b_{n-1} in
-    order, and hits[i] those members of last whose map has dim ker(sigma -
-    tau_i) = t - 1: with k steps above, those outside the coset
-    tau_i(b_{n-1}) + span if k = t - 1, inside it if k = t - 2.
+    order, and hits those members of last whose map has dim ker(sigma -
+    tau) = t - 1: with k steps above, those outside the coset
+    tau(b_{n-1}) + span if k = t - 1, inside it if k = t - 2.  Without a
+    target hits is empty.
     """
     q = code.field.q
     sub = operator.xor if q == 2 else code.sub
     b = ensure(budget)
     choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
-    spans = [{0} for _ in range(len(targets) + 1)]
-    span, diffs = spans[0], spans[1:]
-    steps = [0] * len(targets)
+    span, diff = {0}, {0}
+    steps = 0
     imgs: list = []
 
-    def rec(depth: int, added: list):
-        # added[0], added[1 + i]: what the image above adds to the span and
-        # to target i's; a position before the last merges them into the sets
+    def rec(depth: int, added: list, grown: list):
+        # added, grown: what the image above adds to the span and to the
+        # difference span; a position before the last merges them into both
+        nonlocal steps
         if depth == n - 1:
             b.check_clock("fixed-prefix enumeration")
-            pool = choices[depth].difference(span, added[0])
+            pool = choices[depth].difference(span, added)
             hits = []
-            for dd, g, k, tv in zip(diffs, added[1:], steps, targets):
-                if k == t - 1 or k == t - 2:
-                    coset = code.shift(dd, tv[depth]) + code.shift(g, tv[depth])
-                    hits.append(sorted(pool.difference(coset) if k == t - 1
-                                       else pool.intersection(coset)))
-                else:
-                    hits.append([])
+            if target is not None and t - 2 <= steps <= t - 1:
+                tv = target[depth]
+                coset = code.shift(diff, tv) + code.shift(grown, tv)
+                hits = sorted(pool.difference(coset) if steps == t - 1
+                              else pool.intersection(coset))
             yield imgs, sorted(pool), hits
             return
-        for s, g in zip(spans, added):
-            s.update(g)
+        span.update(added)
+        diff.update(grown)
         for c in sorted(choices[depth].difference(span)):
-            below = []
-            for i, (dd, tv) in enumerate(zip(diffs, targets)):
-                d = sub(c, tv[depth])
-                below.append([] if d in dd else code.extend(dd, d))
-                steps[i] += not below[-1]
-            if not steps or min(steps) < t:
+            below, dep = [], False
+            if target is not None:
+                d = sub(c, target[depth])
+                dep = d in diff
+                if not dep:
+                    below = code.extend(diff, d)
+            steps += dep
+            if steps < t:
                 imgs.append(c)
-                yield from rec(depth + 1, [code.extend(span, c)] + below)
+                yield from rec(depth + 1, code.extend(span, c), below)
                 imgs.pop()
-            for i, g in enumerate(below):
-                steps[i] -= not g
-        for s, g in zip(spans, added):
-            s.difference_update(g)
+            steps -= dep
+        span.difference_update(added)
+        diff.difference_update(grown)
 
-    return rec(0, [[] for _ in spans])
+    return rec(0, [], [])
 
 
 def _fixing_setup(spec: FieldSpec, n: int, t: int, b: Budget):
@@ -138,20 +139,17 @@ def _fixing_setup(spec: FieldSpec, n: int, t: int, b: Budget):
     return IndexCode(spec, n), [spec.q ** (n - 1 - j) for j in range(t)]
 
 
-def _fixing_walk(spec: FieldSpec, n: int, t: int, taus: Sequence[Mat],
-                 budget: Budget | None):
-    """The prefix walk over the maps fixing e_1 .. e_t, each tau a target."""
+def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
+    """The prefix walk over the maps fixing e_1 .. e_t, without a target."""
     b = ensure(budget)
     code, fixed = _fixing_setup(spec, n, t, b)
-    targets = [[vec_index(spec.q, col) for col in zip(*tau.rows)]
-               for tau in taus]
-    return _prefix_walk(code, n, t, fixed, targets, b)
+    return _prefix_walk(code, n, t, fixed, None, b)
 
 
 def _fixing_maps(spec: FieldSpec, n: int, t: int,
                  budget: Budget | None) -> Iterator[Mat]:
     q = spec.q
-    for imgs, last, _ in _fixing_walk(spec, n, t, (), budget):
+    for imgs, last, _ in _fixing_walk(spec, n, t, budget):
         head = [vec_from_index(q, n, v) for v in imgs]
         for c in last:
             yield _mat_from_columns(spec, head + [vec_from_index(q, n, c)])
@@ -173,7 +171,7 @@ def canonical_family_size(n: int, q: int, t: int,
                           budget: Budget | None = None) -> int:
     """Member count by walking the enumeration, never materializing it."""
     return sum(len(last) for _, last, _ in
-               _fixing_walk(field(q), n, t, (), budget))
+               _fixing_walk(field(q), n, t, budget))
 
 
 # --- field-cycle subgroup ----------------------------------------------------
@@ -282,6 +280,13 @@ def fixed_prefix_dim(tau: Mat, t: int) -> int:
     return t - rank(Mat(spec, rows, t))
 
 
+def prefix_meet_dim(tau: Mat, t: int) -> int:
+    """dim of span(e_1 .. e_t) cap tau span(e_1 .. e_t): t minus the rank
+    of tau's first t columns below row t."""
+    low = tuple(r[:t] for r in tau.rows[t:])
+    return t - (rank(Mat(tau.field, low, t)) if low else 0)
+
+
 def _check_tau(n: int, q: int, t: int, tau: Mat) -> None:
     if tau.n != n or tau.m != n or tau.field.q != q:
         raise DomainError("tau must be a square matrix of the stated shape")
@@ -294,23 +299,64 @@ def _check_tau(n: int, q: int, t: int, tau: Mat) -> None:
             "tau must not fix the whole of span(e_1 .. e_t)")
 
 
-def derangement_enumerate(n: int, q: int, t: int, tau: Mat,
-                          budget: Budget | None = None) -> int:
+def derangement_enumerate(n: int, q: int, t: int, tau: Mat) -> int:
     """Exact count of prefix-fixing invertible maps whose agreement with
-    tau has dimension exactly t - 1."""
-    return derangement_enumerate_many(n, q, t, [tau], budget)[0]
+    tau has dimension exactly t - 1, in closed form.
 
+    Write E = span(e_1 .. e_t), F = E cap Fix tau, of dimension d =
+    fixed_prefix_dim(tau, t), and c = dim(E cap tau E) = dim(E cap
+    tau^-1 E) = prefix_meet_dim(tau, t).  The count is
 
-def derangement_enumerate_many(n: int, q: int, t: int, taus: Sequence[Mat],
-                               budget: Budget | None = None) -> list[int]:
-    """One shared pass of the prefix-fixing enumeration, counted per tau."""
-    for tau in taus:
-        _check_tau(n, q, t, tau)
-    counts = [0] * len(taus)
-    for _, _, hits in _fixing_walk(field(q), n, t, taus, budget):
-        for i, h in enumerate(hits):
-            counts[i] += len(h)
-    return counts
+      H = sum_{k=t-1..n} (-1)^h q^(h(h-1)/2) [k, t-1]_q      (h = k - t + 1)
+            sum_{j=0..min(d,k)} [d, j]_q m_qt(n, q, t+k-j)
+              sum_{p=0..min(t-c, k-j)} [t-c, p]_q q^(p(c-j))
+                  prod_{i<p} (q^(t-c) - q^i) avoid(n-j-p, 2t-c-j-p, k-j-p)
+
+    where [a, b]_q is gaussian_binomial and avoid(N, s, r) is
+    count_subspaces_avoiding(N, s, r, q), zero when r + s > N; a term
+    with a zero avoid factor is skipped before m_qt is read, since only
+    there does t + k - j exceed n.
+
+    Derivation.  For a subspace K, g(K) counts the sigma that fix E and
+    equal tau on K.  The partial map "identity on E, tau on K" is a
+    well-defined injection on E + K iff K cap E and K cap tau^-1 E both lie
+    in F; then g(K) = m_qt(n, q, dim(E + K)), its extensions to GL, and
+    otherwise g(K) = 0.  Moebius inversion on the subspace lattice, with
+    mu = (-1)^h q^(h(h-1)/2) across h dimensions, turns these counts of
+    ker(sigma - tau) containing K into counts of ker(sigma - tau) = W;
+    summing over every (t-1)-dimensional W inside a k-dimensional K gives
+    the outer weight [k, t-1]_q.  The admissible K are then grouped three
+    ways.  First by J = K cap F = K cap E, of dimension j: [d, j]_q
+    choices, and dim(E + K) = t + k - j.  Then by P = (K/J) cap ((E +
+    tau^-1 E)/J), of dimension p.  With E/J = I + A and tau^-1 E/J = I + B,
+    where I = (E cap tau^-1 E)/J, P meets neither E/J nor tau^-1 E/J, so
+    it is the graph of a map from a p-dimensional subspace of B into I + A
+    whose part into A is injective: [t-c, p]_q q^(p(c-j)) prod_{i<p}
+    (q^(t-c) - q^i) choices.  Last by K/J above P, a (k-j-p)-dimensional
+    subspace of (V/J)/P meeting the (2t-c-j-p)-dimensional image of E +
+    tau^-1 E trivially: the avoid factor.  Nothing is enumerated, so the
+    cost is O(n t^2) integer terms.
+    """
+    _check_tau(n, q, t, tau)
+    d, c = fixed_prefix_dim(tau, t), prefix_meet_dim(tau, t)
+    a = t - c
+    total = 0
+    for k in range(t - 1, n + 1):
+        h = k - t + 1
+        inner = 0
+        for j in range(min(d, k) + 1):
+            for p in range(min(a, k - j) + 1):
+                if k + t + a - j - p > n:
+                    continue
+                graphs = gaussian_binomial(a, p, q) * q ** (p * (c - j))
+                for i in range(p):
+                    graphs *= q ** a - q ** i
+                inner += (gaussian_binomial(d, j, q) * m_qt(n, q, t + k - j)
+                          * graphs * count_subspaces_avoiding(
+                              n - j - p, t + a - j - p, k - j - p, q))
+        total += ((-1) ** h * q ** (h * (h - 1) // 2)
+                  * gaussian_binomial(k, t - 1, q) * inner)
+    return total
 
 
 def derangement_bound(n: int, q: int, t: int, d: int) -> Fraction:
@@ -408,7 +454,7 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
                 basis.append(u)
         images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
-        yield basis, _prefix_walk(code, n, t, fixed, [images], budget)
+        yield basis, _prefix_walk(code, n, t, fixed, images, budget)
 
 
 def derangement_construct(n: int, q: int, t: int, tau: Mat,
@@ -424,7 +470,7 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
         binv = _mat_inverse(_mat_from_columns(
             spec, [vec_from_index(q, n, v) for v in basis]))
         *head, last = binv.rows
-        for imgs, _, (hits,) in walk:
+        for imgs, _, hits in walk:
             # column k of the map sending b_j to imgs[j] is
             # sum_j binv[j][k] imgs[j]; only the last term varies in a batch
             part = [0] * n
@@ -447,7 +493,7 @@ def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
     _, d, _ = _construct_setup(n, q, t, tau)
     if d == 0 or t - d - 1 == 0:
         return sum(len(hits) for _, walk in _seed_walks(n, q, t, tau, budget)
-                   for _, _, (hits,) in walk)
+                   for _, _, hits in walk)
     outs = derangement_construct(n, q, t, tau, budget)
     return len({M.index() for M in outs})
 
@@ -519,8 +565,8 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
             if scanned % 512 == 0:
                 b.check_clock("augmentation scan")
             # sigma can join unless some member meets it in t - 1 dimensions
-            if not any(h for _, _, (h,) in
-                       _prefix_walk(code, n, t, fixed, [cols], b)):
+            if not any(h for _, _, h in
+                       _prefix_walk(code, n, t, fixed, cols, b)):
                 witness = [Mat.from_index(spec, n, n, i).to_literal()]
                 break
         return {"claim": "no single map outside the prefix-fixing family "

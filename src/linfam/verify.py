@@ -420,6 +420,29 @@ def _swap_top(spec, n: int) -> Mat:
     return Mat(spec, tuple(tuple(r) for r in rows), n)
 
 
+def _class_taus(rng: random.Random, n: int, q: int, t: int,
+                draws: int = 600) -> dict:
+    """The first valid tau drawn per (c, d) class, c = prefix_meet_dim and
+    d = fixed_prefix_dim.  Each draw sets the first y columns to e_1 ..
+    e_y and clears columns y .. z - 1 below row t, so that the classes
+    with large c and d are drawn as often as the rest."""
+    spec = field(q)
+    found = {}
+    for _ in range(draws):
+        y = rng.randrange(t)
+        z = rng.randrange(y, t + 1)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        for j in range(z):
+            for i in range(n):
+                if j < y or i >= t:
+                    rows[i][j] = 1 if i == j else 0
+        T = Mat(spec, tuple(tuple(r) for r in rows), n)
+        d = extremal.fixed_prefix_dim(T, t)
+        if rank(T) == n and d <= t - 1:
+            found.setdefault((extremal.prefix_meet_dim(T, t), d), T)
+    return found
+
+
 def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -430,7 +453,7 @@ def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
         H = {S.index() for S in enumerate_gl(spec, n)
              if all(S.rows[i][0] == (1 if i == 0 else 0) for i in range(n))
              and agreement_dim(S, tau) == 0}
-        cnt = extremal.derangement_enumerate(n, 2, 1, tau, budget)
+        cnt = extremal.derangement_enumerate(n, 2, 1, tau)
         checks.append((f"count vs brute force n={n}", cnt == len(H)))
         outs = list(extremal.derangement_construct(n, 2, 1, tau, budget))
         checks.append((f"yields inside target n={n}",
@@ -455,8 +478,8 @@ def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
                             for _ in range(n)), n)
         if rank(T) == n and extremal.fixed_prefix_dim(T, t) <= t - 1:
             taus.append(T)
-    counts = extremal.derangement_enumerate_many(n, 2, t, taus, budget)
-    for T, cnt in zip(taus, counts):
+    for T in taus:
+        cnt = extremal.derangement_enumerate(n, 2, t, T)
         d = extremal.fixed_prefix_dim(T, t)
         checks.append((f"count meets bound n=6 d={d}",
                        Fraction(cnt) >= extremal.derangement_bound(n, 2, t, d)))
@@ -469,6 +492,13 @@ def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
                             for j in range(t) for i in range(n))
         checks.append(
             (f"sampled yields n=6 d={extremal.fixed_prefix_dim(T, t)}", ok))
+    for n_, q_, t_ in ([(4, 2, t_) for t_ in (1, 2, 3)]
+                       + [(3, q_, t_) for q_ in (3, 4) for t_ in (1, 2, 3)]):
+        members = extremal.canonical_family(n_, q_, t_, budget=budget).members
+        for (c, d), T in sorted(_class_taus(rng, n_, q_, t_).items()):
+            want = sum(agreement_dim(S, T) == t_ - 1 for S in members)
+            checks.append((f"count vs family n={n_} q={q_} t={t_} c={c} d={d}",
+                           extremal.derangement_enumerate(n_, q_, t_, T) == want))
     for n_, q_, t_, d_ in ((6, 2, 2, 0), (6, 2, 2, 1)):
         rep = extremal.derangement_ratio_chain(n_, q_, t_, d_)
         checks.append((f"ratio chain d={d_}", rep["identity"] and rep["holds"]))

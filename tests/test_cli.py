@@ -407,6 +407,15 @@ def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+def test_derange_past_the_walk():
+    # the fixed-prefix family at (7, 2, 2) has 10,239,344,640 members
+    doc = run_json(["extremal", "--claim", "derange", "--q", "2", "--n", "7",
+                    "--t", "2", "--tau", "q=2;n=7;m=7;rows=0100000;0010000;"
+                    "0001000;0000100;0000010;0000001;1000000"])
+    assert doc["value"] == "5914001408" and doc["bound"] == "980561920"
+    assert doc["status"] == "confirmed"
+
+
 def test_extremal_flag_requirements():
     assert run(["extremal", "--claim", "canonical", "--q", "2", "--n", "3"])[0] == 2
     assert run(["extremal", "--claim", "derange", "--q", "2", "--n", "3",

@@ -167,7 +167,7 @@ def test_enumerate_against_brute_force_gf2():
             T = rng.choice(gl)
             if ex.fixed_prefix_dim(T, 1) == 0:
                 taus.append(T)
-        got = ex.derangement_enumerate_many(n, 2, 1, taus)
+        got = [ex.derangement_enumerate(n, 2, 1, T) for T in taus]
         want = [brute_H(n, 2, 1, T) for T in taus]
         assert got == want, (n, got, want)
 
@@ -205,6 +205,37 @@ def test_derangement_walks_against_brute_force(point):
         outs = [S.index() for S in ex.derangement_construct(n, q, t, tau)]
         assert set(outs) <= target and len(set(outs)) == len(outs)
         assert ex.derangement_construct_count(n, q, t, tau) == len(outs)
+
+
+# points with m_qt <= 3000 whose GL is too large to scan, so the oracle is
+# a count over the prefix-fixing family itself
+FAMILY_POINTS = [(4, 2, t) for t in (1, 2, 3, 4)] + [(5, 2, 3), (5, 2, 4)]
+FAMILY_POINTS += [(3, 4, t) for t in (1, 2, 3)]
+FAMILY_POINTS += [(3, q, 2) for q in (5, 7, 8, 9)]
+
+
+@lru_cache(maxsize=None)
+def family_members(n, q, t):
+    return tuple(ex.canonical_family(n, q, t).members)
+
+
+def seeded_tau(n, q, t, seed):
+    """A uniform valid tau, by rejection sampling from a seeded stream."""
+    rng, spec = random.Random(seed), field(q)
+    while True:
+        T = Mat(spec, tuple(tuple(rng.randrange(q) for _ in range(n))
+                            for _ in range(n)), n)
+        if rank(T) == n and ex.fixed_prefix_dim(T, t) <= t - 1:
+            return T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY_POINTS), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_against_family_count(point, seed):
+    n, q, t = point
+    tau = seeded_tau(n, q, t, seed)
+    want = sum(agreement_dim(S, tau) == t - 1 for S in family_members(n, q, t))
+    assert ex.derangement_enumerate(n, q, t, tau) == want
 
 
 def test_derangement_bound_values():
@@ -280,12 +311,12 @@ def test_construct_order_golden(n, q, t, tau, take, sha):
     assert hashlib.sha256(repr(idx).encode()).hexdigest() == sha
 
 
-def test_enumerate_many_golden():
+def test_enumerate_t2_golden():
     taus = [mat_from_literal(x) for x in (
         "q=2;n=5;m=5;rows=01100;01110;11010;01011;01111",
         "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011",
         "q=2;n=5;m=5;rows=11010;01100;10010;00010;01111")]
-    assert ex.derangement_enumerate_many(5, 2, 2, taus) == [6192, 6432, 6192]
+    assert [ex.derangement_enumerate(5, 2, 2, T) for T in taus] == [6192, 6432, 6192]
 
 
 # near-agreement counts at points past the brute-force scans, as walked by
