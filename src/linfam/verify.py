@@ -420,15 +420,15 @@ def _swap_top(spec, n: int) -> Mat:
     return Mat(spec, tuple(tuple(r) for r in rows), n)
 
 
-def _class_taus(rng: random.Random, n: int, q: int, t: int,
-                draws: int = 600) -> dict:
-    """The first valid tau drawn per (c, d) class, c = prefix_meet_dim and
-    d = fixed_prefix_dim.  Each draw sets the first y columns to e_1 ..
-    e_y and clears columns y .. z - 1 below row t, so that the classes
-    with large c and d are drawn as often as the rest."""
+def _class_taus(rng: random.Random, n: int, q: int, t: int) -> dict:
+    """The first valid tau of 600 draws per (c, d) class, c =
+    prefix_meet_dim and d = fixed_prefix_dim.  Each draw sets the first y
+    columns to e_1 .. e_y and clears columns y .. z - 1 below row t, so
+    that the classes with large c and d, rare among uniform draws, turn
+    up too."""
     spec = field(q)
     found = {}
-    for _ in range(draws):
+    for _ in range(600):
         y = rng.randrange(t)
         z = rng.randrange(y, t + 1)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]

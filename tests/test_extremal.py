@@ -311,14 +311,6 @@ def test_construct_order_golden(n, q, t, tau, take, sha):
     assert hashlib.sha256(repr(idx).encode()).hexdigest() == sha
 
 
-def test_enumerate_t2_golden():
-    taus = [mat_from_literal(x) for x in (
-        "q=2;n=5;m=5;rows=01100;01110;11010;01011;01111",
-        "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011",
-        "q=2;n=5;m=5;rows=11010;01100;10010;00010;01111")]
-    assert [ex.derangement_enumerate(5, 2, 2, T) for T in taus] == [6192, 6432, 6192]
-
-
 # near-agreement counts at points past the brute-force scans, as walked by
 # the prefix-fixing enumeration
 ENUMERATE_GOLDEN = [
@@ -331,11 +323,15 @@ ENUMERATE_GOLDEN = [
     (4, 3, 2, "q=3;n=4;m=4;rows=1100;0120;0010;0001", 3267),
     (3, 7, 1, "q=7;n=3;m=3;rows=010;100;001", 82908),
     (3, 8, 2, "q=8;n=3;m=3;rows=130;010;001", 440),
+    (5, 2, 2, "q=2;n=5;m=5;rows=01100;01110;11010;01011;01111", 6192),
+    (5, 2, 2, "q=2;n=5;m=5;rows=10000;00100;00001;01100;01011", 6432),
+    (5, 2, 2, "q=2;n=5;m=5;rows=11010;01100;10010;00010;01111", 6192),
 ]
 
 
 @pytest.mark.parametrize("n,q,t,tau,count", ENUMERATE_GOLDEN, ids=[
-    "n5q2t1", "n6q2t2d0", "n6q2t2d1", "n4q3t1", "n4q3t2", "n3q7t1", "n3q8t2"])
+    "n5q2t1", "n6q2t2d0", "n6q2t2d1", "n4q3t1", "n4q3t2", "n3q7t1", "n3q8t2",
+    "n5q2t2a", "n5q2t2b", "n5q2t2c"])
 def test_enumerate_golden(n, q, t, tau, count):
     assert ex.derangement_enumerate(n, q, t, mat_from_literal(tau)) == count
 
