@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfam.budget import Budget
-from linfam.errors import (BudgetExceeded, DomainError, HypothesisUnmet,
-                           InconsistentRestriction, NotQuasiregular,
-                           StepBudgetExhausted)
+from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
+                           HypothesisUnmet, InconsistentRestriction,
+                           NotQuasiregular, StepBudgetExhausted)
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, enumerate_gl, rank, vec_add,
                              vec_smul, vec_sub)
@@ -168,6 +168,73 @@ def test_translate_and_dual():
     D = F4.dual()
     assert D.dual().members == F4.members
     assert {M.transpose() for M in F4.members} == set(D.members)
+
+
+# q >= 7 keeps to n * m <= 2, as SEARCH_SHAPES does for the searches
+RESTRICT_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                   for n in range(1, 5) for m in range(1, 5)
+                   if n * m <= (4 if q <= 5 else 2)]
+
+
+def _random_restriction(rnd, spec, n, m, ncols, nrows):
+    """Random nonzero domain vectors and images, or None when they admit
+    no matrix."""
+    q = spec.q
+
+    def vec(k, nonzero=False):
+        v = [rnd.randrange(q) for _ in range(k)]
+        if nonzero:
+            v[rnd.randrange(k)] = rnd.randrange(1, q)
+        return tuple(v)
+
+    try:
+        return Restriction(spec, n, m,
+                           cols=[(vec(m, True), vec(n)) for _ in range(ncols)],
+                           rows=[(vec(n, True), vec(m)) for _ in range(nrows)])
+    except InconsistentRestriction:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RESTRICT_SHAPES), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_restrict_and_junta_residue_match_member_checks(shape, context, rnd):
+    q, n, m = shape
+    spec = field(q)
+    ctx = (_random_restriction(rnd, spec, n, m, 1, 0) if context
+           else Restriction.empty(spec, n, m))
+    density = rnd.random()
+    F = Family(spec, n, m, [M for M in enumerate_coset(ctx)
+                            if rnd.random() < density], ctx)
+
+    def cut(G, R):
+        try:
+            sub = G.restrict(R)
+        except (DomainOverlap, InconsistentRestriction):
+            # R's domain meets the context, or R contradicts it
+            return None
+        assert sub.members == {M for M in G.members if R.matches(M)}
+        assert sub.context == G.context.merge(R)
+        return sub
+
+    for ncols, nrows in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
+        R = _random_restriction(rnd, spec, n, m, ncols, nrows)
+        sub = cut(F, R) if R is not None else None
+        if sub is not None:
+            R2 = _random_restriction(rnd, spec, n, m, *rnd.choice(((1, 0), (0, 1))))
+            if R2 is not None:
+                cut(sub, R2)
+    juntas = [regularity_decompose(F, r, 1)[0] for r in (1, 2)]
+    for _ in range(3):
+        comps = [R for R in (_random_restriction(rnd, spec, n, m,
+                                                 *rnd.choice(((1, 0), (0, 1), (1, 1))))
+                             for _ in range(rnd.randrange(4))) if R is not None]
+        juntas.append(Junta(spec, n, m, comps, max(1, len(comps)),
+                            max((R.complexity for R in comps), default=0)))
+    card = F.context.coset_cardinality()
+    for J in juntas:
+        outside = sum(1 for M in F.members if not J.contains(M))
+        assert measure_outside_junta(F, J) == Fraction(outside, card)
 
 
 def test_family_text_round_trip():
