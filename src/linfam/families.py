@@ -300,7 +300,7 @@ class Family:
         """Members also satisfying R, in the refined coset."""
         _check_trivial_overlap(self.context, R)
         merged = self.context.merge(R)
-        kept = [M for M in self.members if R.matches(M)]
+        kept = itertools.compress(self.sorted_members(), self.tables().matching(R))
         return Family(self.field, self.n, self.m, kept, merged)
 
     def restrict_avoiding(self, R: Restriction) -> "Family":
@@ -425,10 +425,11 @@ def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
             r = total - c
             if c > m - col_ctx.dim or r > n - row_ctx.dim:
                 continue
+            # every subspace avoids a zero context: no echelon needed
             col_spaces = [S for S in subspaces_of_dim(spec, m, c)
-                          if S.sum_(col_ctx).dim == c + col_ctx.dim]
+                          if not col_ctx.dim or S.sum_(col_ctx).dim == c + col_ctx.dim]
             row_spaces = [A for A in subspaces_of_dim(spec, n, r)
-                          if A.sum_(row_ctx).dim == r + row_ctx.dim]
+                          if not row_ctx.dim or A.sum_(row_ctx).dim == r + row_ctx.dim]
             for S in col_spaces:
                 for A in row_spaces:
                     out.append((S.rows, A.rows))
@@ -711,8 +712,16 @@ def _try_extend(base: Restriction, cols=(), rows=()):
 
 
 def measure_outside_junta(F: Family, J: Junta) -> Fraction:
-    out = sum(1 for M in F.members if not J.contains(M))
-    return Fraction(out, F.context.coset_cardinality())
+    """Measure of the members in no component's coset, read off F's image
+    tables."""
+    if J.field != F.field:
+        raise FieldMismatch("junta over a different field")
+    if (J.n, J.m) != (F.n, F.m):
+        raise ShapeMismatch(f"junta shape ({J.n}, {J.m}) != ({F.n}, {F.m})")
+    outside = [True] * len(F)
+    for R in J.components:
+        outside = [o and not hit for o, hit in zip(outside, F.tables().matching(R))]
+    return Fraction(outside.count(True), F.context.coset_cardinality())
 
 
 # --- bootstrap via density increments ---------------------------------------

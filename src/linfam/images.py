@@ -2,11 +2,12 @@
 
 A vector is coded by its index (matspace.vec_index).  ImageTables lists, for
 the column vectors v and row covectors a of M(n, m) with leading coordinate
-1, the array of the members' image indices M v and a^T M, and tallies member
-weight by the images of a few of them at once.  A Family builds its tables
-once (Family.tables).  capture_keys walks the candidate images of a
-constraint domain, its spans grown by IndexCode.extend, and counts avoiders
-from those tallies.
+1, the array of the members' image indices M v and a^T M.  It tallies member
+weight by the images of a few of them at once, and tells which members meet
+a restriction (Family.restrict, measure_outside_junta) by one array read per
+member and constraint.  A Family builds its tables once (Family.tables).
+capture_keys walks the candidate images of a constraint domain, its spans
+grown by IndexCode.extend, and counts avoiders from those tallies.
 """
 from __future__ import annotations
 
@@ -74,6 +75,17 @@ class ImageTables:
         for k, wt in zip(keys, self.weights):
             out[k] = out.get(k, 0) + wt
         return out
+
+    def matching(self, R) -> list[bool]:
+        """Per member, in the tables' order: does it meet every constraint
+        of the restriction R?  R keeps its pairs in RREF, so each domain
+        vector has leading coordinate 1 and is listed in col or row."""
+        q = self.spec.q
+        arrays = ([self.col[vec_index(q, v)] for v, _ in R.cols]
+                  + [self.row[vec_index(q, a)] for a, _ in R.rows])
+        want = tuple(vec_index(q, w) for _, w in R.cols + R.rows)
+        keys = zip(*arrays) if arrays else [()] * len(self.col[0])
+        return [k == want for k in keys]
 
     def marginal(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:
         """tally(cols, rows), memoised."""

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
@@ -66,6 +67,9 @@ def vec_smul(spec: FieldSpec, c: int, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def vec_dot(spec: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
+    if spec.s == 1:
+        # a prime field's encodings are the residues: one integer sum
+        return sum(map(mul, u, v)) % spec.p
     t = 0
     for a, b in zip(u, v):
         t = spec.add(t, spec.mul(a, b))
@@ -367,6 +371,10 @@ class Mat:
         if len(a) != self.n:
             raise ShapeMismatch("functional length != n")
         f = self.field
+        if f.s == 1:
+            # one integer sum per column, as in vec_dot
+            cols = zip(*self.rows) if self.rows else [()] * self.m
+            return tuple(sum(map(mul, a, c)) % f.p for c in cols)
         out = []
         for j in range(self.m):
             t = 0

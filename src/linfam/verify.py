@@ -26,10 +26,11 @@ from .fourier import (DenseFunction, char_exponent, check_sum_rank_nullity,
                       norm2_sq_frac, project_image, project_kernel,
                       reduce_family, transform, verify_hypercontractive)
 from .gf import field
-from .matspace import (Mat, Subspace, agreement_dim, count_rank_d,
+from .matspace import (IndexCode, Mat, Subspace, agreement_dim, count_rank_d,
                        count_subspaces_avoiding, enumerate_all, enumerate_gl,
                        gaussian_binomial, gl_order, m_qt, phi, rank,
-                       rank_census, rank_table, subspaces_of_dim)
+                       rank_census, rank_table, subspaces_of_dim,
+                       vec_from_index)
 from . import extremal, mis, spectra
 
 __all__ = ["CRITERIA", "SUITES", "run_criterion", "swept_spectrum"]
@@ -450,9 +451,14 @@ def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
     spec = field(2)
     for n in (3, 4):
         tau = _swap_top(spec, n)
-        H = {S.index() for S in enumerate_gl(spec, n)
-             if all(S.rows[i][0] == (1 if i == 0 else 0) for i in range(n))
-             and agreement_dim(S, tau) == 0}
+        # invertible S with S e_1 = e_1 agreeing with tau nowhere: S and tau
+        # agree on n - rank(S - tau) dimensions
+        ranks = rank_table(spec, n, n)
+        sub, tau_i = IndexCode(spec, n * n).sub, tau.index()
+        e1 = (1,) + (0,) * (n - 1)
+        H = {i for i, rk in enumerate(ranks) if rk == n
+             and vec_from_index(2, n * n, i)[::n] == e1
+             and n - ranks[sub(i, tau_i)] == 0}
         cnt = extremal.derangement_enumerate(n, 2, 1, tau)
         checks.append((f"count vs brute force n={n}", cnt == len(H)))
         outs = list(extremal.derangement_construct(n, 2, 1, tau, budget))

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from linfam.budget import Budget
 from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
-                           HypothesisUnmet, InconsistentRestriction,
-                           NotQuasiregular, StepBudgetExhausted)
+                           FieldMismatch, HypothesisUnmet,
+                           InconsistentRestriction, NotQuasiregular,
+                           ShapeMismatch, StepBudgetExhausted)
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, enumerate_gl, rank, vec_add,
                              vec_smul, vec_sub)
@@ -675,6 +676,20 @@ def test_junta_json_and_membership():
     assert J.contains(Mat.identity(s2, 2))
     assert not J.contains(Mat.zero(s2, 2, 2))
     assert J.dual().components[0] == COL_E1.dual()
+
+
+def test_junta_residue_rejects_other_spaces():
+    F = Family.full_space(s2, 2, 3)
+    s3 = field(3)
+    # over F_3 these once read as a silent 3/4 and an IndexError
+    for comp in (Restriction(s3, 2, 3, cols=[((1, 0, 0), (1, 0))]),
+                 Restriction(s3, 2, 3, rows=[((1, 2), (0, 0, 1))])):
+        with pytest.raises(FieldMismatch):
+            measure_outside_junta(F, Junta(s3, 2, 3, [comp], 1, 1))
+    for comp in (Restriction(s2, 3, 2, cols=[((1, 0), (1, 0, 0))]),
+                 Restriction(s2, 3, 2, rows=[((1, 0, 0), (1, 0))])):
+        with pytest.raises(ShapeMismatch, match="junta shape"):
+            measure_outside_junta(F, Junta(s2, 3, 2, [comp], 1, 1))
 
 
 def test_strong_intersection_over_components():
