@@ -120,10 +120,6 @@ class Cyc:
         top = acc[p - 1]
         return Cyc(p, tuple(acc[k] - top for k in range(p - 1)))
 
-    def abs2(self) -> "Cyc":
-        """|z|^2, a totally real cyclotomic value."""
-        return self * self.conj()
-
     # predicates and conversion -------------------------------------------
 
     def is_zero(self) -> bool:

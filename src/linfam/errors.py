@@ -34,10 +34,6 @@ class DomainOverlap(LinfamError, ValueError):
     """New constraint domains meet the existing context non-trivially."""
 
 
-class NotIndicator(LinfamError, ValueError):
-    """Function was required to be {0,1}-valued but is not."""
-
-
 class NotQuasiregular(LinfamError, ValueError):
     """Function or family fails the required quasiregularity hypothesis."""
 
@@ -52,18 +48,6 @@ class RankNotOne(LinfamError, ValueError):
 
 class HypothesisUnmet(LinfamError, ValueError):
     """A claim's numeric hypothesis fails at the given parameters."""
-
-
-class StepBudgetExhausted(LinfamError, RuntimeError):
-    """Iterative process hit its step budget; partial results attached.
-
-    Attributes ``chain`` and ``family`` carry the partial output.
-    """
-
-    def __init__(self, msg: str, chain=None, family=None):
-        super().__init__(msg)
-        self.chain = chain
-        self.family = family
 
 
 class PreconditionViolated(LinfamError, ValueError):

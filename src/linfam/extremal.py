@@ -92,15 +92,16 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     b = ensure(budget)
     choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
     span, diff = {0}, {0}
-    steps = 0
+    steps = batches = 0
     imgs: list = []
 
     def rec(depth: int, added: list, grown: list):
         # added, grown: what the image above adds to the span and to the
         # difference span; a position before the last merges them into both
-        nonlocal steps
+        nonlocal steps, batches
         if depth == n - 1:
-            b.check_clock("fixed-prefix enumeration")
+            b.check_clock("fixed-prefix enumeration", f"{batches} batches")
+            batches += 1
             pool = choices[depth].difference(span, added)
             hits = []
             if target is not None and t - 2 <= steps <= t - 1:
@@ -440,7 +441,7 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
     code = IndexCode(spec, n)
     units = [vec_index(q, _unit(n, j)) for j in range(n)]
     # entry v is the code of tau applied to the vector with code v
-    act = span_indices(spec, tuple(zip(*tau.rows)), n)
+    act = span_indices(code, tuple(zip(*tau.rows)))
     for W in seeds:
         basis = units[:t] + [vec_index(q, r) for r in W.rows]
         span = {0}
@@ -563,7 +564,7 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 continue
             scanned += 1
             if scanned % 512 == 0:
-                b.check_clock("augmentation scan")
+                b.check_clock("augmentation scan", f"{scanned} maps")
             # sigma can join unless some member meets it in t - 1 dimensions
             if not any(h for _, _, h in
                        _prefix_walk(code, n, t, fixed, cols, b)):

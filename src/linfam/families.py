@@ -5,7 +5,8 @@ sigma(v) = w, row constraints demand a^T sigma = b^T.  A Family is an
 explicit member set living inside the coset cut out by its context
 restriction; measures are relative to that coset.  On top of this the
 module implements captureability and quasiregularity searches, the
-iterative weak regularity decomposition, and density-increment bootstraps.
+iterative weak regularity decomposition, and the check that a quasiregular
+family is not captureable.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from typing import Iterable, Sequence
 from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, DomainOverlap,
                      FieldMismatch, InconsistentRestriction, NotQuasiregular,
-                     ShapeMismatch, StepBudgetExhausted)
+                     ShapeMismatch)
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
-from .matspace import (Mat, Subspace, agreement_dim, mat_from_literal,
-                       rref_rows, span_indices, subspaces_of_dim, vec_dot,
-                       vec_from_index, vec_index, vec_sub)
+from .matspace import (IndexCode, Mat, Subspace, agreement_dim,
+                       mat_from_literal, rref_rows, span_indices,
+                       subspaces_of_dim, vec_dot, vec_from_index, vec_index,
+                       vec_sub)
 
 # beyond this a coset is too large to hold as a list of Mat, whatever the
 # item budget says
@@ -91,14 +93,6 @@ class Restriction:
 
     def row_domain(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.n, [a for a, _ in self.rows])
-
-    def key(self):
-        q = self.field.q
-        return (self.complexity, self.dim_col,
-                tuple(vec_index(q, v) for v, _ in self.cols),
-                tuple(vec_index(q, w) for _, w in self.cols),
-                tuple(vec_index(q, a) for a, _ in self.rows),
-                tuple(vec_index(q, b) for _, b in self.rows))
 
     # predicates -----------------------------------------------------------
 
@@ -477,40 +471,37 @@ def is_captureable(F: Family, s: int, eps,
     return None
 
 
-def _density_scan(F: Family, tables: ImageTables, s: int, budget: Budget | None):
-    """Yield (colbasis, rowbasis, sub_card, weights) for every refinement
-    domain of complexity <= s in lexicographic order; weights is the
-    domain's tally, keyed by image indices."""
+def _density_scan(F: Family, s: int, budget: Budget | None):
+    """Yield (colbasis, rowbasis, sub_card, counts) for every refinement
+    domain of complexity <= s in lexicographic order; counts is the
+    domain's member tally, keyed by image indices."""
     spec = F.field
     q = spec.q
     n, m = F.n, F.m
     dc, dr = F.context.dim_col, F.context.dim_row
+    tables = F.tables()
     b = ensure(budget)
     for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
         b.check_clock("density scan", f"{k} domains")
         sub_card = q ** ((m - dc - len(colbasis)) * (n - dr - len(rowbasis)))
-        weights = tables.tally(tuple(vec_index(q, v) for v in colbasis),
-                               tuple(vec_index(q, a) for a in rowbasis))
-        yield colbasis, rowbasis, sub_card, weights
-
-
-def _first_dense(F: Family, tables: ImageTables, s: int, bound,
-                 budget: Budget | None) -> Restriction | None:
-    """First refinement of complexity <= s, in lexicographic order, whose
-    conditional weight exceeds bound, or None."""
-    for colbasis, rowbasis, sub_card, weights in _density_scan(F, tables, s, budget):
-        cut = bound * sub_card
-        over = [key for key, wt in weights.items() if wt > cut]
-        if over:
-            return _witness(F, colbasis, rowbasis, min(over))
-    return None
+        counts = tables.tally(tuple(vec_index(q, v) for v in colbasis),
+                              tuple(vec_index(q, a) for a in rowbasis))
+        yield colbasis, rowbasis, sub_card, counts
 
 
 def is_quasiregular(F: Family, s: int, alpha: Fraction,
                     budget: Budget | None = None) -> Restriction | None:
     """None iff no complexity-<= s restriction pushes the conditional
-    density above alpha * mu(F); otherwise the first violating witness."""
-    return _first_dense(F, F.tables(), s, alpha * F.measure(), budget)
+    density above alpha * mu(F); otherwise the first violating witness,
+    in lexicographic order."""
+    bound = alpha * F.measure()
+    for colbasis, rowbasis, sub_card, counts in _density_scan(F, s, budget):
+        # hoisted: the product in the comprehension costs a Fraction per key
+        cut = bound * sub_card
+        over = [key for key, cnt in counts.items() if cnt > cut]
+        if over:
+            return _witness(F, colbasis, rowbasis, min(over))
+    return None
 
 
 def max_density_ratio(F: Family, s: int, budget: Budget | None = None
@@ -521,25 +512,13 @@ def max_density_ratio(F: Family, s: int, budget: Budget | None = None
     if mu == 0:
         raise DomainError("density ratio undefined for an empty family")
     best, best_w = Fraction(0), None
-    for colbasis, rowbasis, sub_card, weights in _density_scan(F, F.tables(), s, budget):
-        top = max(weights.values())
+    for colbasis, rowbasis, sub_card, counts in _density_scan(F, s, budget):
+        top = max(counts.values())
         if Fraction(top, sub_card) > best:
             best = Fraction(top, sub_card)
-            first = min(key for key, wt in weights.items() if wt == top)
+            first = min(key for key, cnt in counts.items() if cnt == top)
             best_w = _witness(F, colbasis, rowbasis, first)
     return best / mu, best_w
-
-
-def function_quasiregular_witness(spec: FieldSpec, n: int, m: int,
-                                  weights: dict[Mat, Fraction], s: int,
-                                  C: Fraction,
-                                  budget: Budget | None = None) -> Restriction | None:
-    """First complexity-<= s restriction with conditional mean > C * mean,
-    for a nonnegative function given by its support weights."""
-    items = sorted(weights.items(), key=lambda kv: kv[0].index())
-    tables = ImageTables(spec, n, m, [M for M, _ in items], [w for _, w in items])
-    bound = C * Fraction(tables.total, spec.q ** (n * m))
-    return _first_dense(Family(spec, n, m, weights.keys()), tables, s, bound, budget)
 
 
 def quasiregular_implies_uncaptureable_check(F: Family, b: int, N: int,
@@ -666,7 +645,7 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
     stack = [0]
     good: list[Restriction] = []
     while stack:
-        b.check_clock("regularity decomposition")
+        b.check_clock("regularity decomposition", f"{len(nodes)} nodes")
         nid = stack.pop()
         node = nodes[nid]
         sub = F.restrict(node.restriction) if node.restriction.complexity else F
@@ -684,7 +663,7 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
         # graph on one side, the span of its rows v||w
         for side, pairs, dom, img in (("cols", witness.cols, F.m, F.n),
                                       ("rows", witness.rows, F.n, F.m)):
-            graph = span_indices(spec, [v + w for v, w in pairs], dom + img)
+            graph = span_indices(IndexCode(spec, dom + img), [v + w for v, w in pairs])
             for g in sorted(graph)[1:]:
                 x, y = divmod(g, q ** img)
                 pair = (vec_from_index(q, dom, x), vec_from_index(q, img, y))
@@ -722,32 +701,6 @@ def measure_outside_junta(F: Family, J: Junta) -> Fraction:
     for R in J.components:
         outside = [o and not hit for o, hit in zip(outside, F.tables().matching(R))]
     return Fraction(outside.count(True), F.context.coset_cardinality())
-
-
-# --- bootstrap via density increments ---------------------------------------
-
-def bootstrap_quasiregular(F: Family, s_target: int, alpha: Fraction,
-                           max_steps: int | None = None) -> tuple[tuple[Restriction, ...], Family]:
-    """Restrict along alpha-violations until (s_target, alpha)-quasiregular.
-
-    Each step multiplies the conditional measure by more than alpha, so for
-    alpha > 1 at most log_alpha(1/mu) steps can happen.
-    """
-    if alpha <= 1:
-        raise DomainError("need alpha > 1 for a terminating bootstrap")
-    chain: list[Restriction] = []
-    cur = F
-    steps = 0
-    while True:
-        witness = is_quasiregular(cur, s_target, alpha)
-        if witness is None:
-            return tuple(chain), cur
-        if max_steps is not None and steps >= max_steps:
-            raise StepBudgetExhausted("bootstrap step budget exhausted",
-                                      chain=tuple(chain), family=cur)
-        cur = cur.restrict(witness)
-        chain.append(witness)
-        steps += 1
 
 
 # --- intersection testers ---------------------------------------------------

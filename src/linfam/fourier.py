@@ -35,13 +35,12 @@ from typing import Iterable
 
 from .budget import Budget, ensure
 from .cyclo import Cyc
-from .errors import (DomainError, FieldMismatch, NotIndicator,
-                     NotInKernelRelation, NotQuasiregular, RankNotOne,
-                     ShapeMismatch, ZeroFunction)
+from .errors import (DomainError, FieldMismatch, NotInKernelRelation,
+                     RankNotOne, ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
-from .matspace import (Mat, Subspace, image, kernel, null_basis, rank,
-                       rank_table, span_indices, subspaces_of_dim)
-from .families import Family, QPow, function_quasiregular_witness, leq_threshold
+from .matspace import (IndexCode, Mat, Subspace, image, kernel, null_basis,
+                       rank, rank_table, span_indices, subspaces_of_dim)
+from .families import Family, QPow, leq_threshold
 
 
 def _check_mat(spec: FieldSpec, shape: tuple[int, int], M: Mat) -> None:
@@ -244,13 +243,6 @@ def character(X: Mat, A: Mat) -> Cyc:
     return char_root(X.field.p, char_exponent(X, A))
 
 
-def character_function(spec: FieldSpec, n: int, m: int, X: Mat) -> DenseFunction:
-    """u_X as a dense function on L(V, W)."""
-    vals = [character(X, Mat.from_index(spec, n, m, idx))
-            for idx in range(spec.q ** (n * m))]
-    return DenseFunction(spec, n, m, vals)
-
-
 # --- transforms -------------------------------------------------------------
 
 def _cell_perm(q: int, n: int, m: int) -> tuple[int, ...]:
@@ -433,7 +425,7 @@ def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
     else:
         basis = null_basis(spec, target.rows, n)
         nrows, width, r = m, n, n - target.dim
-    span = span_indices(spec, basis, width)
+    span = span_indices(IndexCode(spec, width), basis)
     step = q ** width
     cand = [0]
     for _ in range(nrows):
@@ -579,37 +571,6 @@ def check_sum_rank_nullity(lambdas: list[int], Xs: list[Mat]) -> dict:
     ker_codim = shape[1] - ker.dim
     return {"image_sum_dim": im_dim, "kernel_codim": ker_codim, "r": r,
             "holds": im_dim + ker_codim <= r}
-
-
-def level_d_bound_check(f: DenseFunction, d: int, k: int, s: int, C: Fraction,
-                        budget: Budget | None = None) -> dict:
-    """Chain the Hoelder step through the hypercontractive bound:
-
-        (E[|f^(=d)|^2])^k <= (E f)^(k-1) * E[|f^(=d)|^k]
-                          <= (E f)^(k-1) * (hypercontractive rhs).
-    """
-    if not f.is_indicator():
-        raise NotIndicator("level-d check requires a 0/1-valued function")
-    if d > s:
-        raise DomainError("need d <= s")
-    spec = f.field
-    weights = {Mat.from_index(spec, f.n, f.m, i): Fraction(1)
-               for i, x in enumerate(f.cols[0]) if x}
-    wit = function_quasiregular_witness(spec, f.n, f.m, weights, s, C, budget)
-    if wit is not None:
-        raise NotQuasiregular(f"density ratio exceeds {C} at {wit!r}")
-    ef = f.mean().as_fraction()
-    comp = rank_component(f, d, budget)
-    lhs2 = norm2_sq_frac(comp)
-    hc = verify_hypercontractive(f, d, k, budget)
-    if ef == 0:
-        holds = lhs2 == 0
-        chain_rhs = QPow(spec.q, Fraction(0), Fraction(0))
-    else:
-        chain_rhs = QPow(spec.q, hc["rhs"].coeff * ef ** (k - 1), hc["rhs"].exp)
-        holds = leq_threshold(lhs2 ** k, chain_rhs)
-    return {"lhs_sq": lhs2, "chain_rhs": chain_rhs, "holds": holds,
-            "mean": ef, "d": d, "k": k}
 
 
 # --- coset re-indexing ------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A vector is coded by its index (matspace.vec_index).  ImageTables lists, for
 the column vectors v and row covectors a of M(n, m) with leading coordinate
-1, the array of the members' image indices M v and a^T M.  It tallies member
-weight by the images of a few of them at once, and tells which members meet
-a restriction (Family.restrict, measure_outside_junta) by one array read per
-member and constraint.  A Family builds its tables once (Family.tables).
+1, the array of the members' image indices M v and a^T M.  It counts the
+members by their images of a few of these vectors at once, and tells which
+members meet a restriction (Family.restrict, measure_outside_junta) by one
+array read per member and constraint.  A Family builds its tables once (Family.tables).
 capture_keys walks the candidate images of a constraint domain, its spans
 grown by IndexCode.extend, and counts avoiders from those tallies.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from fractions import Fraction
 from operator import xor
 from typing import Sequence
 
@@ -48,11 +47,9 @@ class ImageTables:
     """Image indices of n x m members, in the given order: col[v] holds
     the members' M v and row[a] their a^T M, as _listing lists them."""
 
-    def __init__(self, spec: FieldSpec, n: int, m: int, mats: Sequence[Mat],
-                 weights: Sequence[Fraction] | None = None):
+    def __init__(self, spec: FieldSpec, n: int, m: int, mats: Sequence[Mat]):
         self.spec, self.n, self.m = spec, n, m
-        self.weights = weights
-        self.total = len(mats) if weights is None else sum(weights)
+        self.total = len(mats)
         self.colcode = IndexCode(spec, n)
         self.rowcode = IndexCode(spec, m)
         self.col = _listing(self.colcode, [
@@ -64,17 +61,11 @@ class ImageTables:
         self._marg: dict = {}
 
     def tally(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:
-        """Member weight by the flat tuple of image indices of the column
+        """Member count by the flat tuple of image indices of the column
         vectors cols and then the row covectors rows.  Sorted keys follow
         the lexicographic order of the image vectors."""
         arrays = [self.col[v] for v in cols] + [self.row[a] for a in rows]
-        keys = zip(*arrays) if arrays else [()] * len(self.col[0])
-        if self.weights is None:
-            return Counter(keys)
-        out: dict = {}
-        for k, wt in zip(keys, self.weights):
-            out[k] = out.get(k, 0) + wt
-        return out
+        return Counter(zip(*arrays) if arrays else [()] * self.total)
 
     def matching(self, R) -> list[bool]:
         """Per member, in the tables' order: does it meet every constraint
@@ -84,7 +75,7 @@ class ImageTables:
         arrays = ([self.col[vec_index(q, v)] for v, _ in R.cols]
                   + [self.row[vec_index(q, a)] for a, _ in R.rows])
         want = tuple(vec_index(q, w) for _, w in R.cols + R.rows)
-        keys = zip(*arrays) if arrays else [()] * len(self.col[0])
+        keys = zip(*arrays) if arrays else [()] * self.total
         return [k == want for k in keys]
 
     def marginal(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:
@@ -115,8 +106,8 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     depth = c + r
     # IndexCode.extend puts the newest image first, so the domain listings
     # run over the bases reversed: sum u_i basis_i sits at vec_index(u[::-1])
-    cspan = span_indices(spec, colbasis[::-1], tables.m)
-    rspan = span_indices(spec, rowbasis[::-1], tables.n)
+    cspan = span_indices(tables.rowcode, colbasis[::-1])
+    rspan = span_indices(tables.colcode, rowbasis[::-1])
     lines_at: list[list] = [[] for _ in range(depth)]
     line_max = [0] * depth
     for span, dim, col, offset in ((cspan, c, True, 0), (rspan, r, False, c)):

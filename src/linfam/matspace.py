@@ -159,14 +159,13 @@ class IndexCode:
         return k
 
 
-def span_indices(spec: FieldSpec, basis: Sequence[Sequence[int]],
-                 length: int) -> list[int]:
+def span_indices(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
     """Entry vec_index(q, u) is the index of sum_i u_i basis_i for every
-    coefficient vector u: IndexCode.extend adds the rows last first."""
+    coefficient vector u, the basis rows being vectors of code's length:
+    IndexCode.extend adds the rows last first."""
     out = [0]
-    code = IndexCode(spec, length)
     for r in reversed(basis):
-        out += code.extend(out, vec_index(spec.q, r))
+        out += code.extend(out, vec_index(code.field.q, r))
     return out
 
 
@@ -382,15 +381,6 @@ class Mat:
                 t = f.add(t, f.mul(a[i], self.rows[i][j]))
             out.append(t)
         return tuple(out)
-
-    def trace_val(self) -> int:
-        if self.n != self.m:
-            raise ShapeMismatch("trace needs a square matrix")
-        f = self.field
-        t = 0
-        for i in range(self.n):
-            t = f.add(t, self.rows[i][i])
-        return t
 
     def det_val(self) -> int:
         if self.n != self.m:
@@ -674,7 +664,7 @@ def enumerate_all(spec: FieldSpec, n: int, m: int,
                   budget: Budget | None = None) -> Iterator[Mat]:
     """All of M(n, m) in lexicographic row-major order of entry encodings."""
     b = ensure(budget)
-    b.check_items(spec.q ** (n * m))
+    b.check_items(spec.q ** (n * m), "matrix space enumeration")
     for flat in itertools.product(range(spec.q), repeat=n * m):
         yield Mat(spec, tuple(flat[i * m:(i + 1) * m] for i in range(n)), m)
 

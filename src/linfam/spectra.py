@@ -84,8 +84,8 @@ def _krawtchouk(q: int, m: int, n: int, t: int, ds,
     b.check_items(len(ds) * (k + 1), "eigenvalue formula terms")
     size = count_rank_d(n, m, k, q)
     out = []
-    for d in ds:
-        b.check_clock("eigenvalue formula")
+    for done, d in enumerate(ds):
+        b.check_clock("eigenvalue formula", f"{done} ranks")
         P = sum((-1) ** (k - j) * q ** ((k - j) * (k - j - 1) // 2 + M * j)
                 * gaussian_binomial(N - j, N - k, q)
                 * gaussian_binomial(N - d, j, q)

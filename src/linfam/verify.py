@@ -111,18 +111,22 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
                     continue
                 N = q ** (n * m)
                 As = [Mat.from_index(spec, n, m, j) for j in range(N)]
-                tbl = []
+                # masks[i][r]: bit a set when u_X_i(A_a) = omega^r
+                masks = []
                 for i in range(N):
                     X = Mat.from_index(spec, m, n, i)
-                    tbl.append([char_exponent(X, A) for A in As])
+                    mask = [0] * p
+                    for a, A in enumerate(As):
+                        mask[char_exponent(X, A)] |= 1 << a
+                    masks.append(mask)
                 ok = True
                 for i in range(N):
-                    ti = tbl[i]
+                    mi = masks[i]
                     for j in range(i, N):
-                        tj = tbl[j]
-                        cs = [0] * p
-                        for a in range(N):
-                            cs[(ti[a] - tj[a]) % p] += 1
+                        mj = masks[j]
+                        # cells where u_X_i conj(u_X_j) = omega^r
+                        cs = [sum((mi[(r + t) % p] & mj[t]).bit_count()
+                                  for t in range(p)) for r in range(p)]
                         val = Cyc.from_root_counts(p, cs)
                         if i == j:
                             ok = ok and val.is_rational() and val.as_fraction() == N

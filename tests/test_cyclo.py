@@ -20,13 +20,6 @@ def test_root_exponents_add_mod_p():
                 assert Cyc.root(p, a) * Cyc.root(p, b) == Cyc.root(p, (a + b) % p)
 
 
-def test_abs_square():
-    w = Cyc.root(3, 1)
-    assert w.abs2() == Cyc.from_rational(3, 1)
-    # |1 + w|^2 = (1+w)(1+w^2) = 2 + w + w^2 = 1
-    assert (Cyc.from_rational(3, 1) + w).abs2() == Cyc.from_rational(3, 1)
-
-
 def test_from_root_counts_collapses_full_orbits():
     # 2 + w + w^2 = 1
     assert Cyc.from_root_counts(3, (2, 1, 1)) == Cyc.from_rational(3, 1)

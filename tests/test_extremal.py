@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfam import extremal as ex
-from linfam.errors import DomainError, PreconditionViolated
+from linfam.budget import Budget
+from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
 from linfam.gf import field
 from linfam.matspace import (Mat, agreement_dim, enumerate_gl, m_qt,
                              mat_from_literal, rank)
@@ -86,6 +87,15 @@ def test_canonical_sizes_and_membership():
 
 def test_canonical_size_streams_without_materializing():
     assert ex.canonical_family_size(4, 3, 1) == m_qt(4, 3, 1) == 303264
+
+
+def test_budget_errors_say_how_far_they_got():
+    with pytest.raises(BudgetExceeded, match="^fixed-prefix enumeration exceeded "
+                       "0s time budget after 0 batches$"):
+        ex.canonical_family_size(3, 2, 1, Budget(seconds=0))
+    with pytest.raises(BudgetExceeded, match="^matrix space enumeration needs "
+                       "512 items, budget is 100$"):
+        next(enumerate_gl(field(2), 3, Budget(items=100)))
 
 
 def test_row_side_is_transpose_of_column_side():

@@ -9,19 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfam.cyclo import Cyc
-from linfam.errors import (DomainError, FieldMismatch, NotIndicator,
-                           NotInKernelRelation, NotQuasiregular, RankNotOne,
-                           ShapeMismatch, ZeroFunction)
+from linfam.errors import (DomainError, FieldMismatch, NotInKernelRelation,
+                           RankNotOne, ShapeMismatch, ZeroFunction)
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, count_rank_d, image, kernel,
                               subspaces_of_dim)
 from linfam.families import (Family, QPow, Restriction, coset_base,
-                             enumerate_coset, leq_threshold, max_density_ratio)
+                             enumerate_coset, leq_threshold)
 from linfam.fourier import (DenseFunction, Spectrum, _cell_perm, abs_pow_mean,
-                            character, character_function,
-                            check_sum_rank_nullity, degree,
+                            character, check_sum_rank_nullity, degree,
                             fast_transform, inner, inverse_transform,
-                            level_d_bound_check, norm2_sq, norm2_sq_frac,
+                            norm2_sq, norm2_sq_frac,
                             project_image, project_kernel, rank_component,
                             rank_split, reduce_family, transform,
                             verify_hypercontractive)
@@ -32,6 +30,12 @@ s3 = field(3)
 
 def rational_fn(spec, n, m, fracs):
     return DenseFunction(spec, n, m, [Fraction(x) for x in fracs])
+
+
+def char_fn(spec, n, m, X):
+    # u_X, the character of the m x n dual X, on the n x m matrices
+    return DenseFunction(spec, n, m, [character(X, Mat.from_index(spec, n, m, i))
+                                      for i in range(spec.q ** (n * m))])
 
 
 # --- characters -------------------------------------------------------------
@@ -54,8 +58,8 @@ def test_characters_orthonormal_tiny():
         N = spec.q ** (n * m)
         for i in range(N):
             for j in range(N):
-                u = character_function(spec, n, m, Mat.from_index(spec, m, n, i))
-                v = character_function(spec, n, m, Mat.from_index(spec, m, n, j))
+                u = char_fn(spec, n, m, Mat.from_index(spec, m, n, i))
+                v = char_fn(spec, n, m, Mat.from_index(spec, m, n, j))
                 want = Cyc.from_rational(spec.p, 1 if i == j else 0)
                 assert inner(u, v) == want
 
@@ -134,7 +138,7 @@ def test_constant_lives_at_level_zero():
 
 def test_character_is_its_own_component():
     X = Mat(s2, ((1, 1), (0, 0)), 2)
-    u = character_function(s2, 2, 2, X)
+    u = char_fn(s2, 2, 2, X)
     assert rank_component(u, 1) == u
     assert norm2_sq_frac(rank_component(u, 2)) == 0
 
@@ -149,7 +153,7 @@ def test_point_mass_level_weights():
 def test_degree():
     assert degree(DenseFunction.constant(s2, 2, 2, Fraction(1, 3))) == 0
     X = Mat(s2, ((1, 0), (0, 0)), 2)
-    assert degree(character_function(s2, 2, 2, X)) == 1
+    assert degree(char_fn(s2, 2, 2, X)) == 1
     assert degree(DenseFunction.indicator(s2, 2, 2, [Mat.zero(s2, 2, 2)])) == 2
     with pytest.raises(ZeroFunction):
         degree(DenseFunction.constant(s2, 2, 2, 0))
@@ -329,7 +333,7 @@ def test_hypercontractive_trivial_and_single_character():
     zero = DenseFunction.constant(s2, 2, 2, 0)
     assert verify_hypercontractive(zero, 1, 4)["holds"]
     X = Mat(s2, ((1, 0), (0, 1)), 2)
-    rep = verify_hypercontractive(character_function(s2, 2, 2, X), 2, 4)
+    rep = verify_hypercontractive(char_fn(s2, 2, 2, X), 2, 4)
     assert rep["holds"] and rep["lhs"] == 1
 
 
@@ -391,29 +395,6 @@ def test_sum_rank_nullity_rejections():
         check_sum_rank_nullity([1, 1], [X, Z])
     with pytest.raises(DomainError):
         check_sum_rank_nullity([1, 0], [X, X])
-
-
-def test_level_bound_chain():
-    one = DenseFunction.constant(s2, 2, 2, 1)
-    rep = level_d_bound_check(one, 1, 4, 1, Fraction(1))
-    assert rep["holds"] and rep["lhs_sq"] == 0
-
-    members = [Mat.from_index(s2, 2, 2, i) for i in (1, 2, 5, 7, 8, 9, 14, 15)]
-    F = Family(s2, 2, 2, members)
-    f = DenseFunction.indicator(s2, 2, 2, members)
-    for d in (1, 2):
-        C, _ = max_density_ratio(F, d)
-        rep = level_d_bound_check(f, d, 4, d, C)
-        assert rep["holds"], rep
-    assert rep["lhs_sq"] == Fraction(3, 16)
-
-    with pytest.raises(NotIndicator):
-        level_d_bound_check(DenseFunction.constant(s2, 2, 2, Fraction(1, 2)),
-                            1, 4, 1, Fraction(1))
-    with pytest.raises(NotQuasiregular):
-        # a singleton is as lumpy as it gets; C = 1 cannot cover it
-        level_d_bound_check(DenseFunction.indicator(s2, 2, 2, [Mat.zero(s2, 2, 2)]),
-                            1, 4, 1, Fraction(1))
 
 
 # --- family reduction -------------------------------------------------------

@@ -81,6 +81,9 @@ def test_closed_form_beyond_enumeration():
     assert S.lam[0] == 1 and S.trace_check()
     with pytest.raises(BudgetExceeded):
         spectrum(2, 40, 40, 0, Budget(items=100))   # 41 x 41 formula terms
+    with pytest.raises(BudgetExceeded, match="^eigenvalue formula exceeded 0s "
+                       "time budget after 0 ranks$"):
+        spectrum(2, 40, 40, 3, Budget(seconds=0))
 
 
 def test_parameter_domain():
