@@ -290,12 +290,42 @@ def families(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(families())
-def test_family_text_round_trip_over_fields(F):
+@given(families(), st.integers(0, 2 ** 32))
+def test_family_text_round_trip_over_fields(F, seed):
     back = Family.from_text(F.to_text())
     assert ((back.field, back.n, back.m, back.context, back.members)
             == (F.field, F.n, F.m, F.context, F.members))
     assert back == F and hash(back) == hash(F)
+    # dual and translate against per-Mat transposes and differences
+    D = F.dual()
+    assert D.members == {M.transpose() for M in F.members} and D.dual() == F
+    A0 = Mat.from_index(F.field, F.n, F.m, seed % F.field.q ** (F.n * F.m))
+    T = F.translate(A0)
+    assert T.members == {M - A0 for M in F.members}
+    assert T.context == F.context.translate(A0) and T.translate(-A0) == F
+
+
+def test_family_edge_input():
+    s3 = field(3)
+    with pytest.raises(FieldMismatch):
+        Family(s2, 2, 2, [Mat.zero(s3, 2, 2)])
+    with pytest.raises(ShapeMismatch):
+        Family(s2, 2, 2, [Mat.zero(s2, 2, 3)])
+    with pytest.raises(InconsistentRestriction):
+        Family(s2, 2, 2, [Mat.zero(s2, 2, 2)], COL_E1)
+    with pytest.raises(DomainError):
+        Family.from_text("2,2,2\nq=2;n=2;m=2;rows=10;02\n")
+    twice = Family.from_text("2,2,2\nq=2;n=2;m=2;rows=10;01\nq=2;n=2;m=2;rows=10;01\n")
+    assert len(twice) == 1 and twice.measure() == Fraction(1, 16)
+    # membership checks field and shape, not only the entries' index
+    full = Family.full_space(s2, 2, 2)
+    assert Mat.zero(s2, 1, 4) not in full
+    assert Mat.zero(s3, 2, 2) not in full and Mat.zero(s2, 2, 2) in full
+    for F in (full, coset_family()):
+        with pytest.raises(FieldMismatch):
+            F.translate(Mat.zero(s3, 2, 2))
+        with pytest.raises(ShapeMismatch):
+            F.translate(Mat.zero(s2, 2, 3))
 
 
 # --- intersection testers ---------------------------------------------------
