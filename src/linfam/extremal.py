@@ -22,7 +22,7 @@ from .gf import FieldSpec, field
 from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
                        rank_table, rref_rows, span_indices, subspaces_of_dim,
-                       vec_from_index, vec_index)
+                       transpose_indices, vec_from_index, vec_index)
 from . import mis
 
 __all__ = [
@@ -147,25 +147,20 @@ def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     return _prefix_walk(code, n, t, fixed, None, b)
 
 
-def _fixing_maps(spec: FieldSpec, n: int, t: int,
-                 budget: Budget | None) -> Iterator[Mat]:
-    q = spec.q
-    for imgs, last, _ in _fixing_walk(spec, n, t, budget):
-        head = [vec_from_index(q, n, v) for v in imgs]
-        for c in last:
-            yield _mat_from_columns(spec, head + [vec_from_index(q, n, c)])
-
-
 def canonical_family(n: int, q: int, t: int, side: str = "column",
                      budget: Budget | None = None) -> Family:
     """All invertible maps fixing e_1 .. e_t; or the transpose family."""
     if side not in ("column", "row"):
         raise DomainError(f"side must be column or row, got {side!r}")
     spec = field(q)
-    members = list(_fixing_maps(spec, n, t, budget))
-    if side == "row":
-        members = [M.transpose() for M in members]
-    return Family(spec, n, n, members)
+    # a map's column images are its transpose's rows
+    rows = []
+    for imgs, last, _ in _fixing_walk(spec, n, t, budget):
+        head = vec_index(q ** n, imgs) * q ** n
+        rows += [head + c for c in last]
+    if side == "column":
+        rows = transpose_indices(q, n, n, rows)
+    return Family(spec, n, n, rows)
 
 
 def canonical_family_size(n: int, q: int, t: int,
@@ -592,7 +587,8 @@ def sl_family(n: int, q: int, t: int,
               budget: Budget | None = None) -> tuple[Family, dict]:
     """The prefix-fixing family cut down to determinant one."""
     spec = field(q)
-    members = [M for M in _fixing_maps(spec, n, t, budget) if M.det_val() == 1]
+    members = [M for M in canonical_family(n, q, t, budget=budget).members
+               if M.det_val() == 1]
     total = m_qt(n, q, t)
     # a free column makes det onto F_q^*; at t = n the family is {I}
     classes = q - 1 if t < n else 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,13 +23,15 @@ from .errors import (BudgetExceeded, DomainError, DomainOverlap,
                      ShapeMismatch)
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
-from .matspace import (IndexCode, Mat, Subspace, agreement_dim,
-                       mat_from_literal, rref_rows, span_indices,
-                       subspaces_of_dim, vec_dot, vec_from_index, vec_index,
+from .matspace import (IndexCode, Mat, Subspace, index_literal, index_rank,
+                       index_rows, literal_index, null_basis,
+                       rref_rows, span_indices, subspaces_of_dim,
+                       transpose_indices, vec_dot, vec_from_index, vec_index,
                        vec_sub)
 
-# beyond this a coset is too large to hold as a list of Mat, whatever the
-# item budget says
+# beyond this a coset's image tables, one entry per member for each listed
+# vector (22 MiB at 2^16 maps F_4^5 -> F_4^2), outgrow a desk run, whatever
+# the item budget says
 MAX_COSET = 2 ** 16
 
 
@@ -158,24 +161,13 @@ class Restriction:
 
 
 def _frame_independent(spec: FieldSpec, diffs: list) -> bool:
-    k = len(diffs)
-    if k == 0:
-        return True
-    if k == 1:
-        return any(diffs[0])
-    if k == 2:
-        d1, d2 = diffs
-        if not any(d1) or not any(d2):
-            return False
-        i = next(j for j, x in enumerate(d1) if x)
-        c = spec.div(d2[i], d1[i])
-        return d2 != tuple(spec.mul(c, x) for x in d1)
-    _, reduced, _ = rref_rows(spec, diffs, len(diffs[0]))
-    return len(reduced) == k
+    return not diffs or index_rank(spec, len(diffs[0]), (
+        vec_index(spec.q, d) for d in diffs)) == len(diffs)
 
 
 def _coset_system(R: Restriction):
-    """RREF of the linear system on the n*m entries cut out by R."""
+    """(base, basis): the solution of R's linear system on the n*m entries
+    whose free entries are zero, and a basis of the homogeneous solutions."""
     spec = R.field
     n, m = R.n, R.m
     eqs = []  # rows of length n*m plus rhs
@@ -195,69 +187,71 @@ def _coset_system(R: Restriction):
     pivots, reduced, leftover = rref_rows(spec, aug, n * m + 1, pivot_cols=n * m)
     if leftover:
         raise InconsistentRestriction("restriction admits no matrix")
-    pivset = set(pivots)
-    free = [j for j in range(n * m) if j not in pivset]
-    return pivots, reduced, free
-
-
-def _coset_member(R: Restriction, pivots, reduced, free, assign) -> Mat:
-    spec = R.field
-    n, m = R.n, R.m
-    flat = [0] * (n * m)
-    for j, val in zip(free, assign):
-        flat[j] = val
+    base = [0] * (n * m)
     for row, pc in zip(reduced, pivots):
-        val = row[n * m]
-        for j in free:
-            if row[j] and flat[j]:
-                val = spec.sub(val, spec.mul(row[j], flat[j]))
-        flat[pc] = val
-    return Mat(spec, tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n)), m)
+        base[pc] = row[n * m]
+    return base, null_basis(spec, [r[:n * m] for r in reduced], n * m)
 
 
 def coset_base(R: Restriction) -> Mat:
     """The member of R's coset with all free entries zero."""
-    pivots, reduced, free = _coset_system(R)
-    return _coset_member(R, pivots, reduced, free, (0,) * len(free))
+    base, _ = _coset_system(R)
+    return Mat(R.field, (base[i * R.m:(i + 1) * R.m] for i in range(R.n)), R.m)
 
 
-def enumerate_coset(R: Restriction, budget: Budget | None = None) -> list[Mat]:
-    """All matrices satisfying R, sorted in enumeration (index) order."""
+def coset_indices(R: Restriction, budget: Budget | None = None) -> list[int]:
+    """The index of every matrix satisfying R, sorted: row by row, the
+    base's row plus the span listing of the homogeneous solutions' rows."""
     size = R.coset_cardinality()
     if size > MAX_COSET:
         raise BudgetExceeded(f"coset enumeration needs {size} members, "
                              f"capped at {MAX_COSET}")
     ensure(budget).check_items(size, "coset enumeration")
-    pivots, reduced, free = _coset_system(R)
-    out = [_coset_member(R, pivots, reduced, free, assign)
-           for assign in itertools.product(range(R.field.q), repeat=len(free))]
-    out.sort(key=Mat.index)
-    return out
+    base, basis = _coset_system(R)
+    q, m = R.field.q, R.m
+    code = IndexCode(R.field, m)
+    rows = [code.shift(span_indices(code, [b[i * m:(i + 1) * m] for b in basis]),
+                       vec_index(q, base[i * m:(i + 1) * m])) for i in range(R.n)]
+    return sorted(vec_index(q ** m, r) for r in zip(*rows))
+
+
+def enumerate_coset(R: Restriction, budget: Budget | None = None) -> list[Mat]:
+    """All matrices satisfying R, sorted in index order."""
+    return [Mat.from_index(R.field, R.n, R.m, x) for x in coset_indices(R, budget)]
 
 
 class Family:
-    """An explicit set of matrices inside the coset of a context restriction."""
+    """An explicit set of matrices inside the coset of a context restriction,
+    held as the sorted tuple of their Mat.index; members lists them as Mats
+    on first read."""
 
-    __slots__ = ("field", "n", "m", "members", "context", "_sorted", "_tables")
+    __slots__ = ("field", "n", "m", "indices", "context", "_members", "_tables")
 
     def __init__(self, spec: FieldSpec, n: int, m: int,
-                 members: Iterable[Mat], context: Restriction | None = None):
+                 members: Iterable[Mat | int], context: Restriction | None = None):
+        """members are Mats or their indices."""
         self.field = spec
         self.n = n
         self.m = m
         self.context = context if context is not None else Restriction.empty(spec, n, m)
         if (self.context.n, self.context.m) != (n, m) or self.context.field != spec:
             raise ShapeMismatch("context restriction on a different space")
-        mem = frozenset(members)
-        for M in mem:
-            if M.field != spec:
-                raise FieldMismatch("member over a different field")
-            if M.shape != (n, m):
-                raise ShapeMismatch(f"member shape {M.shape} != ({n}, {m})")
-            if not self.context.matches(M):
-                raise InconsistentRestriction("member violates the context restriction")
-        self.members = mem
-        self._sorted = self._tables = None
+        size = spec.q ** (n * m)
+        idx = set()
+        for M in members:
+            if isinstance(M, Mat):
+                if M.field != spec:
+                    raise FieldMismatch("member over a different field")
+                if M.shape != (n, m):
+                    raise ShapeMismatch(f"member shape {M.shape} != ({n}, {m})")
+                M = M.index()
+            elif not 0 <= M < size:
+                raise DomainError(f"member index {M} outside 0..{size - 1}")
+            idx.add(M)
+        self.indices = tuple(sorted(idx))
+        self._members = self._tables = None
+        if self.context.complexity and not all(self.tables().matching(self.context)):
+            raise InconsistentRestriction("member violates the context restriction")
 
     # constructors ---------------------------------------------------------
 
@@ -265,7 +259,7 @@ class Family:
     def full_space(cls, spec: FieldSpec, n: int, m: int,
                    budget: Budget | None = None) -> "Family":
         R = Restriction.empty(spec, n, m)
-        return cls(spec, n, m, enumerate_coset(R, budget), R)
+        return cls(spec, n, m, coset_indices(R, budget), R)
 
     @classmethod
     def empty(cls, spec: FieldSpec, n: int, m: int) -> "Family":
@@ -273,49 +267,74 @@ class Family:
 
     @classmethod
     def from_coset(cls, R: Restriction, budget: Budget | None = None) -> "Family":
-        return cls(R.field, R.n, R.m, enumerate_coset(R, budget), R)
+        return cls(R.field, R.n, R.m, coset_indices(R, budget), R)
 
     # structure ------------------------------------------------------------
 
-    def sorted_members(self) -> tuple[Mat, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.members, key=Mat.index))
-        return self._sorted
+    @property
+    def members(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(Mat.from_index(self.field, self.n, self.m, x)
+                                      for x in self.indices)
+        return self._members
 
     def tables(self) -> ImageTables:
         if self._tables is None:
-            self._tables = ImageTables(self.field, self.n, self.m, self.sorted_members())
+            self._tables = ImageTables(self.field, self.n, self.m, self.indices)
         return self._tables
 
     def measure(self) -> Fraction:
-        return Fraction(len(self.members), self.context.coset_cardinality())
+        return Fraction(len(self), self.context.coset_cardinality())
 
     def restrict(self, R: Restriction) -> "Family":
         """Members also satisfying R, in the refined coset."""
         _check_trivial_overlap(self.context, R)
         merged = self.context.merge(R)
-        kept = itertools.compress(self.sorted_members(), self.tables().matching(R))
+        kept = itertools.compress(self.indices, self.tables().matching(R))
         return Family(self.field, self.n, self.m, kept, merged)
 
     def restrict_avoiding(self, R: Restriction) -> "Family":
-        """Members disagreeing with R everywhere; context unchanged."""
+        """Members disagreeing with R everywhere; context unchanged.  M
+        avoids R iff M x != y at each nonzero point (x, y) of its graphs;
+        of the multiples of a point, the tables list the one whose x has
+        leading coordinate 1."""
         _check_trivial_overlap(self.context, R)
-        kept = [M for M in self.members if R.avoids(M)]
-        return Family(self.field, self.n, self.m, kept, self.context)
+        t = self.tables()
+        keep = [True] * len(self)
+        for images, pairs, dom, img in ((t.col, R.cols, t.rowcode, t.colcode),
+                                        (t.row, R.rows, t.colcode, t.rowcode)):
+            xs = span_indices(dom, [v for v, _ in pairs])
+            ys = span_indices(img, [w for _, w in pairs])
+            for x, y in zip(xs[1:], ys[1:]):
+                if images[x] is not None:
+                    keep = [k and z != y for k, z in zip(keep, images[x])]
+        return Family(self.field, self.n, self.m,
+                      itertools.compress(self.indices, keep), self.context)
 
     def dual(self) -> "Family":
         return Family(self.field, self.m, self.n,
-                      (M.transpose() for M in self.members), self.context.dual())
+                      transpose_indices(self.field.q, self.n, self.m, self.indices),
+                      self.context.dual())
 
     def translate(self, A0: Mat) -> "Family":
-        return Family(self.field, self.n, self.m,
-                      (M - A0 for M in self.members), self.context.translate(A0))
+        """The members minus A0, row by row."""
+        Family(self.field, self.n, self.m, [A0])    # A0 lies in the same space
+        q, m = self.field.q, self.m
+        code = IndexCode(self.field, m)
+        rows = [code.shift(r, code.sub(0, vec_index(q, a))) for r, a in
+                zip(index_rows(q, self.n, m, self.indices), A0.rows)]
+        return Family(self.field, self.n, m, [vec_index(q ** m, r) for r in zip(*rows)],
+                      self.context.translate(A0))
 
     def __contains__(self, M: Mat) -> bool:
-        return M in self.members
+        if not (isinstance(M, Mat) and M.field == self.field
+                and M.shape == (self.n, self.m)):
+            return False
+        i = bisect_left(self.indices, M.index())
+        return self.indices[i:i + 1] == (M.index(),)
 
     def _key(self) -> tuple:
-        return (self.field, self.n, self.m, self.context, self.members)
+        return (self.field, self.n, self.m, self.context, self.indices)
 
     def __eq__(self, other):
         return isinstance(other, Family) and other._key() == self._key()
@@ -324,24 +343,24 @@ class Family:
         return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.indices)
 
     def __repr__(self):
         return (f"Family(q={self.field.q}, {self.n}x{self.m}, "
-                f"|members|={len(self.members)}, ctx complexity={self.context.complexity})")
+                f"|members|={len(self)}, ctx complexity={self.context.complexity})")
 
     # file format ----------------------------------------------------------
 
     def to_text(self) -> str:
         # vectors are digit strings, comma-separated once an entry can
         # take two digits (the Mat.to_literal rule)
-        sep = "," if self.field.q > 10 else ""
-        lines = [f"{self.field.q},{self.n},{self.m}"]
+        q, n, m = self.field.q, self.n, self.m
+        sep = "," if q > 10 else ""
+        lines = [f"{q},{n},{m}"]
         for kind, pairs in (("col", self.context.cols), ("row", self.context.rows)):
             for u, w in pairs:
                 lines.append(f"{kind} {sep.join(map(str, u))} -> {sep.join(map(str, w))}")
-        for M in self.sorted_members():
-            lines.append(M.to_literal())
+        lines += [index_literal(q, n, m, x) for x in self.indices]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -350,20 +369,25 @@ class Family:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise DomainError("empty family file")
-        q, n, m = (int(x) for x in lines[0].split(","))
-        spec = spec if spec is not None else gf_field(q)
         cols, rows, members = [], [], []
-        for ln in lines[1:]:
-            if ln.startswith("col ") or ln.startswith("row "):
-                kind, rest = ln[:3], ln[4:]
-                left, _, right = rest.partition("->")
-                u, w = (tuple(map(int, side.split(",") if q > 10 else side))
-                        for side in (left.strip(), right.strip()))
-                (cols if kind == "col" else rows).append((u, w))
-            else:
-                members.append(mat_from_literal(ln, spec))
-        ctx = Restriction(spec, n, m, cols, rows)
-        return cls(spec, n, m, members, ctx)
+        try:
+            q, n, m = (int(x) for x in lines[0].split(","))
+            spec = spec if spec is not None else gf_field(q)
+            for ln in lines[1:]:
+                if ln.startswith("col ") or ln.startswith("row "):
+                    kind, rest = ln[:3], ln[4:]
+                    left, _, right = rest.partition("->")
+                    u, w = (tuple(map(int, side.split(",") if q > 10 else side))
+                            for side in (left.strip(), right.strip()))
+                    (cols if kind == "col" else rows).append((u, w))
+                    continue
+                _, a, b, idx = literal_index(ln, spec)
+                if (a, b) != (n, m):
+                    raise ShapeMismatch(f"member shape ({a}, {b}) != ({n}, {m})")
+                members.append(idx)
+        except ValueError as e:
+            raise DomainError(f"malformed family file: {e}") from None
+        return cls(spec, n, m, members, Restriction(spec, n, m, cols, rows))
 
 
 def _check_trivial_overlap(ctx: Restriction, R: Restriction) -> None:
@@ -648,11 +672,12 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
         b.check_clock("regularity decomposition", f"{len(nodes)} nodes")
         nid = stack.pop()
         node = nodes[nid]
-        sub = F.restrict(node.restriction) if node.restriction.complexity else F
         if node.depth >= r:
             node.status = "bad"
             continue
-        witness = is_captureable(sub, s, eps, b)
+        # the child family lives only through its search
+        witness = is_captureable(F.restrict(node.restriction)
+                                 if node.restriction.complexity else F, s, eps, b)
         if witness is None:
             node.status = "good"
             good.append(F.context.merge(node.restriction))
@@ -707,12 +732,16 @@ def measure_outside_junta(F: Family, J: Junta) -> Fraction:
 
 def is_intersection_free(F: Family, t_minus_1: int):
     """No distinct pair agrees on exactly t_minus_1 dimensions.  Returns
-    (bool, the first such pair in sorted order or None)."""
-    mem = F.sorted_members()
-    for i in range(len(mem)):
+    (bool, the first such pair in sorted order or None).  A pair agrees on
+    m - rank(sigma_i - sigma_j), taken by index_rank on the IndexCode
+    difference of their row indices."""
+    code = IndexCode(F.field, F.m)
+    mem = list(zip(*index_rows(F.field.q, F.n, F.m, F.indices)))
+    for i, a in enumerate(mem):
         for j in range(i + 1, len(mem)):
-            if agreement_dim(mem[i], mem[j]) == t_minus_1:
-                return False, (mem[i], mem[j])
+            if F.m - index_rank(F.field, F.m, map(code.sub, a, mem[j])) == t_minus_1:
+                return False, tuple(Mat.from_index(F.field, F.n, F.m, F.indices[k])
+                                    for k in (i, j))
     return True, None
 
 

@@ -39,7 +39,8 @@ from .errors import (DomainError, FieldMismatch, NotInKernelRelation,
                      RankNotOne, ShapeMismatch, ZeroFunction)
 from .gf import FieldSpec, char_root
 from .matspace import (IndexCode, Mat, Subspace, image, kernel, null_basis,
-                       rank, rank_table, span_indices, subspaces_of_dim)
+                       rank, rank_table, span_indices, subspaces_of_dim,
+                       vec_from_index)
 from .families import Family, QPow, leq_threshold
 
 
@@ -450,6 +451,13 @@ def _project(f: DenseFunction, target: Subspace, on_image: bool,
     return inverse_transform(_keep(S, mask), budget)
 
 
+def projection_mass(S: Spectrum, target: Subspace, on_image: bool) -> Fraction:
+    """The squared 2-norm of _project(f, target, on_image) read off f's
+    spectrum S: by Parseval, the mass of the kept coefficients."""
+    mask = _space_mask(S.field, S.n, S.m, target, on_image)
+    return _rational_norm(_keep(S, mask).parseval_sum())
+
+
 def project_image(f: DenseFunction, Vp: Subspace,
                   budget: Budget | None = None) -> DenseFunction:
     """Keep the characters whose dual matrix has image exactly Vp <= V."""
@@ -522,8 +530,7 @@ def verify_hypercontractive(f: DenseFunction, d: int, k: int,
     if d < 1 or d > min(f.m, f.n):
         raise DomainError(f"degree {d} out of range")
     spec = f.field
-    # one transform serves the component and every projection: by Parseval
-    # a projection's squared 2-norm is the mass of its kept coefficients
+    # one transform serves the component and every projection
     S = fast_transform(f, budget)
     ranks = rank_table(spec, f.m, f.n)
     comp = inverse_transform(_keep(S, [r == d for r in ranks]), budget)
@@ -533,8 +540,7 @@ def verify_hypercontractive(f: DenseFunction, d: int, k: int,
     proj_sum = Fraction(0)
     for spaces, on_image in sides:
         for U in spaces:
-            mass = _keep(S, _space_mask(spec, f.n, f.m, U, on_image)).parseval_sum()
-            proj_sum += _rational_norm(mass) ** (k // 2)
+            proj_sum += projection_mass(S, U, on_image) ** (k // 2)
     coeff = Fraction(k ** 7 * d ** 6) * proj_sum
     exp = Fraction(k ** 3 * d * d, 2) + (Fraction(3 * k, 4) - 1) * d * max(f.m, f.n)
     rhs = QPow(spec.q, coeff, exp)
@@ -588,18 +594,19 @@ def reduce_family(F: Family) -> DenseFunction:
     from .families import coset_base
     spec = F.field
     ctx = F.context
-    base = coset_base(ctx).rows
+    base = [x for row in coset_base(ctx).rows for x in row]
     Z = kernel(Mat(spec, tuple(a for a, _ in ctx.rows), F.n)) if ctx.rows \
         else Subspace.full(spec, F.n)
     keep_rows = [next(j for j, x in enumerate(r) if x) for r in Z.rows]
     s_pivots = {next(j for j, x in enumerate(r) if x) for r in ctx.col_domain().rows}
     keep_cols = [j for j in range(F.m) if j not in s_pivots]
     q = spec.q
-    vals = [0] * (q ** (len(keep_rows) * len(keep_cols)))
-    for M in F.members:
+    keep = [i * F.m + j for i in keep_rows for j in keep_cols]
+    vals = [0] * (q ** len(keep))
+    for x in F.indices:
+        d = vec_from_index(q, F.n * F.m, x)
         idx = 0
-        for i in keep_rows:
-            for j in keep_cols:
-                idx = idx * q + spec.sub(M.rows[i][j], base[i][j])
+        for k in keep:
+            idx = idx * q + spec.sub(d[k], base[k])
         vals[idx] = 1
     return DenseFunction(spec, len(keep_rows), len(keep_cols), vals)

@@ -17,7 +17,8 @@ from operator import xor
 from typing import Sequence
 
 from .gf import FieldSpec
-from .matspace import IndexCode, Mat, span_indices, subspaces_of_dim, vec_index
+from .matspace import (IndexCode, index_rows, span_indices, subspaces_of_dim,
+                       transpose_indices, vec_index)
 
 
 def _listing(code: IndexCode, gens: list, count: int) -> list:
@@ -44,20 +45,20 @@ def _listing(code: IndexCode, gens: list, count: int) -> list:
 
 
 class ImageTables:
-    """Image indices of n x m members, in the given order: col[v] holds
-    the members' M v and row[a] their a^T M, as _listing lists them."""
+    """Image indices of n x m members, given by their Mat.index in order:
+    col[v] holds the members' M v and row[a] their a^T M, as _listing
+    lists them.  The images of the unit covectors are the members' row
+    indices, those of the unit vectors their transposes' row indices."""
 
-    def __init__(self, spec: FieldSpec, n: int, m: int, mats: Sequence[Mat]):
+    def __init__(self, spec: FieldSpec, n: int, m: int, indices: Sequence[int]):
+        q = spec.q
         self.spec, self.n, self.m = spec, n, m
-        self.total = len(mats)
+        self.total = len(indices)
         self.colcode = IndexCode(spec, n)
         self.rowcode = IndexCode(spec, m)
-        self.col = _listing(self.colcode, [
-            tuple(vec_index(spec.q, [row[k] for row in M.rows]) for M in mats)
-            for k in range(m)], len(mats))
-        self.row = _listing(self.rowcode, [
-            tuple(vec_index(spec.q, M.rows[i]) for M in mats)
-            for i in range(n)], len(mats))
+        self.col = _listing(self.colcode, index_rows(
+            q, m, n, transpose_indices(q, n, m, indices)), self.total)
+        self.row = _listing(self.rowcode, index_rows(q, n, m, indices), self.total)
         self._marg: dict = {}
 
     def tally(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> dict:

@@ -2,12 +2,13 @@
 
 A Mat is an immutable n x m array of field-element encodings together with
 its FieldSpec.  Subspaces are kept in reduced row echelon form, so equal
-subspaces have identical representations.  GF(2) matrices additionally use
-a bit-packed row form (bit j = column j) on the rank/kernel hot paths.
+subspaces have identical representations.
 
-A vector of F_q^L is also coded by its index (vec_index).  IndexCode adds,
-scales and row-reduces indices by table lookup.  The rank walk codes its
-rows by index, reduced by XOR at q = 2 and by IndexCode at other q.  A span
+A vector of F_q^L is also coded by its index (vec_index), and a matrix by
+the index of its row-major entries (Mat.index), whose base-q^m digits are
+its rows' indices.  IndexCode adds, scales and row-reduces indices by table
+lookup.  rank and the rank walk code rows by index, reduced by XOR at q = 2
+and by IndexCode at other q (_echelon).  A span
 is also held as its listing, the indices of its members: IndexCode.extend
 lists what one more vector adds to a span.  It builds span_indices, the
 listing by the index of every combination of a basis that the capture
@@ -21,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
@@ -169,6 +170,24 @@ def span_indices(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
+def index_rows(q: int, n: int, m: int, indices: Sequence[int]) -> list[list[int]]:
+    """Row i's index of each n x m matrix index, one list per row i."""
+    Q = q ** m
+    return [[x // Q ** (n - 1 - i) % Q for x in indices] for i in range(n)]
+
+
+def transpose_indices(q: int, n: int, m: int, indices: Sequence[int]) -> list[int]:
+    """The indices of the transposes of the n x m matrices with these
+    indices.  A row's digits land n places apart in the transpose, so row
+    position i reads one q^m-entry table, spread[r] * q^(n - 1 - i)."""
+    spread = [vec_index(q ** n, vec_from_index(q, m, r)) for r in range(q ** m)]
+    out = [0] * len(indices)
+    for i, rows in enumerate(index_rows(q, n, m, indices)):
+        table = [x * q ** (n - 1 - i) for x in spread]
+        out = list(map(add, out, map(table.__getitem__, rows)))
+    return out
+
+
 # --- row reduction ----------------------------------------------------------
 
 def rref_rows(spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: int,
@@ -233,20 +252,32 @@ def _insert_bits(basis: dict[int, int], r: int) -> int:
     return key
 
 
-def rank_bits(rows: Iterable[int]) -> int:
-    """Rank of GF(2) rows packed as ints."""
-    basis: dict[int, int] = {}
+@lru_cache(maxsize=None)
+def _echelon(spec: FieldSpec, length: int):
+    """(reduce, insert) on the indices of length-`length` rows: XOR
+    (reduce_bits) at q = 2, which is faster there than table adds, and
+    IndexCode at every other q."""
+    if spec.q == 2:
+        return reduce_bits, _insert_bits
+    code = IndexCode(spec, length)
+    return code.reduce, code.insert
+
+
+def index_rank(spec: FieldSpec, length: int, rows: Iterable[int]) -> int:
+    """Rank of the length-`length` rows given by their vec_index."""
+    reduce, insert = _echelon(spec, length)
+    basis: dict = {}
     for r in rows:
-        r = reduce_bits(basis, r)
+        r = reduce(basis, r)
         if r:
-            basis[r.bit_length()] = r
+            insert(basis, r)
     return len(basis)
 
 
 # --- Mat --------------------------------------------------------------------
 
 class Mat:
-    __slots__ = ("field", "n", "m", "rows", "_bits", "_hash")
+    __slots__ = ("field", "n", "m", "rows", "_hash")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[int]], m: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -264,7 +295,6 @@ class Mat:
         self.n = len(rows)
         self.m = m
         self.rows = rows
-        self._bits = None
         self._hash = None
 
     # constructors ---------------------------------------------------------
@@ -290,21 +320,7 @@ class Mat:
         return (self.n, self.m)
 
     def index(self) -> int:
-        a = 0
-        q = self.field.q
-        for row in self.rows:
-            for x in row:
-                a = a * q + x
-        return a
-
-    def bits(self) -> tuple[int, ...]:
-        """GF(2) packed rows, bit j = column j."""
-        if self.field.q != 2:
-            raise DomainError("bit packing is a GF(2) representation")
-        if self._bits is None:
-            self._bits = tuple(sum(x << j for j, x in enumerate(row))
-                               for row in self.rows)
-        return self._bits
+        return vec_index(self.field.q, itertools.chain.from_iterable(self.rows))
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -366,21 +382,8 @@ class Mat:
         return tuple(vec_dot(f, r, v) for r in self.rows)
 
     def rapply(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Row-functional product a^T A, a of length n."""
-        if len(a) != self.n:
-            raise ShapeMismatch("functional length != n")
-        f = self.field
-        if f.s == 1:
-            # one integer sum per column, as in vec_dot
-            cols = zip(*self.rows) if self.rows else [()] * self.m
-            return tuple(sum(map(mul, a, c)) % f.p for c in cols)
-        out = []
-        for j in range(self.m):
-            t = 0
-            for i in range(self.n):
-                t = f.add(t, f.mul(a[i], self.rows[i][j]))
-            out.append(t)
-        return tuple(out)
+        """Row-functional product a^T A = A^T a, a of length n."""
+        return self.transpose().apply(a)
 
     def det_val(self) -> int:
         if self.n != self.m:
@@ -426,15 +429,23 @@ class Mat:
     # literal serialization -------------------------------------------------
 
     def to_literal(self) -> str:
-        if self.field.q <= 10:
-            body = ";".join("".join(str(x) for x in r) for r in self.rows)
-        else:
-            body = ";".join(",".join(str(x) for x in r) for r in self.rows)
-        return f"q={self.field.q};n={self.n};m={self.m};rows={body}"
+        return index_literal(self.field.q, self.n, self.m, self.index())
 
 
-def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
-    """Parse 'q=..;n=..;m=..;rows=..' with rows semicolon-separated."""
+def index_literal(q: int, n: int, m: int, idx: int) -> str:
+    """'q=..;n=..;m=..;rows=..' for the n x m matrix of index idx; entries
+    are comma-separated once they can take two digits (q > 10)."""
+    flat = vec_from_index(q, n * m, idx)
+    sep = "," if q > 10 else ""
+    body = ";".join(sep.join(map(str, flat[i * m:(i + 1) * m])) for i in range(n))
+    return f"q={q};n={n};m={m};rows={body}"
+
+
+def literal_index(text: str, spec: FieldSpec | None = None
+                  ) -> tuple[FieldSpec, int, int, int]:
+    """Parse 'q=..;n=..;m=..;rows=..', rows semicolon-separated, to (field,
+    n, m, index); a row's entries are comma-separated at q > 10 or when the
+    row holds a comma, else one digit each."""
     text = text.strip()
     if not text.startswith("q="):
         raise DomainError(f"bad matrix literal {text!r}")
@@ -448,23 +459,32 @@ def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
     spec = spec if spec is not None else field(q)
     if spec.q != q:
         raise FieldMismatch(f"literal q={q} but field has q={spec.q}")
-    if n == 0:
-        return Mat(spec, (), m)
-    if m == 0:
-        return Mat(spec, tuple(() for _ in range(n)), 0)
-    rows = []
+    if n * m == 0:
+        return spec, n, m, 0
     row_texts = tail.split(";") if tail else []
     if len(row_texts) != n:
         raise DomainError(f"expected {n} rows, got {len(row_texts)}")
+    entries: list = []
     for rt in row_texts:
-        if q > 10 or "," in rt:
-            row = tuple(int(x) for x in rt.split(","))
-        else:
-            row = tuple(int(ch) for ch in rt)
+        row = rt.split(",") if q > 10 or "," in rt else rt
         if len(row) != m:
             raise DomainError(f"row {rt!r} has wrong length")
-        rows.append(row)
-    return Mat(spec, rows, m)
+        entries += row
+    digits = "".join(entries)
+    if len(digits) == n * m and digits.isdigit():
+        try:
+            return spec, n, m, int(digits, q)
+        except ValueError:
+            pass    # a digit >= q, named below
+    entries = [int(x) for x in entries]
+    for x in entries:
+        if not 0 <= x < q:
+            raise DomainError(f"entry {x} not an encoding for q={q}")
+    return spec, n, m, vec_index(q, entries)
+
+
+def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
+    return Mat.from_index(*literal_index(text, spec))
 
 
 # --- Subspace ---------------------------------------------------------------
@@ -545,10 +565,7 @@ class Subspace:
 # --- rank / kernel / image / agreement --------------------------------------
 
 def rank(A: Mat) -> int:
-    if A.field.q == 2:
-        return rank_bits(A.bits())
-    _, reduced, _ = rref_rows(A.field, A.rows, A.m)
-    return len(reduced)
+    return index_rank(A.field, A.m, (vec_index(A.field.q, r) for r in A.rows))
 
 
 def null_basis(spec: FieldSpec, reduced: Sequence[Sequence[int]],
@@ -682,18 +699,12 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
 
     A DFS over rows in lexicographic order visits the matrices in index
     order and keeps an incremental echelon basis of the rows above, so each
-    matrix costs one row reduction and no Mat is built.  Rows are encoded
-    by vec_index and reduced by XOR (reduce_bits) at q = 2, which is faster
-    there than table adds, and by IndexCode at every other q.
+    matrix costs one row reduction and no Mat is built.
     """
     if n == 0:
         emit([0])
         return
-    if spec.q == 2:
-        reduce, insert = reduce_bits, _insert_bits
-    else:
-        code = IndexCode(spec, m)
-        reduce, insert = code.reduce, code.insert
+    reduce, insert = _echelon(spec, m)
     rows = range(spec.q ** m)
     basis: dict = {}
 

@@ -23,8 +23,8 @@ from .families import (Family, default_regularity_eps, is_captureable,
                        regularity_decompose)
 from .fourier import (DenseFunction, char_exponent, check_sum_rank_nullity,
                       fast_transform, inverse_transform, norm2_sq,
-                      norm2_sq_frac, project_image, project_kernel,
-                      reduce_family, transform, verify_hypercontractive)
+                      projection_mass, reduce_family, transform,
+                      verify_hypercontractive)
 from .gf import field
 from .matspace import (IndexCode, Mat, Subspace, agreement_dim, count_rank_d,
                        count_subspaces_avoiding, enumerate_all, enumerate_gl,
@@ -302,33 +302,29 @@ def criterion_6(seed: int = 0, budget: Budget | None = None) -> dict:
     rng = random.Random(seed)
     checks = []
     spec = field(2)
-    all22 = [Mat.from_index(spec, 2, 2, i) for i in range(16)]
     subs = {d: subspaces_of_dim(spec, 2, d) for d in (0, 1, 2)}
     proj_ok = True
     instances = 0
     while instances < 200:
-        F = Family(spec, 2, 2, rng.sample(all22, rng.randrange(2, 15)))
-        f = reduce_family(F)
+        F = Family(spec, 2, 2, rng.sample(range(16), rng.randrange(2, 15)))
+        # one spectrum gives every projection's squared norm
+        S = fast_transform(reduce_family(F), budget)
         mu = F.measure()
         for s in (1, 2):
             ratio, _ = max_density_ratio(F, s)
             C = ratio if ratio >= 1 else Fraction(1)
             cap = C * C * mu * mu
             for dd in range(0, s + 1):
-                for Vp in subs[dd]:
-                    proj_ok = proj_ok and (
-                        norm2_sq_frac(project_image(f, Vp, budget)) <= cap)
-                for Wp in subs[2 - dd]:
-                    proj_ok = proj_ok and (
-                        norm2_sq_frac(project_kernel(f, Wp, budget)) <= cap)
+                proj_ok = proj_ok and all(
+                    projection_mass(S, U, on_image) <= cap
+                    for spaces, on_image in ((subs[dd], True), (subs[2 - dd], False))
+                    for U in spaces)
             instances += 1
     checks.append((f"projection-norm contraction ({instances} instances)", proj_ok))
-    spec3 = field(2)
-    mats33 = [Mat.from_index(spec3, 3, 3, i) for i in range(512)]
     claim_ok = True
     instances = 0
     while instances < 200:
-        F = Family(spec3, 3, 3, [M for M in mats33 if rng.random() < 0.5])
+        F = Family(spec, 3, 3, [i for i in range(512) if rng.random() < 0.5])
         mu = F.measure()
         if mu == 0:
             continue
@@ -351,13 +347,12 @@ def criterion_7(seed: int = 0, budget: Budget | None = None) -> dict:
     rng = random.Random(seed)
     checks = []
     spec = field(2)
-    mats = [Mat.from_index(spec, 3, 3, i) for i in range(512)]
     for r in (1, 2):
         for s in (1, 2):
             ok_mu = ok_leaf = True
             for _ in range(25):
                 p = rng.choice((0.25, 0.5, 0.75))
-                F = Family(spec, 3, 3, [M for M in mats if rng.random() < p])
+                F = Family(spec, 3, 3, [i for i in range(512) if rng.random() < p])
                 J, log = regularity_decompose(F, r, s, budget=budget)
                 mu_out = measure_outside_junta(F, J)
                 # mu <= 2 q^r (q^s-1)^r q^(-3r+r^2/4), compared at 4th powers

@@ -407,6 +407,13 @@ def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+def test_regularity_rejects_malformed_family_header(tmp_path):
+    fam = tmp_path / "family.txt"
+    fam.write_text("2,2\n")
+    rc, out, err = run(["regularity", "--family", str(fam), "--r", "1", "--s", "1"])
+    assert rc == 2 and out == "" and err.startswith("error: malformed family file")
+
+
 def test_derange_past_the_walk():
     # the fixed-prefix family at (7, 2, 2) has 10,239,344,640 members
     doc = run_json(["extremal", "--claim", "derange", "--q", "2", "--n", "7",

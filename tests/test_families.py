@@ -18,8 +18,8 @@ from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
                            InconsistentRestriction, NotQuasiregular,
                            ShapeMismatch)
 from linfam.gf import field
-from linfam.matspace import (Mat, Subspace, enumerate_gl, rank, vec_add,
-                             vec_smul, vec_sub)
+from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl, rank,
+                             vec_add, vec_smul, vec_sub)
 from linfam.families import (Family, Junta, Restriction, _domains,
                              _frame_independent, default_regularity_eps,
                              enumerate_coset,
@@ -305,6 +305,12 @@ def test_family_text_round_trip_over_fields(F, seed):
     assert T.context == F.context.translate(A0) and T.translate(-A0) == F
 
 
+@pytest.mark.parametrize("text", ["2,2\n", "x,2,2\n"])
+def test_malformed_family_header(text):
+    with pytest.raises(DomainError, match="malformed family file"):
+        Family.from_text(text)
+
+
 def test_family_edge_input():
     s3 = field(3)
     with pytest.raises(FieldMismatch):
@@ -336,6 +342,25 @@ def test_pairwise_agreement_testers():
     pair = Family(s2, 2, 2, [I, U])
     assert is_intersection_free(pair, 0)[0]
     assert not is_intersection_free(pair, 1)[0]
+
+
+INTERSECTION_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                       for n in range(1, 4) for m in range(1, 4)
+                       if n * m <= (6 if q <= 3 else 4 if q <= 5 else 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(INTERSECTION_SHAPES), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_intersection_free_matches_pair_scan(shape, t_minus_1, rnd):
+    q, n, m = shape
+    spec = field(q)
+    size = q ** (n * m)
+    mem = [Mat.from_index(spec, n, m, i)
+           for i in sorted(rnd.sample(range(size), min(size, rnd.randrange(2, 12))))]
+    want = next(((A, B) for i, A in enumerate(mem) for B in mem[i + 1:]
+                 if agreement_dim(A, B) == t_minus_1), None)
+    assert is_intersection_free(Family(spec, n, m, mem), t_minus_1) == (want is None, want)
 
 
 # --- capture search ---------------------------------------------------------
