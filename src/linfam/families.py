@@ -106,11 +106,8 @@ class Restriction:
     def avoids(self, M: Mat) -> bool:
         """True iff M disagrees on every nonzero domain element, both sides."""
         spec = self.field
-        col_diffs = [vec_sub(spec, M.apply(v), w) for v, w in self.cols]
-        if not _frame_independent(spec, col_diffs):
-            return False
-        row_diffs = [vec_sub(spec, M.rapply(a), b) for a, b in self.rows]
-        return _frame_independent(spec, row_diffs)
+        return all(_frame_independent(spec, [vec_sub(spec, act(v), w) for v, w in pairs])
+                   for act, pairs in ((M.apply, self.cols), (M.rapply, self.rows)))
 
     # combination ----------------------------------------------------------
 
@@ -170,20 +167,13 @@ def _coset_system(R: Restriction):
     whose free entries are zero, and a basis of the homogeneous solutions."""
     spec = R.field
     n, m = R.n, R.m
-    eqs = []  # rows of length n*m plus rhs
-    for v, w in R.cols:
-        for i in range(n):
-            row = [0] * (n * m)
-            for j in range(m):
-                row[i * m + j] = v[j]
-            eqs.append((row, w[i]))
-    for a, bb in R.rows:
-        for j in range(m):
-            row = [0] * (n * m)
-            for i in range(n):
-                row[i * m + j] = a[i]
-            eqs.append((row, bb[j]))
-    aug = [tuple(r) + (rhs,) for r, rhs in eqs]
+    # on the row-major entries, M v = w is (e_i (x) v) . M = w_i for each
+    # row i, and a^T M = b is (a (x) e_j) . M = b_j for each column j
+    zero = (0,) * m
+    aug = ([zero * i + tuple(v) + zero * (n - 1 - i) + (w[i],)
+            for v, w in R.cols for i in range(n)]
+           + [tuple(x if k == j else 0 for x in a for k in range(m)) + (b[j],)
+              for a, b in R.rows for j in range(m)])
     pivots, reduced, leftover = rref_rows(spec, aug, n * m + 1, pivot_cols=n * m)
     if leftover:
         raise InconsistentRestriction("restriction admits no matrix")
@@ -239,15 +229,10 @@ class Family:
         size = spec.q ** (n * m)
         idx = set()
         for M in members:
-            if isinstance(M, Mat):
-                if M.field != spec:
-                    raise FieldMismatch("member over a different field")
-                if M.shape != (n, m):
-                    raise ShapeMismatch(f"member shape {M.shape} != ({n}, {m})")
-                M = M.index()
-            elif not 0 <= M < size:
-                raise DomainError(f"member index {M} outside 0..{size - 1}")
-            idx.add(M)
+            x = M.index_in(spec, n, m) if isinstance(M, Mat) else M
+            if not 0 <= x < size:
+                raise DomainError(f"member index {x} outside 0..{size - 1}")
+            idx.add(x)
         self.indices = tuple(sorted(idx))
         self._members = self._tables = None
         if self.context.complexity and not all(self.tables().matching(self.context)):
@@ -258,8 +243,7 @@ class Family:
     @classmethod
     def full_space(cls, spec: FieldSpec, n: int, m: int,
                    budget: Budget | None = None) -> "Family":
-        R = Restriction.empty(spec, n, m)
-        return cls(spec, n, m, coset_indices(R, budget), R)
+        return cls.from_coset(Restriction.empty(spec, n, m), budget)
 
     @classmethod
     def empty(cls, spec: FieldSpec, n: int, m: int) -> "Family":
@@ -318,7 +302,7 @@ class Family:
 
     def translate(self, A0: Mat) -> "Family":
         """The members minus A0, row by row."""
-        Family(self.field, self.n, self.m, [A0])    # A0 lies in the same space
+        A0.index_in(self.field, self.n, self.m)    # A0 lies in the same space
         q, m = self.field.q, self.m
         code = IndexCode(self.field, m)
         rows = [code.shift(r, code.sub(0, vec_index(q, a))) for r, a in
@@ -383,7 +367,7 @@ class Family:
                     continue
                 _, a, b, idx = literal_index(ln, spec)
                 if (a, b) != (n, m):
-                    raise ShapeMismatch(f"member shape ({a}, {b}) != ({n}, {m})")
+                    raise ShapeMismatch(f"matrix must be {n}x{m}, got {a}x{b}")
                 members.append(idx)
         except ValueError as e:
             raise DomainError(f"malformed family file: {e}") from None
@@ -391,16 +375,10 @@ class Family:
 
 
 def _check_trivial_overlap(ctx: Restriction, R: Restriction) -> None:
-    if R.dim_col:
-        D = ctx.col_domain()
-        S = R.col_domain()
-        if D.sum_(S).dim != D.dim + S.dim:
-            raise DomainOverlap("column domains meet the context non-trivially")
-    if R.dim_row:
-        D = ctx.row_domain()
-        A = R.row_domain()
-        if D.sum_(A).dim != D.dim + A.dim:
-            raise DomainOverlap("row domains meet the context non-trivially")
+    for side, D, S in (("column", ctx.col_domain(), R.col_domain()),
+                       ("row", ctx.row_domain(), R.row_domain())):
+        if S.dim and D.sum_(S).dim != D.dim + S.dim:
+            raise DomainOverlap(f"{side} domains meet the context non-trivially")
 
 
 # --- quarter-power thresholds ----------------------------------------------

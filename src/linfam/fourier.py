@@ -40,16 +40,8 @@ from .errors import (DomainError, FieldMismatch, NotInKernelRelation,
 from .gf import FieldSpec, char_root
 from .matspace import (IndexCode, Mat, Subspace, image, kernel, null_basis,
                        rank, rank_table, span_indices, subspaces_of_dim,
-                       vec_from_index)
+                       vec_from_index, vec_index)
 from .families import Family, QPow, leq_threshold
-
-
-def _check_mat(spec: FieldSpec, shape: tuple[int, int], M: Mat) -> None:
-    if M.field != spec:
-        raise FieldMismatch("matrix over a different field")
-    if M.shape != shape:
-        raise ShapeMismatch(f"matrix must be {shape[0]}x{shape[1]}, got "
-                            f"{M.shape[0]}x{M.shape[1]}")
 
 
 class _Table:
@@ -100,8 +92,7 @@ class _Table:
         return self._cyc
 
     def _at(self, M: Mat, shape: tuple[int, int]) -> Cyc:
-        _check_mat(self.field, shape, M)
-        return self._cycs()[M.index()]
+        return self._cycs()[M.index_in(self.field, *shape)]
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other.field == self.field
@@ -128,8 +119,7 @@ class DenseFunction(_Table):
                   members: Iterable[Mat]) -> "DenseFunction":
         vals = [0] * (spec.q ** (n * m))
         for M in members:
-            _check_mat(spec, (n, m), M)
-            vals[M.index()] = 1
+            vals[M.index_in(spec, n, m)] = 1
         return cls(spec, n, m, vals)
 
     def value_at(self, M: Mat) -> Cyc:
@@ -595,8 +585,7 @@ def reduce_family(F: Family) -> DenseFunction:
     spec = F.field
     ctx = F.context
     base = [x for row in coset_base(ctx).rows for x in row]
-    Z = kernel(Mat(spec, tuple(a for a, _ in ctx.rows), F.n)) if ctx.rows \
-        else Subspace.full(spec, F.n)
+    Z = kernel(Mat(spec, [a for a, _ in ctx.rows], F.n))
     keep_rows = [next(j for j, x in enumerate(r) if x) for r in Z.rows]
     s_pivots = {next(j for j, x in enumerate(r) if x) for r in ctx.col_domain().rows}
     keep_cols = [j for j in range(F.m) if j not in s_pivots]
@@ -605,8 +594,5 @@ def reduce_family(F: Family) -> DenseFunction:
     vals = [0] * (q ** len(keep))
     for x in F.indices:
         d = vec_from_index(q, F.n * F.m, x)
-        idx = 0
-        for k in keep:
-            idx = idx * q + spec.sub(d[k], base[k])
-        vals[idx] = 1
+        vals[vec_index(q, [spec.sub(d[k], base[k]) for k in keep])] = 1
     return DenseFunction(spec, len(keep_rows), len(keep_cols), vals)

@@ -322,6 +322,14 @@ class Mat:
     def index(self) -> int:
         return vec_index(self.field.q, itertools.chain.from_iterable(self.rows))
 
+    def index_in(self, spec: FieldSpec, n: int, m: int) -> int:
+        """index(), once this is checked to be an n x m matrix over spec."""
+        if self.field != spec:
+            raise FieldMismatch("matrix over a different field")
+        if self.shape != (n, m):
+            raise ShapeMismatch(f"matrix must be {n}x{m}, got {self.n}x{self.m}")
+        return self.index()
+
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
 
@@ -334,25 +342,21 @@ class Mat:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, sign: str) -> "Mat":
         o = self._chk(other)
         if o.shape != self.shape:
-            raise ShapeMismatch(f"{self.shape} + {o.shape}")
-        f = self.field
-        return Mat(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, o.rows)), self.m)
+            raise ShapeMismatch(f"{self.shape} {sign} {o.shape}")
+        return Mat(self.field, (map(op, r1, r2) for r1, r2 in zip(self.rows, o.rows)),
+                   self.m)
+
+    def __add__(self, other):
+        return self._entrywise(other, self.field.add, "+")
 
     def __sub__(self, other):
-        o = self._chk(other)
-        if o.shape != self.shape:
-            raise ShapeMismatch(f"{self.shape} - {o.shape}")
-        f = self.field
-        return Mat(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, o.rows)), self.m)
+        return self._entrywise(other, self.field.sub, "-")
 
     def __neg__(self):
-        f = self.field
-        return Mat(f, tuple(tuple(f.neg(a) for a in r) for r in self.rows), self.m)
+        return self.smul(self.field.neg(1))
 
     def __matmul__(self, other):
         o = self._chk(other)
@@ -459,9 +463,7 @@ def literal_index(text: str, spec: FieldSpec | None = None
     spec = spec if spec is not None else field(q)
     if spec.q != q:
         raise FieldMismatch(f"literal q={q} but field has q={spec.q}")
-    if n * m == 0:
-        return spec, n, m, 0
-    row_texts = tail.split(";") if tail else []
+    row_texts = tail.split(";") if n else []
     if len(row_texts) != n:
         raise DomainError(f"expected {n} rows, got {len(row_texts)}")
     entries: list = []
@@ -470,12 +472,6 @@ def literal_index(text: str, spec: FieldSpec | None = None
         if len(row) != m:
             raise DomainError(f"row {rt!r} has wrong length")
         entries += row
-    digits = "".join(entries)
-    if len(digits) == n * m and digits.isdigit():
-        try:
-            return spec, n, m, int(digits, q)
-        except ValueError:
-            pass    # a digit >= q, named below
     entries = [int(x) for x in entries]
     for x in entries:
         if not 0 <= x < q:
