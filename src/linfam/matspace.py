@@ -342,21 +342,25 @@ class Mat:
 
     # arithmetic -----------------------------------------------------------
 
-    def _entrywise(self, other, op, sign: str) -> "Mat":
+    def __add__(self, other):
         o = self._chk(other)
         if o.shape != self.shape:
-            raise ShapeMismatch(f"{self.shape} {sign} {o.shape}")
-        return Mat(self.field, (map(op, r1, r2) for r1, r2 in zip(self.rows, o.rows)),
-                   self.m)
-
-    def __add__(self, other):
-        return self._entrywise(other, self.field.add, "+")
+            raise ShapeMismatch(f"{self.shape} + {o.shape}")
+        f = self.field
+        return Mat(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
+                            for r1, r2 in zip(self.rows, o.rows)), self.m)
 
     def __sub__(self, other):
-        return self._entrywise(other, self.field.sub, "-")
+        o = self._chk(other)
+        if o.shape != self.shape:
+            raise ShapeMismatch(f"{self.shape} - {o.shape}")
+        f = self.field
+        return Mat(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
+                            for r1, r2 in zip(self.rows, o.rows)), self.m)
 
     def __neg__(self):
-        return self.smul(self.field.neg(1))
+        f = self.field
+        return Mat(f, tuple(tuple(f.neg(a) for a in r) for r in self.rows), self.m)
 
     def __matmul__(self, other):
         o = self._chk(other)

@@ -707,6 +707,16 @@ def test_junta_measures():
     e2_col = Restriction(s2, 2, 2, cols=[((0, 1), (0, 1))])
     overlapping = Junta(s2, 2, 2, [COL_E1, e2_col], 2, 1)
     assert junta_measure(overlapping) == Fraction(7, 16)
+    # past 12 components the measure is the union of the coset listings
+    s3 = field(3)
+    many = [Restriction(s3, 2, 3, cols=[(v, w)])
+            for v in ((1, 0, 0), (0, 1, 0), (1, 1, 2)) for w in ((0, 0), (1, 2))]
+    many += [Restriction(s3, 2, 3, rows=[(a, b)])
+             for a in ((1, 0), (1, 1)) for b in ((0, 0, 1), (2, 1, 0), (1, 1, 1))]
+    many.append(Restriction(s3, 2, 3, cols=[((0, 0, 1), (2, 2))]))
+    J = Junta(s3, 2, 3, many, len(many), 1)
+    inside = sum(J.contains(Mat.from_index(s3, 2, 3, i)) for i in range(3 ** 6))
+    assert len(many) == 13 and junta_measure(J) == Fraction(inside, 3 ** 6)
 
 
 def test_junta_declared_bounds_enforced():
