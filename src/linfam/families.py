@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, DomainError, DomainOverlap,
                      ShapeMismatch)
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
-from .matspace import (IndexCode, Mat, Subspace, index_literal, index_rank,
+from .matspace import (IndexCode, Mat, Subspace, flat_literal, index_rank,
                        index_rows, literal_index, null_basis,
                        rref_rows, span_indices, subspaces_of_dim,
                        transpose_indices, vec_dot, vec_from_index, vec_index,
@@ -344,7 +344,7 @@ class Family:
         for kind, pairs in (("col", self.context.cols), ("row", self.context.rows)):
             for u, w in pairs:
                 lines.append(f"{kind} {sep.join(map(str, u))} -> {sep.join(map(str, w))}")
-        lines += [index_literal(q, n, m, x) for x in self.indices]
+        lines += [flat_literal(q, n, m, vec_from_index(q, n * m, x)) for x in self.indices]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -670,9 +670,11 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
             for g in sorted(graph)[1:]:
                 x, y = divmod(g, q ** img)
                 pair = (vec_from_index(q, dom, x), vec_from_index(q, img, y))
-                child_R = _try_extend(node.restriction, **{side: (pair,)})
-                if child_R is None:
-                    continue
+                try:
+                    child_R = node.restriction.merge(
+                        Restriction(spec, F.n, F.m, **{side: (pair,)}))
+                except InconsistentRestriction:
+                    continue    # no matrix satisfies the extended constraints
                 child = TreeNode(len(nodes), nid, node.depth + 1, child_R)
                 nodes.append(child)
                 node.children.append(child.id)
@@ -682,15 +684,6 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
     eps_desc = eps.describe() if isinstance(eps, QPow) else str(eps)
     log = DecompositionLog(q, F.n, F.m, r, s, eps_desc, nodes)
     return junta, log
-
-
-def _try_extend(base: Restriction, cols=(), rows=()):
-    try:
-        return Restriction(base.field, base.n, base.m,
-                           cols=base.cols + cols, rows=base.rows + rows)
-    except InconsistentRestriction:
-        # no matrix satisfies the extended constraints; the branch is empty
-        return None
 
 
 def measure_outside_junta(F: Family, J: Junta) -> Fraction:

@@ -437,13 +437,13 @@ class Mat:
     # literal serialization -------------------------------------------------
 
     def to_literal(self) -> str:
-        return index_literal(self.field.q, self.n, self.m, self.index())
+        return flat_literal(self.field.q, self.n, self.m,
+                            tuple(itertools.chain.from_iterable(self.rows)))
 
 
-def index_literal(q: int, n: int, m: int, idx: int) -> str:
-    """'q=..;n=..;m=..;rows=..' for the n x m matrix of index idx; entries
-    are comma-separated once they can take two digits (q > 10)."""
-    flat = vec_from_index(q, n * m, idx)
+def flat_literal(q: int, n: int, m: int, flat: Sequence[int]) -> str:
+    """'q=..;n=..;m=..;rows=..' for the n x m matrix of row-major entries
+    flat; entries are comma-separated once they can take two digits."""
     sep = "," if q > 10 else ""
     body = ";".join(sep.join(map(str, flat[i * m:(i + 1) * m])) for i in range(n))
     return f"q={q};n={n};m={m};rows={body}"
