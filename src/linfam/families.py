@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, DomainOverlap,
-                     FieldMismatch, InconsistentRestriction, NotQuasiregular,
-                     ShapeMismatch)
+                     FieldMismatch, InconsistentRestriction, LinfamError,
+                     NotQuasiregular, ShapeMismatch)
 from .gf import FieldSpec
 from .images import ImageTables, capture_keys
 from .matspace import (IndexCode, Mat, Subspace, flat_literal, index_rank,
@@ -106,8 +106,11 @@ class Restriction:
     def avoids(self, M: Mat) -> bool:
         """True iff M disagrees on every nonzero domain element, both sides."""
         spec = self.field
-        return all(_frame_independent(spec, [vec_sub(spec, act(v), w) for v, w in pairs])
-                   for act, pairs in ((M.apply, self.cols), (M.rapply, self.rows)))
+        col_diffs = [vec_sub(spec, M.apply(v), w) for v, w in self.cols]
+        if not _frame_independent(spec, col_diffs):
+            return False
+        row_diffs = [vec_sub(spec, M.rapply(a), b) for a, b in self.rows]
+        return _frame_independent(spec, row_diffs)
 
     # combination ----------------------------------------------------------
 
@@ -158,8 +161,20 @@ class Restriction:
 
 
 def _frame_independent(spec: FieldSpec, diffs: list) -> bool:
-    return not diffs or index_rank(spec, len(diffs[0]), (
-        vec_index(spec.q, d) for d in diffs)) == len(diffs)
+    k = len(diffs)
+    if k == 0:
+        return True
+    if k == 1:
+        return any(diffs[0])
+    if k == 2:
+        d1, d2 = diffs
+        if not any(d1) or not any(d2):
+            return False
+        i = next(j for j, x in enumerate(d1) if x)
+        c = spec.div(d2[i], d1[i])
+        return d2 != tuple(spec.mul(c, x) for x in d1)
+    _, reduced, _ = rref_rows(spec, diffs, len(diffs[0]))
+    return len(reduced) == k
 
 
 def _coset_system(R: Restriction):
@@ -167,13 +182,20 @@ def _coset_system(R: Restriction):
     whose free entries are zero, and a basis of the homogeneous solutions."""
     spec = R.field
     n, m = R.n, R.m
-    # on the row-major entries, M v = w is (e_i (x) v) . M = w_i for each
-    # row i, and a^T M = b is (a (x) e_j) . M = b_j for each column j
-    zero = (0,) * m
-    aug = ([zero * i + tuple(v) + zero * (n - 1 - i) + (w[i],)
-            for v, w in R.cols for i in range(n)]
-           + [tuple(x if k == j else 0 for x in a for k in range(m)) + (b[j],)
-              for a, b in R.rows for j in range(m)])
+    eqs = []  # rows of length n*m plus rhs
+    for v, w in R.cols:
+        for i in range(n):
+            row = [0] * (n * m)
+            for j in range(m):
+                row[i * m + j] = v[j]
+            eqs.append((row, w[i]))
+    for a, bb in R.rows:
+        for j in range(m):
+            row = [0] * (n * m)
+            for i in range(n):
+                row[i * m + j] = a[i]
+            eqs.append((row, bb[j]))
+    aug = [tuple(r) + (rhs,) for r, rhs in eqs]
     pivots, reduced, leftover = rref_rows(spec, aug, n * m + 1, pivot_cols=n * m)
     if leftover:
         raise InconsistentRestriction("restriction admits no matrix")
@@ -189,20 +211,27 @@ def coset_base(R: Restriction) -> Mat:
     return Mat(R.field, (base[i * R.m:(i + 1) * R.m] for i in range(R.n)), R.m)
 
 
-def coset_indices(R: Restriction, budget: Budget | None = None) -> list[int]:
-    """The index of every matrix satisfying R, sorted: row by row, the
-    base's row plus the span listing of the homogeneous solutions' rows."""
-    size = R.coset_cardinality()
-    if size > MAX_COSET:
-        raise BudgetExceeded(f"coset enumeration needs {size} members, "
-                             f"capped at {MAX_COSET}")
-    ensure(budget).check_items(size, "coset enumeration")
+def _coset_listing(R: Restriction, budget: Budget | None = None) -> list[int]:
+    """The index of every matrix satisfying R, unsorted, under the item
+    budget alone: row by row, the base's row plus the span listing of the
+    homogeneous solutions' rows."""
+    ensure(budget).check_items(R.coset_cardinality(), "coset enumeration")
     base, basis = _coset_system(R)
     q, m = R.field.q, R.m
     code = IndexCode(R.field, m)
     rows = [code.shift(span_indices(code, [b[i * m:(i + 1) * m] for b in basis]),
                        vec_index(q, base[i * m:(i + 1) * m])) for i in range(R.n)]
-    return sorted(vec_index(q ** m, r) for r in zip(*rows))
+    return [vec_index(q ** m, r) for r in zip(*rows)]
+
+
+def coset_indices(R: Restriction, budget: Budget | None = None) -> list[int]:
+    """The index of every matrix satisfying R, sorted, for a coset of at
+    most MAX_COSET members."""
+    size = R.coset_cardinality()
+    if size > MAX_COSET:
+        raise BudgetExceeded(f"coset enumeration needs {size} members, "
+                             f"capped at {MAX_COSET}")
+    return sorted(_coset_listing(R, budget))
 
 
 def enumerate_coset(R: Restriction, budget: Budget | None = None) -> list[Mat]:
@@ -369,16 +398,24 @@ class Family:
                 if (a, b) != (n, m):
                     raise ShapeMismatch(f"matrix must be {n}x{m}, got {a}x{b}")
                 members.append(idx)
+        except LinfamError:
+            raise    # field, shape and entry errors keep their types
         except ValueError as e:
             raise DomainError(f"malformed family file: {e}") from None
         return cls(spec, n, m, members, Restriction(spec, n, m, cols, rows))
 
 
 def _check_trivial_overlap(ctx: Restriction, R: Restriction) -> None:
-    for side, D, S in (("column", ctx.col_domain(), R.col_domain()),
-                       ("row", ctx.row_domain(), R.row_domain())):
-        if S.dim and D.sum_(S).dim != D.dim + S.dim:
-            raise DomainOverlap(f"{side} domains meet the context non-trivially")
+    if R.dim_col:
+        D = ctx.col_domain()
+        S = R.col_domain()
+        if D.sum_(S).dim != D.dim + S.dim:
+            raise DomainOverlap("column domains meet the context non-trivially")
+    if R.dim_row:
+        D = ctx.row_domain()
+        A = R.row_domain()
+        if D.sum_(A).dim != D.dim + A.dim:
+            raise DomainOverlap("row domains meet the context non-trivially")
 
 
 # --- quarter-power thresholds ----------------------------------------------
@@ -764,8 +801,8 @@ def _merged_cardinality(spec: FieldSpec, n: int, m: int,
 
 def junta_measure(J: Junta, budget: Budget | None = None) -> Fraction:
     """Exact measure of the member union, by inclusion-exclusion for up to
-    12 components and beyond that as the union of the components' coset
-    listings (coset_indices, under budget)."""
+    12 components and beyond that by marking the components' coset
+    listings in the whole space, under budget."""
     spec = J.field
     total_card = spec.q ** (J.n * J.m)
     comps = J.components
@@ -778,5 +815,10 @@ def junta_measure(J: Junta, budget: Budget | None = None) -> Fraction:
             for subset in itertools.combinations(comps, k):
                 acc += sign * _merged_cardinality(spec, J.n, J.m, subset)
         return Fraction(acc, total_card)
-    union = set().union(*(coset_indices(R, budget) for R in comps))
-    return Fraction(len(union), total_card)
+    b = ensure(budget)
+    b.check_items(total_card, "junta measure enumeration")
+    seen = bytearray(total_card)
+    for R in comps:
+        for x in _coset_listing(R, b):
+            seen[x] = 1
+    return Fraction(seen.count(1), total_card)

@@ -7,8 +7,8 @@ subspaces have identical representations.
 A vector of F_q^L is also coded by its index (vec_index), and a matrix by
 the index of its row-major entries (Mat.index), whose base-q^m digits are
 its rows' indices.  IndexCode adds, scales and row-reduces indices by table
-lookup.  rank and the rank walk code rows by index, reduced by XOR at q = 2
-and by IndexCode at other q (_echelon).  A span
+lookup.  The rank walk codes rows by index, reduced by XOR at q = 2 and
+by IndexCode at other q (_echelon).  A span
 is also held as its listing, the indices of its members: IndexCode.extend
 lists what one more vector adds to a span.  It builds span_indices, the
 listing by the index of every combination of a basis that the capture
@@ -390,8 +390,21 @@ class Mat:
         return tuple(vec_dot(f, r, v) for r in self.rows)
 
     def rapply(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Row-functional product a^T A = A^T a, a of length n."""
-        return self.transpose().apply(a)
+        """Row-functional product a^T A, a of length n."""
+        if len(a) != self.n:
+            raise ShapeMismatch("functional length != n")
+        f = self.field
+        if f.s == 1:
+            # one integer sum per column, as in vec_dot
+            cols = zip(*self.rows) if self.rows else [()] * self.m
+            return tuple(sum(map(mul, a, c)) % f.p for c in cols)
+        out = []
+        for j in range(self.m):
+            t = 0
+            for i in range(self.n):
+                t = f.add(t, f.mul(a[i], self.rows[i][j]))
+            out.append(t)
+        return tuple(out)
 
     def det_val(self) -> int:
         if self.n != self.m:
@@ -565,7 +578,12 @@ class Subspace:
 # --- rank / kernel / image / agreement --------------------------------------
 
 def rank(A: Mat) -> int:
-    return index_rank(A.field, A.m, (vec_index(A.field.q, r) for r in A.rows))
+    # index_rank at q = 2 only: its IndexCode tables at other q grow as
+    # q^(2 ceil(m/2)), where RREF costs O(n m min(n, m)) and builds none
+    if A.field.q == 2:
+        return index_rank(A.field, A.m, (vec_index(2, r) for r in A.rows))
+    _, reduced, _ = rref_rows(A.field, A.rows, A.m)
+    return len(reduced)
 
 
 def null_basis(spec: FieldSpec, reduced: Sequence[Sequence[int]],

@@ -315,10 +315,10 @@ def criterion_6(seed: int = 0, budget: Budget | None = None) -> dict:
             C = ratio if ratio >= 1 else Fraction(1)
             cap = C * C * mu * mu
             for dd in range(0, s + 1):
-                proj_ok = proj_ok and all(
-                    projection_mass(S, U, on_image) <= cap
-                    for spaces, on_image in ((subs[dd], True), (subs[2 - dd], False))
-                    for U in spaces)
+                for Vp in subs[dd]:
+                    proj_ok = proj_ok and projection_mass(S, Vp, True) <= cap
+                for Wp in subs[2 - dd]:
+                    proj_ok = proj_ok and projection_mass(S, Wp, False) <= cap
             instances += 1
     checks.append((f"projection-norm contraction ({instances} instances)", proj_ok))
     claim_ok = True

@@ -421,6 +421,13 @@ def test_derange_past_the_walk():
                     "0001000;0000100;0000010;0000001;1000000"])
     assert doc["value"] == "5914001408" and doc["bound"] == "980561920"
     assert doc["status"] == "confirmed"
+    # at q > 2 tau is ranked by RREF, with no q^(2 ceil(n/2))-entry table
+    shift = ";".join("0" * (i + 1) + "1" + "0" * (6 - i) for i in range(7))
+    doc = run_json(["extremal", "--claim", "derange", "--q", "9", "--n", "8",
+                    "--t", "3", "--tau", f"q=9;n=8;m=8;rows={shift};20000000"])
+    assert doc["value"] == "22455640716935284218746142438612192"
+    assert doc["bound"] == "5614731365906736663414067854533241"
+    assert doc["status"] == "confirmed"
 
 
 def test_extremal_flag_requirements():

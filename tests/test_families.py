@@ -321,6 +321,11 @@ def test_family_edge_input():
         Family(s2, 2, 2, [Mat.zero(s2, 2, 2)], COL_E1)
     with pytest.raises(DomainError):
         Family.from_text("2,2,2\nq=2;n=2;m=2;rows=10;02\n")
+    # a member line of another shape or field keeps its error type
+    with pytest.raises(ShapeMismatch):
+        Family.from_text("2,2,2\nq=2;n=2;m=3;rows=100;010\n")
+    with pytest.raises(FieldMismatch):
+        Family.from_text("2,2,2\nq=3;n=2;m=2;rows=10;01\n", s2)
     twice = Family.from_text("2,2,2\nq=2;n=2;m=2;rows=10;01\nq=2;n=2;m=2;rows=10;01\n")
     assert len(twice) == 1 and twice.measure() == Fraction(1, 16)
     # membership checks field and shape, not only the entries' index
@@ -717,6 +722,18 @@ def test_junta_measures():
     J = Junta(s3, 2, 3, many, len(many), 1)
     inside = sum(J.contains(Mat.from_index(s3, 2, 3, i)) for i in range(3 ** 6))
     assert len(many) == 13 and junta_measure(J) == Fraction(inside, 3 ** 6)
+
+
+def test_junta_measure_past_the_coset_cap():
+    # 13 components M e_k = 1 on distinct columns of 1 x 18 maps over F_2,
+    # 2^17 members each: independent events of probability 1/2
+    e = lambda k: tuple(int(j == k) for j in range(18))
+    comps = [Restriction(s2, 1, 18, cols=[(e(k), (1,))]) for k in range(13)]
+    J = Junta(s2, 1, 18, comps, 13, 1)
+    assert comps[0].coset_cardinality() == 2 ** 17
+    assert junta_measure(J) == 1 - Fraction(1, 2 ** 13)
+    with pytest.raises(BudgetExceeded):
+        junta_measure(J, Budget(items=2 ** 17))
 
 
 def test_junta_declared_bounds_enforced():
