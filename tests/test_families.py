@@ -722,11 +722,9 @@ def test_junta_measures():
     J = Junta(s3, 2, 3, many, len(many), 1)
     inside = sum(J.contains(Mat.from_index(s3, 2, 3, i)) for i in range(3 ** 6))
     assert len(many) == 13 and junta_measure(J) == Fraction(inside, 3 ** 6)
-
-
-def test_junta_measure_past_the_coset_cap():
-    # 13 components M e_k = 1 on distinct columns of 1 x 18 maps over F_2,
-    # 2^17 members each: independent events of probability 1/2
+    # components past the coset cap: M e_k = 1 on 13 distinct columns of
+    # 1 x 18 maps over F_2, 2^17 members each, independent events of
+    # probability 1/2
     e = lambda k: tuple(int(j == k) for j in range(18))
     comps = [Restriction(s2, 1, 18, cols=[(e(k), (1,))]) for k in range(13)]
     J = Junta(s2, 1, 18, comps, 13, 1)
