@@ -127,6 +127,32 @@ def test_singer_cycles():
                 assert matmul(A, B).index() in idx
 
 
+# sha256 of repr(singer_cycle(n, q).indices): pins the modulus and the
+# generator each search picks.
+SINGER_INDICES = {
+    (2, 2): "586ba2050f268e9531ac5ac251577aaf39bdbd9d705517daf3084cd73e46a872",
+    (3, 2): "9a61f4185e2b45d11c564e8bf28dae682954caa1613a1a00228eb055143951d6",
+    (4, 2): "90656029f51278fe8b5ea1d9be7c6bb73647c54b662228df05c94a7c305ee149",
+    (5, 2): "56160b84ec449437c172fdc1d8b16f3c8a996dacf1b834ecd9b02ac5928f8a21",
+    (2, 3): "5599a2674ed7a6e95a4f0c5ab51f136af067399b9b2f85daf57047753b5b1b46",
+    (3, 3): "b430a17cdbfa811cc107a7c9276ccd245114175ffec4019c5d87230684cfd927",
+    (4, 3): "ac58d448904d2b688abf7d3a8f53ca88922e1922636603776dbc9606b5e0a930",
+    (2, 4): "fb9120434dd967892903ffd4523ddc7c6ff4292eb6e8ebe938eef2ebf3eac52d",
+    (3, 4): "b9bc084894a8f80dd0ebd9b3cb40f908d1673bc713010994261ced04c6d83580",
+    (2, 5): "9cc11ed8412266befa31af9f44b055ef3ffab9267acbe6417338864211f688ce",
+    (2, 7): "08fa9dc4bac8338bae2b9e6d19cf55b20344c2052aa0c58623af01fc44f7c692",
+    (2, 8): "bda02e965454376aa53a66cd9d3296aa9d1cd0ea53681caaff0cfc34c802c5f8",
+    (2, 9): "6544cb4f569228aa34ee4eec53b2dd40b232fc29c69d28e42cfe8142d6bdff8d",
+    (2, 16): "4a4fdbefe63e40973b9c5c6f4fcf570c0127f463df2127f79b9ea8aebd954b54",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(SINGER_INDICES))
+def test_singer_cycle_indices_pinned(n, q):
+    idx = ex.singer_cycle(n, q).indices
+    assert hashlib.sha256(repr(idx).encode()).hexdigest() == SINGER_INDICES[n, q]
+
+
 # --- determinant-one variant ------------------------------------------------
 
 def test_sl_cut_sizes():

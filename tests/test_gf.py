@@ -1,5 +1,7 @@
 """Field tables on hand-checked points, plus the exhaustive small-q axioms."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from linfam.budget import Budget
 from linfam.cyclo import Cyc
 from linfam.errors import BudgetExceeded, DivisionByZero, DomainError
-from linfam.gf import char_root, field, is_prime, prime_power
+from linfam.gf import FieldSpec, char_root, field, is_prime, prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -134,3 +136,54 @@ def test_spec_json_round_trip():
 
 def test_is_prime_small():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# sha256 of each field's modulus with its add, mul, inv, trace and log
+# tables: the Conway table up to q = 64, the searched moduli beyond it.
+# The log table pins the generator search.
+FIELD_TABLES = {
+2: "8f212ef898fdcfd0a07b64d8797f229687e50a230e378d7bc48de4104a889f98",
+    3: "c5308907b6f800d1d4cd4f7c2d360cb50204b0ef38f60d731dc3412d2391132e",
+    4: "6cf3a4759d566280c6f43e0905459c3ae2451f855d34089eea36d23790c834eb",
+    5: "1382ca4acaa49cbfec43256826ed0093cd4f484c74526b2ee065abcb30e4614b",
+    7: "2a071f35c59f27f67ee23e5b7540c739de10e1abe288a6b5a97f209939ef80e5",
+    8: "401aaa96000f1645e2b5d1c79efa3458b03526e56278cdf543d9c3cb1399314a",
+    9: "6f5dc6cac54f4a909a209074352888e93a0afa2704578bf80ced79efd8484788",
+    16: "cf5fb88693f8c32d41101cb1b035bed2d7337bc775f00bc3158ea3b2ad5475e5",
+    25: "89363b42188b0bd7231717f2eb24526323960d110197d60a3f3900fc9b0c2728",
+    27: "4f6a89bea170cd8384ea6f45589eb0a8122de4f4c0fe48f0c0982ea83f34d0e9",
+    32: "ec1d80bcc18ad7d8450adaeebd7f4662549dae543c14f741d5cfa547b1b20146",
+    49: "d98be2578775dfa7d19efea8fb875a10b765332bed50b8c4699aa931f24ffad3",
+    64: "33c99e635668b25b2d3560fb3f0ecdc2384f2c0183642dbfc40841ffdbb2dc55",
+    81: "478f57ce275af29490fff43ed1bf4f6e1848f99b726d0dfcfa02a0e31e715a8e",
+    121: "a8ea62e82a52db2a1492b6c17fb13a984aafd2392c9b7ed6e4fd4f4adc57cd6f",
+    125: "3547760e93c104dcd2668f96175938485907355b9c868184460f00a5135634d9",
+    128: "360558b5369724c30cf489dbc123c558bad689f44492f675425bc474a184f717",
+    243: "0df9409fed7e18e24e61d8e300ecbeb450fd4fe8350c853e4db723090260e52b",
+    256: "bbcf27da4923f5a2c2fe2205665e353196b0df05b8ef42fa59f583dde2247e33",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_TABLES))
+def test_field_tables_pinned(q):
+    f = field(q)
+    els = range(q)
+    text = json.dumps([list(f.modulus),
+                       [[f.add(a, b) for b in els] for a in els],
+                       [[f.mul(a, b) for b in els] for a in els],
+                       [f.inv(a) for a in els if a],
+                       [f.trace(a) for a in els],
+                       [f._log[a] for a in els if a]])
+    assert hashlib.sha256(text.encode()).hexdigest() == FIELD_TABLES[q]
+
+
+def test_modulus_validation():
+    with pytest.raises(DomainError, match="reducible"):
+        FieldSpec(2, 2, (1, 0, 1))        # x^2 + 1 = (x + 1)^2 over F_2
+    with pytest.raises(DomainError, match="monic"):
+        FieldSpec(3, 2, (1, 0, 2))
+    with pytest.raises(DomainError, match="monic"):
+        FieldSpec(3, 2, (1, 1))
+    f = FieldSpec(3, 2, (1, 0, 1))        # x^2 + 1 has no root in F_3
+    assert f.q == 9 and f.modulus == (1, 0, 1)
+    assert f.mul(3, 3) == 2               # x * x = -1
