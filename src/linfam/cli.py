@@ -100,12 +100,8 @@ def cmd_regularity(args: argparse.Namespace) -> int:
     eps = _fraction(args.eps, "--eps") if args.eps is not None else None
     J, log = regularity_decompose(F, args.r, args.s, eps=eps,
                                   budget=_budget(args))
-    junta_doc = json.dumps({
-        "q": J.field.q, "n": J.n, "m": J.m, "C": J.C, "r": J.r,
-        "components": [R.to_dict() for R in J.components],
-    })
     with open(args.out_junta, "w", encoding="utf-8") as fh:
-        fh.write(junta_doc + "\n")
+        fh.write(J.to_json() + "\n")
     with open(args.out_log, "w", encoding="utf-8") as fh:
         fh.write(log.to_json() + "\n")
     mu_out = measure_outside_junta(F, J)

@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .budget import Budget, ensure
-from .errors import (BudgetExceeded, DomainError, GeneratorSearchFailed,
-                     InvariantViolated, PreconditionViolated)
+from .errors import (BudgetExceeded, DomainError, InvariantViolated,
+                     PreconditionViolated)
 from .families import Family
-from .gf import FieldSpec, field
+from .gf import (FieldSpec, digits, field, first_generator, least_irreducible,
+                 poly_mod, poly_mulmod)
 from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
                        rank_table, rref_rows, span_indices, subspaces_of_dim,
@@ -172,95 +173,28 @@ def canonical_family_size(n: int, q: int, t: int,
 
 # --- field-cycle subgroup ----------------------------------------------------
 
-def _poly_divides(spec: FieldSpec, d: tuple, f: tuple) -> bool:
-    """Whether monic d divides monic f (coefficient order: constant first)."""
-    rem = list(f)
-    dd = len(d) - 1
-    for top in range(len(f) - 1, dd - 1, -1):
-        c = rem[top]
-        if c:
-            for k in range(dd + 1):
-                rem[top - dd + k] = spec.sub(rem[top - dd + k],
-                                             spec.mul(c, d[k]))
-    return not any(rem)
-
-
-def _smallest_irreducible(spec: FieldSpec, n: int) -> tuple:
-    """Monic irreducible of degree n with the smallest encoded low part."""
-    q = spec.q
-    divisors = []
-    for deg in range(1, n // 2 + 1):
-        for enc in range(q ** deg):
-            divisors.append(vec_from_index(q, deg, enc)[::-1] + (1,))
-    for enc in range(q ** n):
-        low = tuple(reversed(vec_from_index(q, n, enc)))
-        f = low + (1,)
-        if all(not _poly_divides(spec, d, f) for d in divisors):
-            return f
-    raise GeneratorSearchFailed(f"no irreducible of degree {n} over q={q}")
-
-
-def _shift_mod(spec: FieldSpec, v: tuple, f: tuple) -> tuple:
-    """Multiply by x modulo the monic f (degree n = len(v))."""
-    n = len(v)
-    carry = v[-1]
-    out = [0] + list(v[:-1])
-    if carry:
-        for k in range(n):
-            out[k] = spec.sub(out[k], spec.mul(carry, f[k]))
-    return tuple(out)
-
-
-def _ext_mul(spec: FieldSpec, a: tuple, b: tuple, f: tuple) -> tuple:
-    n = len(a)
-    acc = (0,) * n
-    power = a
-    for k in range(n):
-        c = b[k]
-        if c:
-            acc = tuple(spec.add(x, spec.mul(c, y))
-                        for x, y in zip(acc, power))
-        if k + 1 < n:
-            power = _shift_mod(spec, power, f)
-    return acc
-
-
 def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
     """A cyclic subgroup of GL(n, q) of order q^n - 1 in which distinct
     members disagree on every nonzero vector.
 
     The space F_q^n is read as the degree-n field extension in the power
-    basis of the smallest irreducible modulus; members are the matrices
-    of multiplication by powers of a generator found by exhaustive search
-    from the smallest encoded element.
+    basis of gf.least_irreducible; members are the matrices of
+    multiplication by the powers of gf.first_generator over the elements in
+    encoding order, the same searches that build F_{p^s} on F_p.
     """
     spec = field(q)
     order = q ** n - 1
     ensure(budget).check_items(order * order, "generator search")
-    f = _smallest_irreducible(spec, n)
-    one = _unit(n, 0)
-    gen = None
-    for enc in range(2, q ** n):
-        g = tuple(reversed(vec_from_index(q, n, enc)))
-        acc, k = g, 1
-        while acc != one:
-            acc = _ext_mul(spec, acc, g, f)
-            k += 1
-        if k == order:
-            gen = g
-            break
-    if gen is None:
-        raise GeneratorSearchFailed(f"no multiplicative generator for q={q}, n={n}")
-    members = []
-    elt = one
+    f = least_irreducible(spec, n)
+    gen = first_generator((digits(e, q, n) for e in range(1, q ** n)),
+                          _unit(n, 0), lambda a, b: poly_mulmod(spec, a, b, f), order)
+    members, elt = [], _unit(n, 0)
     for _ in range(order):
-        col = elt
-        cols = []
-        for _ in range(n):
-            cols.append(col)
-            col = _shift_mod(spec, col, f)
+        cols = [elt]
+        while len(cols) < n:
+            cols.append(poly_mod(spec, (0,) + cols[-1], f))
         members.append(_mat_from_columns(spec, cols))
-        elt = _ext_mul(spec, elt, gen, f)
+        elt = poly_mulmod(spec, elt, gen, f)
     if len({M.index() for M in members}) != order:
         raise InvariantViolated("Singer cycle powers are not distinct")
     return Family(spec, n, n, members)

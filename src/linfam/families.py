@@ -21,13 +21,13 @@ from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, DomainOverlap,
                      FieldMismatch, InconsistentRestriction, LinfamError,
                      NotQuasiregular, ShapeMismatch)
-from .gf import FieldSpec
+from .gf import FieldSpec, field as gf_field
 from .images import ImageTables, capture_keys
-from .matspace import (IndexCode, Mat, Subspace, flat_literal, index_rank,
-                       index_rows, literal_index, null_basis,
+from .matspace import (IndexCode, Mat, Subspace, agreement_dim, flat_literal,
+                       index_rows, literal_index, null_basis, rows_index,
                        rref_rows, span_indices, subspaces_of_dim,
-                       transpose_indices, vec_dot, vec_from_index, vec_index,
-                       vec_sub)
+                       transpose_indices, vec_dot, vec_from_index,
+                       vec_from_text, vec_index, vec_sub, vec_text)
 
 # beyond this a coset's image tables, one entry per member for each listed
 # vector (348 arrays, 24.0 MB, for 2^16 maps F_4^5 -> F_4^2), outgrow
@@ -365,20 +365,16 @@ class Family:
     # file format ----------------------------------------------------------
 
     def to_text(self) -> str:
-        # vectors are digit strings, comma-separated once an entry can
-        # take two digits (the Mat.to_literal rule)
         q, n, m = self.field.q, self.n, self.m
-        sep = "," if q > 10 else ""
         lines = [f"{q},{n},{m}"]
         for kind, pairs in (("col", self.context.cols), ("row", self.context.rows)):
             for u, w in pairs:
-                lines.append(f"{kind} {sep.join(map(str, u))} -> {sep.join(map(str, w))}")
+                lines.append(f"{kind} {vec_text(q, u)} -> {vec_text(q, w)}")
         lines += [flat_literal(q, n, m, vec_from_index(q, n * m, x)) for x in self.indices]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, spec: FieldSpec | None = None) -> "Family":
-        from .gf import field as gf_field
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise DomainError("empty family file")
@@ -386,13 +382,18 @@ class Family:
         try:
             q, n, m = (int(x) for x in lines[0].split(","))
             spec = spec if spec is not None else gf_field(q)
+            # a member line with the file's own head skips literal_index,
+            # which parses and checks any other head
+            head = f"q={spec.q};n={n};m={m};rows="
             for ln in lines[1:]:
                 if ln.startswith("col ") or ln.startswith("row "):
                     kind, rest = ln[:3], ln[4:]
                     left, _, right = rest.partition("->")
-                    u, w = (tuple(map(int, side.split(",") if q > 10 else side))
-                            for side in (left.strip(), right.strip()))
+                    u, w = (vec_from_text(q, side.strip()) for side in (left, right))
                     (cols if kind == "col" else rows).append((u, w))
+                    continue
+                if ln.startswith(head):
+                    members.append(rows_index(spec.q, n, m, ln[len(head):]))
                     continue
                 _, a, b, idx = literal_index(ln, spec)
                 if (a, b) != (n, m):
@@ -651,17 +652,20 @@ class Junta:
                      (R.dual() for R in self.components), self.C, self.r)
 
     def to_json(self) -> str:
-        return json.dumps([R.to_dict() for R in self.components], sort_keys=True)
+        """The junta file that `linfam regularity` writes."""
+        return json.dumps({"q": self.field.q, "n": self.n, "m": self.m, "C": self.C,
+                           "r": self.r,
+                           "components": [R.to_dict() for R in self.components]})
 
     @classmethod
-    def from_json(cls, spec: FieldSpec, n: int, m: int, text: str,
-                  C: int | None = None, r: int | None = None) -> "Junta":
-        comps = [Restriction.from_dict(spec, n, m, d) for d in json.loads(text)]
-        if r is None:
-            r = max((R.complexity for R in comps), default=0)
-        if C is None:
-            C = max(1, len(comps))
-        return cls(spec, n, m, comps, C, r)
+    def from_json(cls, text: str, spec: FieldSpec | None = None) -> "Junta":
+        d = json.loads(text)
+        spec = spec if spec is not None else gf_field(d["q"])
+        if spec.q != d["q"]:
+            raise FieldMismatch(f"junta q={d['q']} but field has q={spec.q}")
+        n, m = d["n"], d["m"]
+        return cls(spec, n, m, (Restriction.from_dict(spec, n, m, c)
+                                for c in d["components"]), d["C"], d["r"])
 
     def __repr__(self):
         return (f"Junta(q={self.field.q}, {self.n}x{self.m}, "
@@ -741,15 +745,13 @@ def measure_outside_junta(F: Family, J: Junta) -> Fraction:
 def is_intersection_free(F: Family, t_minus_1: int):
     """No distinct pair agrees on exactly t_minus_1 dimensions.  Returns
     (bool, the first such pair in sorted order or None).  A pair agrees on
-    m - rank(sigma_i - sigma_j), taken by index_rank on the IndexCode
-    difference of their row indices."""
-    code = IndexCode(F.field, F.m)
-    mem = list(zip(*index_rows(F.field.q, F.n, F.m, F.indices)))
-    for i, a in enumerate(mem):
-        for j in range(i + 1, len(mem)):
-            if F.m - index_rank(F.field, F.m, map(code.sub, a, mem[j])) == t_minus_1:
-                return False, tuple(Mat.from_index(F.field, F.n, F.m, F.indices[k])
-                                    for k in (i, j))
+    m - rank(sigma_i - sigma_j) dimensions (agreement_dim), so no IndexCode
+    table is built."""
+    mem = [Mat.from_index(F.field, F.n, F.m, x) for x in F.indices]
+    for i, A in enumerate(mem):
+        for B in mem[i + 1:]:
+            if agreement_dim(A, B) == t_minus_1:
+                return False, (A, B)
     return True, None
 
 

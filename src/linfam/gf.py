@@ -4,7 +4,10 @@ Elements are encoded as integers in [0, q): the base-p digits of the code
 are the coefficients of the residue polynomial, constant term first.  A
 FieldSpec owns the arithmetic tables and every element operation on the
 encodings.  Moduli default to a fixed Conway-polynomial table for
-q <= 64 (so encodings are reproducible across runs) and may be overridden.
+q <= 64 (so encodings are reproducible across runs), to least_irreducible
+beyond it, and may be overridden.  The polynomial helpers work over any
+FieldSpec: F_{p^s} is built on field(p), and extremal.singer_cycle builds
+F_{q^n} on field(q) with the same searches.
 """
 from __future__ import annotations
 
@@ -63,54 +66,62 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# --- polynomials over F_p, coefficient lists constant-first -----------------
+# --- polynomials over a field F, coefficient tuples constant-first ----------
 
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def digits(a: int, base: int, n: int) -> tuple[int, ...]:
+    """The n base-`base` digits of a, least significant first."""
+    out = []
+    for _ in range(n):
+        out.append(a % base)
+        a //= base
+    return tuple(out)
 
 
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def poly_mod(F: "FieldSpec", a, f) -> tuple[int, ...]:
+    """a modulo the monic f, as its len(f) - 1 low coefficients."""
+    a, d = list(a), len(f) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
+        if c:
+            for k in range(d):
+                a[top - d + k] = F.sub(a[top - d + k], F.mul(c, f[k]))
+    return tuple(a[:d])
+
+
+def poly_mulmod(F: "FieldSpec", a, b, f) -> tuple[int, ...]:
+    """a * b modulo the monic f."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+                prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+    return poly_mod(F, prod, f)
 
 
-def _pmod(a, mod, p):
-    a = list(a)
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) >= len(mod):
-        c = a[-1] * inv_lead % p
-        if c:
-            off = len(a) - len(mod)
-            for i, mc in enumerate(mod):
-                a[off + i] = (a[off + i] - c * mc) % p
-        a.pop()
-    return _ptrim(a)
+def poly_irreducible(F: "FieldSpec", f) -> bool:
+    """Trial division of the monic f by every monic polynomial of at most
+    half its degree; a degree-1 f takes no arithmetic."""
+    return all(any(poly_mod(F, f, digits(c, F.q, d) + (1,)))
+               for d in range(1, (len(f) - 1) // 2 + 1) for c in range(F.q ** d))
 
 
-def _poly_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(mod) - 1
-    if deg < 1 or mod[-1] % p == 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % p)
-                c //= p
-            div.append(1)
-            if not _pmod(mod, div, p):
-                return False
-    return True
+def least_irreducible(F: "FieldSpec", n: int) -> tuple[int, ...]:
+    """The monic irreducible of degree n whose low coefficients, read as
+    constant-first base-q digits, code the least integer."""
+    return next(f for f in (digits(c, F.q, n) + (1,) for c in range(F.q ** n))
+                if poly_irreducible(F, f))
+
+
+def first_generator(elements: Iterable, one, mul, order: int):
+    """The first of the elements whose powers under mul first return to
+    one at the order-th; GeneratorSearchFailed when none does."""
+    for g in elements:
+        x, k = g, 1
+        while x != one:
+            x, k = mul(x, g), k + 1
+        if k == order:
+            return g
+    raise GeneratorSearchFailed(f"no element of multiplicative order {order}")
 
 
 class FieldSpec:
@@ -127,27 +138,26 @@ class FieldSpec:
         q = p ** s
         if q > _MAX_Q:
             raise DomainError(f"q={q} beyond supported size {_MAX_Q}")
+        self.p, self.s, self.q = p, s, q
+        # F_{p^s} = F_p[x]/(modulus) computes on field(p); the prime field's
+        # modulus has degree 1, which the search and the test take without
+        # arithmetic, so it serves as its own base
+        base = field(p) if s > 1 else self
         if modulus is None:
-            modulus = CONWAY.get(q)
-            if modulus is None:
-                modulus = _search_irreducible(p, s)
+            modulus = CONWAY.get(q) or least_irreducible(base, s)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise DomainError("modulus must be monic of degree s")
-        if not _poly_irreducible(modulus, p):
+        if not poly_irreducible(base, modulus):
             raise DomainError(f"modulus {modulus} reducible over F_{p}")
-        self.p, self.s, self.q, self.modulus = p, s, q, modulus
+        self.modulus = modulus
         self._hash = hash((p, s, modulus))
-        self._build_tables()
+        self._build_tables(base)
 
     # encoding -------------------------------------------------------------
 
     def coeffs_of(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.s):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return digits(a, self.p, self.s)
 
     def encode(self, coeffs: Iterable[int]) -> int:
         a = 0
@@ -157,11 +167,7 @@ class FieldSpec:
 
     # table construction ---------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pmul(list(self.coeffs_of(a)), list(self.coeffs_of(b)), self.p)
-        return self.encode(_pmod(prod, list(self.modulus), self.p))
-
-    def _build_tables(self):
+    def _build_tables(self, base: "FieldSpec"):
         p, s, q = self.p, self.s, self.q
         if s == 1 or q > 256:
             self._add = None
@@ -171,24 +177,21 @@ class FieldSpec:
                           for b in range(q)] for a in range(q)]
         self._neg = tuple(self.encode(tuple((-x) % p for x in self.coeffs_of(a)))
                           for a in range(q))
-        gen = None
-        for g in range(1, q):
-            x, order = g, 1
-            while x != 1:
-                x = self._raw_mul(x, g)
-                order += 1
-            if order == q - 1:
-                gen = g
-                break
-        if gen is None:
-            raise GeneratorSearchFailed(f"no generator for q={q}")
+        if s == 1:
+            def mul(a, b):
+                return a * b % p
+        else:
+            def mul(a, b):
+                return self.encode(poly_mulmod(base, self.coeffs_of(a),
+                                               self.coeffs_of(b), self.modulus))
+        gen = first_generator(range(1, q), 1, mul, q - 1)
         exp = [1] * (2 * (q - 1))
         log = [0] * q
         x = 1
         for k in range(q - 1):
             exp[k] = x
             log[x] = k
-            x = self._raw_mul(x, gen)
+            x = mul(x, gen)
         for k in range(q - 1, 2 * (q - 1)):
             exp[k] = exp[k - (q - 1)]
         self._exp, self._log = exp, log
@@ -271,19 +274,6 @@ class FieldSpec:
     def from_json(cls, text: str) -> "FieldSpec":
         d = json.loads(text)
         return field(d["p"] ** d["s"], modulus=tuple(d["modulus"]))
-
-
-def _search_irreducible(p: int, s: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree s over F_p."""
-    for code in range(p ** s):
-        c, low = code, []
-        for _ in range(s):
-            low.append(c % p)
-            c //= p
-        cand = tuple(low) + (1,)
-        if _poly_irreducible(cand, p):
-            return cand
-    raise GeneratorSearchFailed(f"no irreducible of degree {s} over F_{p}")
 
 
 _FIELDS: dict[tuple[int, tuple[int, ...] | None], FieldSpec] = {}

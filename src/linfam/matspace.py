@@ -263,17 +263,6 @@ def _echelon(spec: FieldSpec, length: int):
     return code.reduce, code.insert
 
 
-def index_rank(spec: FieldSpec, length: int, rows: Iterable[int]) -> int:
-    """Rank of the length-`length` rows given by their vec_index."""
-    reduce, insert = _echelon(spec, length)
-    basis: dict = {}
-    for r in rows:
-        r = reduce(basis, r)
-        if r:
-            insert(basis, r)
-    return len(basis)
-
-
 # --- Mat --------------------------------------------------------------------
 
 class Mat:
@@ -454,19 +443,28 @@ class Mat:
                             tuple(itertools.chain.from_iterable(self.rows)))
 
 
+def vec_text(q: int, v: Iterable[int]) -> str:
+    """A vector's entries as digits, comma-separated once an entry can take
+    two digits (q > 10): the vector rule of literals and family files."""
+    return ("," if q > 10 else "").join(map(str, v))
+
+
+def vec_from_text(q: int, text: str) -> tuple[int, ...]:
+    """The entries of a vec_text; a text holding a comma is comma-separated
+    at every q."""
+    return tuple(map(int, text.split(",") if q > 10 or "," in text else text))
+
+
 def flat_literal(q: int, n: int, m: int, flat: Sequence[int]) -> str:
     """'q=..;n=..;m=..;rows=..' for the n x m matrix of row-major entries
-    flat; entries are comma-separated once they can take two digits."""
-    sep = "," if q > 10 else ""
-    body = ";".join(sep.join(map(str, flat[i * m:(i + 1) * m])) for i in range(n))
+    flat, each row a vec_text."""
+    body = ";".join(vec_text(q, flat[i * m:(i + 1) * m]) for i in range(n))
     return f"q={q};n={n};m={m};rows={body}"
 
 
 def literal_index(text: str, spec: FieldSpec | None = None
                   ) -> tuple[FieldSpec, int, int, int]:
-    """Parse 'q=..;n=..;m=..;rows=..', rows semicolon-separated, to (field,
-    n, m, index); a row's entries are comma-separated at q > 10 or when the
-    row holds a comma, else one digit each."""
+    """Parse 'q=..;n=..;m=..;rows=..' to (field, n, m, index)."""
     text = text.strip()
     if not text.startswith("q="):
         raise DomainError(f"bad matrix literal {text!r}")
@@ -480,20 +478,25 @@ def literal_index(text: str, spec: FieldSpec | None = None
     spec = spec if spec is not None else field(q)
     if spec.q != q:
         raise FieldMismatch(f"literal q={q} but field has q={spec.q}")
+    return spec, n, m, rows_index(q, n, m, tail)
+
+
+def rows_index(q: int, n: int, m: int, tail: str) -> int:
+    """Index of the n x m matrix whose rows are tail's semicolon-separated
+    vec_texts."""
     row_texts = tail.split(";") if n else []
     if len(row_texts) != n:
         raise DomainError(f"expected {n} rows, got {len(row_texts)}")
     entries: list = []
     for rt in row_texts:
-        row = rt.split(",") if q > 10 or "," in rt else rt
+        row = vec_from_text(q, rt)
         if len(row) != m:
             raise DomainError(f"row {rt!r} has wrong length")
         entries += row
-    entries = [int(x) for x in entries]
     for x in entries:
         if not 0 <= x < q:
             raise DomainError(f"entry {x} not an encoding for q={q}")
-    return spec, n, m, vec_index(q, entries)
+    return vec_index(q, entries)
 
 
 def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
@@ -578,10 +581,15 @@ class Subspace:
 # --- rank / kernel / image / agreement --------------------------------------
 
 def rank(A: Mat) -> int:
-    # index_rank at q = 2 only: its IndexCode tables at other q grow as
-    # q^(2 ceil(m/2)), where RREF costs O(n m min(n, m)) and builds none
+    # an XOR echelon on the row indices at q = 2 only: IndexCode's tables at
+    # other q grow as q^(2 ceil(m/2)), where RREF costs O(n m min(n, m))
     if A.field.q == 2:
-        return index_rank(A.field, A.m, (vec_index(2, r) for r in A.rows))
+        basis: dict[int, int] = {}
+        for r in A.rows:
+            r = reduce_bits(basis, vec_index(2, r))
+            if r:
+                _insert_bits(basis, r)
+        return len(basis)
     _, reduced, _ = rref_rows(A.field, A.rows, A.m)
     return len(reduced)
 

@@ -367,6 +367,9 @@ def test_extremal_claims():
     doc = run_json(["extremal", "--claim", "singer", "--q", "2", "--n", "3"])
     assert doc["status"] == "confirmed" and doc["value"] == "7"
 
+    doc = run_json(["extremal", "--claim", "singer", "--q", "2", "--n", "1"])
+    assert doc["status"] == "confirmed" and doc["value"] == "1"
+
     doc = run_json(["extremal", "--claim", "determinant", "--q", "3", "--n", "2",
                     "--t", "1"])
     assert doc["status"] == "confirmed" and doc["value"] == "3"

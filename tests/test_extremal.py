@@ -110,7 +110,9 @@ def test_row_side_is_transpose_of_column_side():
 # --- cyclic zero-agreement families -----------------------------------------
 
 def test_singer_cycles():
-    for q, n, want in ((2, 2, 3), (3, 2, 8), (2, 3, 7), (3, 3, 26)):
+    # n = 1 is F_q^* acting on F_q; GL(1, 2) is the identity alone
+    for q, n, want in ((2, 2, 3), (3, 2, 8), (2, 3, 7), (3, 3, 26), (2, 1, 1),
+                       (3, 1, 2), (4, 1, 3), (5, 1, 4)):
         fam = ex.singer_cycle(n, q)
         ms = sorted(fam.members, key=lambda M: M.index())
         assert len(ms) == want == q ** n - 1

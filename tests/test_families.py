@@ -5,7 +5,9 @@ worked out by hand."""
 
 import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -305,6 +307,17 @@ def test_family_text_round_trip_over_fields(F, seed):
     assert T.context == F.context.translate(A0) and T.translate(-A0) == F
 
 
+def test_family_text_one_vector_rule():
+    # a comma separates entries in context vectors as in member rows, at any q
+    plain = Family.from_text("2,2,2\ncol 10 -> 01\nq=2;n=2;m=2;rows=00;11\n")
+    commas = Family.from_text("2,2,2\ncol 1,0 -> 0,1\nq=2;n=2;m=2;rows=0,0;1,1\n")
+    assert commas == plain and len(plain) == 1
+    assert plain.context == Restriction(s2, 2, 2, cols=[((1, 0), (0, 1))])
+    assert commas.to_text() == plain.to_text()
+    # a member head in another key order takes the general literal parser
+    assert Family.from_text("2,2,2\nq=2;m=2;n=2;rows=0,0;1,1\n").indices == plain.indices
+
+
 @pytest.mark.parametrize("text", ["2,2\n", "x,2,2\n"])
 def test_malformed_family_header(text):
     with pytest.raises(DomainError, match="malformed family file"):
@@ -367,6 +380,22 @@ def test_intersection_free_matches_pair_scan(shape, t_minus_1, rnd):
                  if agreement_dim(A, B) == t_minus_1), None)
     assert is_intersection_free(Family(spec, n, m, mem), t_minus_1) == (want is None, want)
 
+
+
+def test_intersection_free_builds_no_tables():
+    # two maps that differ in one entry agree on m - 1 dimensions; a pair
+    # difference table would hold about q^(2 ceil(m/2)) entries here
+    for q, m in ((5, 8), (2, 20)):
+        pair = Family(field(q), 1, m, [0, 1])
+        tracemalloc.start()
+        try:
+            ok, wit = is_intersection_free(pair, m - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok and [M.index() for M in wit] == [0, 1]
+        assert is_intersection_free(pair, m - 2) == (True, None)
+        assert peak < 2 ** 20, (q, m, peak)
 
 # --- capture search ---------------------------------------------------------
 
@@ -744,8 +773,12 @@ def test_junta_declared_bounds_enforced():
 def test_junta_json_and_membership():
     e2_col = Restriction(s2, 2, 2, cols=[((0, 1), (0, 1))])
     J = Junta(s2, 2, 2, [COL_E1, e2_col], 2, 1)
-    back = Junta.from_json(s2, 2, 2, J.to_json())
-    assert back.components == J.components
+    text = J.to_json()
+    back = Junta.from_json(text)
+    assert back.components == J.components and (back.C, back.r) == (2, 1)
+    assert back.to_json() == text and json.loads(text)["q"] == 2
+    with pytest.raises(FieldMismatch):
+        Junta.from_json(text, field(3))
     assert J.contains(Mat.identity(s2, 2))
     assert not J.contains(Mat.zero(s2, 2, 2))
     assert J.dual().components[0] == COL_E1.dual()

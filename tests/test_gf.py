@@ -8,8 +8,10 @@ import pytest
 
 from linfam.budget import Budget
 from linfam.cyclo import Cyc
-from linfam.errors import BudgetExceeded, DivisionByZero, DomainError
-from linfam.gf import FieldSpec, char_root, field, is_prime, prime_power
+from linfam.errors import (BudgetExceeded, DivisionByZero, DomainError,
+                           GeneratorSearchFailed)
+from linfam.gf import (FieldSpec, char_root, field, first_generator, is_prime,
+                       prime_power)
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -187,3 +189,12 @@ def test_modulus_validation():
     f = FieldSpec(3, 2, (1, 0, 1))        # x^2 + 1 has no root in F_3
     assert f.q == 9 and f.modulus == (1, 0, 1)
     assert f.mul(3, 3) == 2               # x * x = -1
+
+
+def test_first_generator_search():
+    def mul(a, b):
+        return a * b % 7
+    assert first_generator(range(1, 7), 1, mul, 6) == 3
+    with pytest.raises(GeneratorSearchFailed):
+        first_generator((1, 2, 4, 6), 1, mul, 6)    # 2 has order 3, 6 order 2
+
