@@ -745,8 +745,7 @@ def measure_outside_junta(F: Family, J: Junta) -> Fraction:
 def is_intersection_free(F: Family, t_minus_1: int):
     """No distinct pair agrees on exactly t_minus_1 dimensions.  Returns
     (bool, the first such pair in sorted order or None).  A pair agrees on
-    m - rank(sigma_i - sigma_j) dimensions (agreement_dim), so no IndexCode
-    table is built."""
+    m - rank(sigma_i - sigma_j) dimensions (agreement_dim)."""
     mem = [Mat.from_index(F.field, F.n, F.m, x) for x in F.indices]
     for i, A in enumerate(mem):
         for B in mem[i + 1:]:

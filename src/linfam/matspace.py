@@ -451,8 +451,9 @@ def vec_text(q: int, v: Iterable[int]) -> str:
 
 def vec_from_text(q: int, text: str) -> tuple[int, ...]:
     """The entries of a vec_text; a text holding a comma is comma-separated
-    at every q."""
-    return tuple(map(int, text.split(",") if q > 10 or "," in text else text))
+    at every q, and an empty text is the empty vector."""
+    parts = text.split(",") if text and (q > 10 or "," in text) else text
+    return tuple(map(int, parts))
 
 
 def flat_literal(q: int, n: int, m: int, flat: Sequence[int]) -> str:

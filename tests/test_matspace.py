@@ -93,6 +93,9 @@ def test_literal_and_index_round_trips():
             A = Mat.from_index(spec, 2, 2, idx)
             assert A.index() == idx
             assert mat_from_literal(A.to_literal()) == A
+    for q in (3, 11):    # rows with no entries, with and without commas
+        A = Mat.zero(field(q), 2, 0)
+        assert mat_from_literal(A.to_literal()) == A
     for q in (2, 3):
         for idx in range(q ** 3):
             assert vec_index(q, vec_from_index(q, 3, idx)) == idx
