@@ -718,6 +718,78 @@ def test_decompose_skips_inconsistent_mixed_candidates():
     assert measure_outside_junta(F, J) == F.measure()
 
 
+def _point_tree(F, r, s, eps):
+    """The capture tree with one child per nonzero point of a capture's
+    graph, q - 1 of them per line: (nodes, good leaves), each node a list
+    [parent, depth, status, restriction, capture, children] in creation
+    order, children in ascending order of the point."""
+    spec, n, m = F.field, F.n, F.m
+
+    def combine(u, vecs):
+        out = (0,) * len(vecs[0])
+        for c, v in zip(u, vecs):
+            out = vec_add(spec, out, vec_smul(spec, c, v))
+        return out
+
+    nodes = [[None, 0, "open", Restriction.empty(spec, n, m), None, []]]
+    stack, good = [0], []
+    while stack:
+        nid = stack.pop()
+        node = nodes[nid]
+        _, depth, _, R, _, children = node
+        if depth >= r:
+            node[2] = "bad"
+            continue
+        wit = is_captureable(F.restrict(R) if R.complexity else F, s, eps)
+        if wit is None:
+            node[2] = "good"
+            good.append(F.context.merge(R))
+            continue
+        node[2], node[4] = "internal", wit
+        for side, pairs in (("cols", wit.cols), ("rows", wit.rows)):
+            vs, ws = [v for v, _ in pairs], [w for _, w in pairs]
+            points = sorted((combine(u, vs), combine(u, ws)) for u in
+                            itertools.product(range(spec.q), repeat=len(pairs))
+                            if any(u))
+            for point in points:
+                try:
+                    child = R.merge(Restriction(spec, n, m, **{side: [point]}))
+                except InconsistentRestriction:
+                    continue
+                children.append(len(nodes))
+                stack.append(len(nodes))
+                nodes.append([nid, depth + 1, "open", child, None, []])
+    return nodes, good
+
+
+# one shape or two per field, q >= 7 keeping to n * m <= 2
+POINT_TREE_SHAPES = [(2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 2, 3), (4, 2, 2),
+                     (5, 2, 2), (7, 1, 2), (8, 2, 1), (9, 1, 2)]
+
+
+def test_decompose_matches_the_tree_over_every_graph_point():
+    # the q - 1 points of a line pin one restriction, so their subtrees are
+    # equal: the decomposition keeps the point tree's distinct good leaves
+    # and residue, and at q = 2, where a line is one point, its whole log
+    repeats = 0
+    for q, n, m in POINT_TREE_SHAPES:
+        for context, s in itertools.product((False, True), (1, 2)):
+            F = _pinned_family(q, n, m, context, q)
+            for eps in (default_regularity_eps(q, m, n, 2), Fraction(1, q * q)):
+                nodes, good = _point_tree(F, 2, s, eps)
+                J, log = regularity_decompose(F, 2, s, eps)
+                assert set(J.components) == set(good)
+                C = max(1, len(good))
+                assert (measure_outside_junta(F, J)
+                        == measure_outside_junta(F, Junta(F.field, n, m, good, C, 2)))
+                if q == 2:
+                    assert [[nd.parent, nd.depth, nd.status, nd.restriction,
+                             nd.capture, nd.children] for nd in log.nodes] == nodes
+                else:
+                    repeats += len(good) - len(set(good))
+    assert repeats > 0    # the point tree repeats good leaves at q >= 3
+
+
 def test_decompose_parameter_domain():
     with pytest.raises(DomainError):
         regularity_decompose(Family.full_space(s2, 2, 2), 0, 1)
