@@ -48,6 +48,8 @@ def _canon_pairs(spec: FieldSpec, pairs, dom_len: int, img_len: int):
     for v, w in pairs:
         if len(v) != dom_len or len(w) != img_len:
             raise ShapeMismatch("constraint vector of wrong length")
+    if not all(0 <= x < spec.q for r in rows for x in r):
+        raise DomainError(f"constraint entry outside 0..{spec.q - 1}")
     _, reduced, leftover = rref_rows(spec, rows, dom_len + img_len, pivot_cols=dom_len)
     if leftover:
         raise InconsistentRestriction("dependent domain vectors with conflicting images")
@@ -703,14 +705,12 @@ def regularity_decompose(F: Family, r: int, s: int, eps=None,
             continue
         node.status = "internal"
         node.capture = witness
-        # a child pins one nonzero point (x, image of x) of the capture's
-        # graph on one side, the span of its rows v||w
-        for side, pairs, dom, img in (("cols", witness.cols, F.m, F.n),
-                                      ("rows", witness.rows, F.n, F.m)):
-            graph = span_indices(IndexCode(spec, dom + img), [v + w for v, w in pairs])
-            for g in sorted(graph)[1:]:
-                x, y = divmod(g, q ** img)
-                pair = (vec_from_index(q, dom, x), vec_from_index(q, img, y))
+        # a child per line of the capture's graph on a side: sum_i u_i (v_i, w_i)
+        # for u of leading coordinate 1; v_i in RREF make ascending u ascending x
+        for side, pairs in (("cols", witness.cols), ("rows", witness.rows)):
+            for line in subspaces_of_dim(spec, len(pairs), 1):
+                pair = tuple(tuple(vec_dot(spec, line.rows[0], c) for c in zip(*vs))
+                             for vs in zip(*pairs))
                 try:
                     child_R = node.restriction.merge(
                         Restriction(spec, F.n, F.m, **{side: (pair,)}))
@@ -789,8 +789,7 @@ def is_strongly_t_intersecting(J: Junta, t: int):
 
 # --- junta measure -----------------------------------------------------------
 
-def _merged_cardinality(spec: FieldSpec, n: int, m: int,
-                        rs: Sequence[Restriction]) -> int:
+def _merged_cardinality(rs: Sequence[Restriction]) -> int:
     try:
         merged = rs[0]
         for R in rs[1:]:
@@ -814,7 +813,7 @@ def junta_measure(J: Junta, budget: Budget | None = None) -> Fraction:
         for k in range(1, len(comps) + 1):
             sign = 1 if k % 2 == 1 else -1
             for subset in itertools.combinations(comps, k):
-                acc += sign * _merged_cardinality(spec, J.n, J.m, subset)
+                acc += sign * _merged_cardinality(subset)
         return Fraction(acc, total_card)
     b = ensure(budget)
     b.check_items(total_card, "junta measure enumeration")

@@ -195,13 +195,14 @@ class FieldSpec:
         for k in range(q - 1, 2 * (q - 1)):
             exp[k] = exp[k - (q - 1)]
         self._exp, self._log = exp, log
-        trace = []
-        for a in range(q):
-            t, x = 0, a
+        # Tr(sum_i c_i x^i) = sum_i c_i Tr(x^i), x^i being encoded as p^i
+        trace = [0]
+        for i in range(s):
+            t, x = 0, p ** i
             for _ in range(s):
                 t = self.add(t, x)
                 x = self.pow(x, p)
-            trace.append(self.coeffs_of(t)[0])
+            trace = [(u + c * t) % p for c in range(p) for u in trace]
         self._trace = tuple(trace)
 
     # element arithmetic on integer encodings ------------------------------

@@ -173,7 +173,7 @@ def span_indices(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
 def index_rows(q: int, n: int, m: int, indices: Sequence[int]) -> list[list[int]]:
     """Row i's index of each n x m matrix index, one list per row i."""
     Q = q ** m
-    return [[x // Q ** (n - 1 - i) % Q for x in indices] for i in range(n)]
+    return [[x // d % Q for x in indices] for d in (Q ** (n - 1 - i) for i in range(n))]
 
 
 def transpose_indices(q: int, n: int, m: int, indices: Sequence[int]) -> list[int]:

@@ -58,7 +58,7 @@ def criterion_1(seed: int = 0, budget: Budget | None = None) -> dict:
     for q, lim in ((2, 20), (3, 12)):
         for n in range(1, lim + 1):
             for m in range(1, lim // n + 1):
-                cn = rank_census(field(q), n, m)
+                cn = rank_census(field(q), n, m, budget)
                 total = q ** (n * m)
                 ok = (sum(cn) == total
                       and all(cn[d] == count_rank_d(n, m, d, q)
@@ -70,12 +70,12 @@ def criterion_1(seed: int = 0, budget: Budget | None = None) -> dict:
     for q, nmax in ((2, 4), (3, 3)):
         spec = field(q)
         for n in range(1, nmax + 1):
-            got = sum(1 for _ in enumerate_gl(spec, n))
+            got = sum(1 for _ in enumerate_gl(spec, n, budget))
             checks.append((f"gl-order q={q} n={n}",
                            got == m_qt(n, q, 0) == gl_order(n, q)))
             for t in range(1, n + 1):
                 checks.append((f"prefix-count q={q} n={n} t={t}",
-                               extremal.canonical_family_size(n, q, t)
+                               extremal.canonical_family_size(n, q, t, budget)
                                == m_qt(n, q, t)))
     for q, nmax in ((2, 5), (3, 3)):
         spec = field(q)
@@ -143,9 +143,9 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
                                   [Fraction(rng.randrange(-4, 5),
                                             rng.randrange(1, 4))
                                    for _ in range(N)])
-                S = fast_transform(f)
+                S = fast_transform(f, budget)
                 okp = okp and S.parseval_sum() == norm2_sq(f)
-                okr = okr and inverse_transform(S) == f
+                okr = okr and inverse_transform(S, budget) == f
             checks.append((f"parseval q=2 {n}x{m}", okp))
             checks.append((f"round-trip q=2 {n}x{m}", okr))
     fastnaive = []
@@ -162,7 +162,7 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
         for _ in range(reps):
             f = DenseFunction(spec, n, m,
                               [Fraction(rng.randrange(-3, 4)) for _ in range(N)])
-            ok = ok and fast_transform(f) == transform(f)
+            ok = ok and fast_transform(f, budget) == transform(f, budget)
         checks.append((f"fast-vs-naive q={spec.q} {n}x{m}", ok))
     return _report(2, "fourier exactness", checks, t0)
 

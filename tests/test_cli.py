@@ -302,21 +302,21 @@ REGULARITY_GOLDEN = [
         "398a0d1509e07905c1ab69216b447982d52ac8c51ca0c5a9efe7f5a8e10a0d0f",
         "b9ab7ffccf49b6ec1543dc050f336fc3f7d018c4d23f154efbd8e7c1c351da02")),
     ((3, 2, 3, False, "1/10"), ["--s", "1", "--eps", "1/6"], (
-        "83706a353e41853baf0fdb910cc9e1472305fac8c03fb92e15ae2c4f540ea2d6",
-        "4015baf086c5797851f6fbb695e9b1004dcec2ea340221c3ff3600595be9b509",
-        "1a3ff564b99a3f223e016915be8301e357f504a5e3acc921ca64622dfa568df5")),
+        "781c8733a66895450280d8219c6dca297f8cdc02f62a0a1fd93c37c93b165238",
+        "a3181222973301730d5d1abf73e5d80f0adb8658b78bab8f704a661cf91f4e2f",
+        "a9449afd40976ed2a686eb41f41f78bc0d81701ad1ae48b37785e9c3092ffad6")),
     ((3, 2, 3, False, "3/10"), ["--s", "2", "--eps", "1/6"], (
-        "654860f59df55bf052862f7308a9064d2af70df00471f5d4c5b7694b37eefcbd",
-        "61f379bc68363ce00b2a62eea2d5fcdfe85a8b1aa5ac4e9aac6a6afacfe5ca1e",
-        "54e5d1a2e62f6fe83d6f6703b80a71dcbd3f442ad60819944c03247734dab8c9")),
+        "0bc38ca68e100558874b6c3c478c8113672e84fba1c0049f2ccac6501633b4e0",
+        "230ead74595c41dd913b1ed0ad8fbb355f67ca9a045b671a039a992facb9e0fa",
+        "a35093063b0315132fcc5e76966510859e099007a2f312acde4f536f6b77afbe")),
     ((3, 2, 3, True, "1/10"), ["--s", "1", "--eps", "1/6"], (
-        "727d724449c969a00d63322e3665fb1b4e82c81a941b03fe433aa932b1d992d5",
-        "f8808f8549cf2f252afade021baf1cee381685aa302553ff0b08a6e27d3147f2",
-        "6e82621fae66e3c31874a7ff3aaa4986a713f48a296da2b052d6000b048e3d7a")),
+        "3de0eff600eb702601a6290b64f9d8ace92bda38442483f38d6672794e0ffd48",
+        "052d2981618fe07185d47cbd39321ca2b043c9f1a6b54ca2a51091cd6acee791",
+        "745908355325cecaa306134f5a0f42d41ebc2d0af7d2c6ebfe55ef9335b1f625")),
     ((3, 2, 3, True, "1/10"), ["--s", "2"], (
         "4714efdf20b07c3b9061b52b423e6b2bf88b60eb824839743d6de92819d20e94",
         "668ac720cb216638e1012c8f09c7b474c568789860bff2bef5a63c3e7d9e5e94",
-        "ce1bff42b4fd8caea5e3328e78898a2becf34b89f635c7f43f100a2428557b4f")),
+        "983d742777e0eaf1a0a6cdfa6b06723fd34b47ab38af72d6b26d3bda7f851af3")),
 ]
 
 
@@ -410,6 +410,16 @@ def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+def test_regularity_rejects_out_of_field_constraint(tmp_path):
+    fam = tmp_path / "family.txt"
+    fam.write_text("3,1,2\ncol 10 -> 5\n")
+    rc, out, err = run(["regularity", "--family", str(fam), "--r", "1", "--s", "1",
+                        "--out-junta", str(tmp_path / "junta.json"),
+                        "--out-log", str(tmp_path / "log.json")])
+    assert rc == 2 and out == "" and "outside 0..2" in err
+    assert not (tmp_path / "junta.json").exists()
+
+
 def test_regularity_rejects_malformed_family_header(tmp_path):
     fam = tmp_path / "family.txt"
     fam.write_text("2,2\n")
@@ -444,6 +454,14 @@ def test_extremal_flag_requirements():
 def test_verify_unknown_suite():
     rc, _, err = run(["verify", "--suite", "bogus"])
     assert rc == 2 and "unknown suite" in err
+
+
+def test_verify_criteria_keep_the_item_budget():
+    # criterion 2's Parseval corpus reaches 2^7-entry butterflies, each
+    # needing 2^7 * 7 * 2 = 1792 items
+    rc, out, err = run(["verify", "--suite", "fourier", "--budget-items", "1000"])
+    assert rc == 3 and out == ""
+    assert "butterfly transform needs 1792 items, budget is 1000" in err
 
 
 def test_no_command_is_a_usage_error():

@@ -116,6 +116,20 @@ def test_restriction_canonical_under_change_of_basis(q, n, m, rnd):
     assert R1.matches(A)
 
 
+def test_restriction_entries_are_field_encodings():
+    s3 = field(3)
+    with pytest.raises(DomainError, match="outside 0..2"):
+        Family.from_coset(Restriction(s3, 2, 2, cols=[((1, 0), (1, 5))]))
+    with pytest.raises(DomainError, match="outside 0..1"):
+        Restriction(s2, 2, 2, rows=[((1, 0), (-1, 0))])
+    with pytest.raises(DomainError, match="outside 0..2"):
+        Family.from_text("3,1,2\ncol 10 -> 5\n")
+    text = json.dumps({"q": 3, "n": 2, "m": 2, "C": 1, "r": 1, "components": [
+        {"cols": [[[1, 0], [1, 5]]], "rows": []}]})
+    with pytest.raises(DomainError, match="outside 0..2"):
+        Junta.from_json(text)
+
+
 def test_enumerate_coset_budget():
     assert len(enumerate_coset(COL_E1)) == 4
     with pytest.raises(BudgetExceeded):
@@ -788,6 +802,26 @@ def test_decompose_matches_the_tree_over_every_graph_point():
                 else:
                     repeats += len(good) - len(set(good))
     assert repeats > 0    # the point tree repeats good leaves at q >= 3
+
+
+def test_decompose_opens_one_child_per_line():
+    # a capture with k pairs on one side opens at most (q^k - 1)/(q - 1)
+    # children there, no two with one restriction, so no leaf repeats
+    for q, n, m in POINT_TREE_SHAPES:
+        if q == 2:
+            continue
+        for context, s in itertools.product((False, True), (1, 2)):
+            F = _pinned_family(q, n, m, context, q)
+            for eps in (default_regularity_eps(q, m, n, 2), Fraction(1, q * q)):
+                J, log = regularity_decompose(F, 2, s, eps)
+                assert len(set(J.components)) == len(J.components)
+                for nd in log.nodes:
+                    kids = [log.nodes[c].restriction for c in nd.children]
+                    assert len(set(kids)) == len(kids)
+                    if nd.capture is not None:
+                        lines = sum((q ** k - 1) // (q - 1) for k in
+                                    (nd.capture.dim_col, nd.capture.dim_row))
+                        assert len(kids) <= lines
 
 
 def test_decompose_parameter_domain():

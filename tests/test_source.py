@@ -5,7 +5,7 @@ Floats appear only where they are wall-clock limits or sampling
 probabilities: budget.py, cli.py and verify.py.  Every import in the
 library is used, and every function, class and method it defines is named
 somewhere besides its own definition: in the library, the tests or the
-benchmark.
+benchmark.  Every parameter a library function takes is read in its body.
 """
 
 import ast
@@ -13,6 +13,8 @@ import pathlib
 import re
 
 import pytest
+
+from linfam.verify import CRITERIA
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "linfam"
@@ -101,3 +103,28 @@ def test_every_definition_is_named_elsewhere():
                        if (p, i) != (path, lineno)):
                 unused.append(f"{path.name}:{lineno} {name}")
     assert unused == [], f"defined but never named: {unused}"
+
+
+def _unread_parameters(path):
+    """(line, function, parameter) for each parameter that a function's body
+    never reads; self and cls are bound by the call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                if p.arg not in read | {"self", "cls"}:
+                    yield node.lineno, node.name, p.arg
+
+
+def test_every_parameter_is_read():
+    # the criteria share the signature that verify.run_criterion calls
+    dispatched = {("verify.py", f.__name__) for f in CRITERIA.values()}
+    unread = [f"{path.name}:{line} {name}({arg})" for path in MODULES
+              for line, name, arg in _unread_parameters(path)
+              if (path.name, name) not in dispatched]
+    assert unread == [], f"parameters never read: {unread}"
