@@ -387,6 +387,24 @@ def test_exhaustive_bound_reports():
     assert rep3["optima"] == 64
 
 
+# sha256 of report_to_json(verify_extremal_bound(n, q, t, "exhaustive")):
+# pins the optimum count and the witness, the first optimum the search lists
+EXHAUSTIVE_GOLDEN = [
+    (2, 2, 1, "2b4662cf7eb3a99639e33f8c922213e79ece47e386a96b07def031a7d502ecab"),
+    (2, 3, 1, "19916254d944e28896add002268fc3f6613323985c4bb54a0dd81ef714c69b81"),
+    (2, 4, 1, "182a2fd57a9225e1c0cdc6f2d4e1eab142720c3122ebde00b481dea36e3c994d"),
+    (3, 2, 1, "36d9c05ece1b37bd66ebab2dd4d7c4829122d2bc76c7ee69e008d70b346415fa"),
+    (3, 2, 2, "f33cd8fe3f660110d8dc30c630a8287d5b158c2982064643129bc897e9422c07"),
+]
+
+
+@pytest.mark.parametrize("n,q,t,sha", EXHAUSTIVE_GOLDEN,
+                         ids=["n2q2t1", "n2q3t1", "n2q4t1", "n3q2t1", "n3q2t2"])
+def test_exhaustive_reports_pinned(n, q, t, sha):
+    text = ex.report_to_json(ex.verify_extremal_bound(n, q, t, "exhaustive"))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha, text
+
+
 # sha256 of report_to_json(verify_extremal_bound(n, q, t, "sample")): pins
 # value (outside maps scanned) and witness (the first addable map in
 # enumerate_gl order); t = n points are violated, the family being {I}

@@ -126,6 +126,67 @@ def test_span_indices_against_tuple_combinations():
                     assert got[vec_index(q, u)] == vec_index(q, v)
 
 
+INDEX_CODE_POINTS = [(q, length) for q in (2, 3, 4, 5, 7, 8, 9)
+                     for length in range(1, 4 if q >= 7 else 5)]
+
+
+@pytest.mark.parametrize("q,length", INDEX_CODE_POINTS)
+def test_index_code_against_coordinate_arithmetic(q, length):
+    spec = field(q)
+    code = IndexCode(spec, length)
+    rng = random.Random(q * 10 + length)
+    N = q ** length
+
+    def vec(x):
+        return vec_from_index(q, length, x)
+
+    def idx(v):
+        return vec_index(q, v)
+
+    minus = spec.neg(1)
+    for _ in range(60):
+        x, y = rng.randrange(N), rng.randrange(N)
+        assert code.add(x, y) == idx(vec_add(spec, vec(x), vec(y)))
+        assert code.sub(x, y) == idx(vec_add(spec, vec(x),
+                                             vec_smul(spec, minus, vec(y))))
+        for c in range(q):
+            assert code.smul(c, x) == idx(vec_smul(spec, c, vec(x)))
+    for _ in range(6):
+        span = [rng.randrange(N) for _ in range(rng.randint(0, 5))]
+        u = rng.randrange(N)
+        assert code.shift(span, u) == [idx(vec_add(spec, vec(x), vec(u)))
+                                       for x in span]
+        assert code.extend(span, u) == [
+            idx(vec_add(spec, vec(x), vec_smul(spec, c, vec(u))))
+            for c in range(1, q) for x in span]
+
+
+@pytest.mark.parametrize("q,length", INDEX_CODE_POINTS)
+def test_index_code_echelon_against_subspace(q, length):
+    """reduce leaves 0 exactly on the span of the rows inserted so far, and
+    v minus its remainder always lies in that span."""
+    spec = field(q)
+    code = IndexCode(spec, length)
+    rng = random.Random(q * 10 + length)
+    N = q ** length
+    for _ in range(4):
+        basis: dict = {}
+        rows = []
+        for _ in range(rng.randint(0, length)):
+            v = rng.randrange(N)
+            r = code.reduce(basis, v)
+            if r:
+                code.insert(basis, r)
+            rows.append(vec_from_index(q, length, v))
+        S = Subspace.from_vectors(spec, length, rows)
+        assert len(basis) == S.dim
+        for _ in range(20):
+            w = rng.randrange(N)
+            r = code.reduce(basis, w)
+            assert (r == 0) == S.contains(vec_from_index(q, length, w))
+            assert S.contains(vec_from_index(q, length, code.sub(w, r)))
+
+
 # --- counting formulas ------------------------------------------------------
 
 def test_rank_census_small():

@@ -334,3 +334,27 @@ def test_max_clique_on_random_graphs(graph):
     assert size == _clique_number(adj, (1 << N) - 1, {})
     assert mask.bit_count() == size and _is_clique(adj, mask)
     assert mis._translation_transitive(adj, N) == _translation_invariant(adj, N)
+
+
+def _maximum_independent_sets_by_subsets(adj, nverts):
+    comp = mis.complement_bitsets(adj, nverts)
+    sets = [s for s in range(1 << nverts) if _is_clique(comp, s)]
+    top = max(s.bit_count() for s in sets)
+    return sorted(s for s in sets if s.bit_count() == top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_all_maximum_independent_sets_on_random_graphs(graph):
+    N, adj = graph
+    got = mis.all_maximum_independent_sets(adj, N)
+    assert sorted(got) == _maximum_independent_sets_by_subsets(adj, N)
+    assert len(set(got)) == len(got)
+    assert mis.max_independent_set(adj, N)[1] in got
+
+
+def test_all_maximum_independent_sets_on_tiny_graphs():
+    assert mis.all_maximum_independent_sets([], 0) == [0]
+    assert mis.max_independent_set([], 0) == (0, 0)
+    assert mis.all_maximum_independent_sets([0], 1) == [1]
+    assert mis.max_independent_set([0], 1) == (1, 1)
