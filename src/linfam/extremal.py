@@ -10,7 +10,6 @@ exhaustive or sampled maximality checks.
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -71,7 +70,7 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     """Depth-first walk over the invertible maps sigma of F_q^n, given by
     the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
     j < len(fixed).  Every vector is its vec_index code, and every span is
-    held as the set of its members, grown by code.extend (XOR at q = 2).
+    held as the set of its members, grown by code.extend.
 
     Free images are tried in code order among the nonzero vectors outside
     the span of the images above.  target[j], if a target is given, is
@@ -89,7 +88,6 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     target hits is empty.
     """
     q = code.field.q
-    sub = operator.xor if q == 2 else code.sub
     b = ensure(budget)
     choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
     span, diff = {0}, {0}
@@ -117,7 +115,7 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
         for c in sorted(choices[depth].difference(span)):
             below, dep = [], False
             if target is not None:
-                d = sub(c, target[depth])
+                d = code.sub(c, target[depth])
                 dep = d in diff
                 if not dep:
                     below = code.extend(diff, d)
@@ -182,6 +180,8 @@ def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
     multiplication by the powers of gf.first_generator over the elements in
     encoding order, the same searches that build F_{p^s} on F_p.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
     spec = field(q)
     order = q ** n - 1
     ensure(budget).check_items(order * order, "generator search")
@@ -451,6 +451,8 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
     Findings are exploratory: they are data at one small n, not the
     asymptotic statement.
     """
+    if not 1 <= t <= n:
+        raise DomainError(f"need 1 <= t <= n, got t={t}")
     spec = field(q)
     b = ensure(budget)
     bound = m_qt(n, q, t)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from operator import xor
 from typing import Sequence
 
 from .gf import FieldSpec
@@ -25,10 +24,8 @@ def _listing(code: IndexCode, gens: list, count: int) -> list:
     """Entry vec_index(v) is the array of sum_k v_k gens[k], member by
     member, for v = 0 and each v with leading coordinate 1 (the only vectors
     the searches read); other entries are None.  Coordinate k adds e_k and
-    v + d e_k for each d != 0 and listed v != 0 above k, by XOR in
-    characteristic 2 and by IndexCode.add otherwise."""
+    v + d e_k for each d != 0 and listed v != 0 above k, by IndexCode.add."""
     q = code.field.q
-    op = xor if code.field.p == 2 else code.add
     # one byte per member while the image indices fit, else four
     typecode = "B" if q ** len(code.powers) <= 256 else "I"
     out = [None] * q ** len(gens)
@@ -40,7 +37,7 @@ def _listing(code: IndexCode, gens: list, count: int) -> list:
         for d in range(1, q if above else 1):      # none above the first
             gd = g if d == 1 else [code.smul(d, y) for y in g]
             for v in above:
-                out[v + d * place] = array(typecode, map(op, out[v], gd))
+                out[v + d * place] = array(typecode, map(code.add, out[v], gd))
     return out
 
 

@@ -7,8 +7,8 @@ subspaces have identical representations.
 A vector of F_q^L is also coded by its index (vec_index), and a matrix by
 the index of its row-major entries (Mat.index), whose base-q^m digits are
 its rows' indices.  IndexCode adds, scales and row-reduces indices by table
-lookup.  The rank walk codes rows by index, reduced by XOR at q = 2 and
-by IndexCode at other q (_echelon).  A span
+lookup, and by XOR in characteristic 2; the rank walk reduces its rows'
+indices with it.  A span
 is also held as its listing, the indices of its members: IndexCode.extend
 lists what one more vector adds to a span.  It builds span_indices, the
 listing by the index of every combination of a basis that the capture
@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, xor
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure
@@ -78,11 +78,13 @@ def vec_dot(spec: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _index_tables(spec: FieldSpec, length: int) -> tuple[list, list]:
-    """add[x][y] and mul[c][x] on the indices of length-`length` vectors."""
+def _index_tables(spec: FieldSpec, length: int) -> tuple[list | None, list]:
+    """add[x][y] and mul[c][x] on the indices of length-`length` vectors;
+    no add table in characteristic 2, where IndexCode adds by XOR."""
     q = spec.q
     vecs = list(itertools.product(range(q), repeat=length))
-    add = [[vec_index(q, vec_add(spec, u, v)) for v in vecs] for u in vecs]
+    add = None if spec.p == 2 else [
+        [vec_index(q, vec_add(spec, u, v)) for v in vecs] for u in vecs]
     mul = [[vec_index(q, vec_smul(spec, c, v)) for v in vecs] for c in range(q)]
     return add, mul
 
@@ -93,11 +95,13 @@ class IndexCode:
 
     An index splits into its leading ceil(L/2) and trailing floor(L/2)
     coordinates; each half has its own tables, so no table holds more than
-    q^(L+1) entries.
+    q^(L+1) entries.  In characteristic 2 an index's base-q digits are bit
+    fields, so add, sub and shift are XOR and no add table is built; at
+    q = 2 reduce and insert are the bit echelon (reduce_bits).
     """
 
     __slots__ = ("field", "powers", "base", "hadd", "hmul", "ladd", "lmul",
-                 "minus_one")
+                 "minus_one", "add", "sub", "reduce", "insert")
 
     def __init__(self, spec: FieldSpec, length: int):
         low = length // 2
@@ -107,21 +111,25 @@ class IndexCode:
         self.hadd, self.hmul = _index_tables(spec, length - low)
         self.ladd, self.lmul = _index_tables(spec, low)
         self.minus_one = spec.neg(1)
+        self.add, self.sub = ((xor, xor) if spec.p == 2
+                              else (self._add, self._sub))
+        self.reduce, self.insert = ((reduce_bits, _insert_bits) if spec.q == 2
+                                    else (self._reduce, self._insert))
 
-    def add(self, x: int, y: int) -> int:
+    def _add(self, x: int, y: int) -> int:
         B = self.base
         return self.hadd[x // B][y // B] * B + self.ladd[x % B][y % B]
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.smul(self.minus_one, y))
+    def _sub(self, x: int, y: int) -> int:
+        return self._add(x, self.smul(self.minus_one, y))
 
     def smul(self, c: int, x: int) -> int:
         B = self.base
         return self.hmul[c][x // B] * B + self.lmul[c][x % B]
 
     def shift(self, span: Iterable[int], u: int) -> list[int]:
-        """x + u for each x listed in span: XOR at q = 2, else one add."""
-        if self.field.q == 2:
+        """x + u for each x listed in span."""
+        if self.field.p == 2:
             return [x ^ u for x in span]
         B = self.base
         hrow, lrow = self.hadd[u // B], self.ladd[u % B]
@@ -130,14 +138,12 @@ class IndexCode:
     def extend(self, span: Iterable[int], v: int) -> list[int]:
         """The shifts of span by c v for c = 1 .. q - 1, in that order: the
         members that v adds to the span listed when v lies outside it."""
-        if self.field.q == 2:
-            return [x ^ v for x in span]
-        out: list[int] = []
-        for c in range(1, self.field.q):
+        out = self.shift(span, v)
+        for c in range(2, self.field.q):
             out += self.shift(span, self.smul(c, v))
         return out
 
-    def reduce(self, basis: dict[int, list[int]], v: int) -> int:
+    def _reduce(self, basis: dict[int, list[int]], v: int) -> int:
         """Remainder of v against an echelon basis keyed by digit length, as
         reduce_bits keys by bit length; 0 exactly when v lies in the span.
         basis[k][d] is the index of -d times the row scaled to leading
@@ -151,7 +157,7 @@ class IndexCode:
             v = self.add(v, negs[v // powers[k - 1]])
         return 0
 
-    def insert(self, basis: dict[int, list[int]], r: int) -> int:
+    def _insert(self, basis: dict[int, list[int]], r: int) -> int:
         """Store a nonzero remainder and return its key."""
         spec = self.field
         k = bisect_right(self.powers, r)
@@ -250,17 +256,6 @@ def _insert_bits(basis: dict[int, int], r: int) -> int:
     key = r.bit_length()
     basis[key] = r
     return key
-
-
-@lru_cache(maxsize=None)
-def _echelon(spec: FieldSpec, length: int):
-    """(reduce, insert) on the indices of length-`length` rows: XOR
-    (reduce_bits) at q = 2, which is faster there than table adds, and
-    IndexCode at every other q."""
-    if spec.q == 2:
-        return reduce_bits, _insert_bits
-    code = IndexCode(spec, length)
-    return code.reduce, code.insert
 
 
 # --- Mat --------------------------------------------------------------------
@@ -731,7 +726,8 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
     if n == 0:
         emit([0])
         return
-    reduce, insert = _echelon(spec, m)
+    code = IndexCode(spec, m)
+    reduce, insert = code.reduce, code.insert
     rows = range(spec.q ** m)
     basis: dict = {}
 

@@ -4,7 +4,8 @@ Graphs are adjacency bitsets: bit j of row i is set when i and j are
 adjacent.  Independent sets of a graph are the cliques of its complement,
 so the solver is a max-clique search with a greedy colouring bound: the
 candidate set is partitioned into colour classes, and a clique can take
-at most one vertex per class.  A graph invariant under the digit-wise
+at most one vertex per class.  One depth-first search finds one maximum
+clique or lists them all.  A graph invariant under the digit-wise
 translations of its vertex indices is vertex-transitive, so the search
 verifies that symmetry and then looks only at cliques through vertex 0.
 """
@@ -89,34 +90,42 @@ def _translation_transitive(adj: Sequence[int], nverts: int) -> bool:
     return True
 
 
-def max_clique(adj: Sequence[int], nverts: int,
-               budget: Budget | None = None) -> tuple[int, int]:
-    """(size, vertex bitset) of one maximum clique.
+def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
+                   every: bool) -> tuple[int, list[int]]:
+    """(size, cliques): the largest clique size with the first maximum
+    clique found, or, when every is set, with every maximum clique.
 
-    On a graph that _translation_transitive certifies, only cliques
-    through vertex 0 are searched.
+    A branch on v collects the cliques containing v, then v is dropped from
+    the candidates for good, so each clique is reached once.  A branch is
+    cut when its colour bound cannot beat the best size found, or, listing
+    every optimum, cannot tie it; a larger clique starts the list again.
+    One clique is searched through vertex 0 only on a graph that
+    _translation_transitive certifies.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
-    b = ensure(budget)
-    best_size, best_set = 0, 0
-    nodes = 0
-    rooted = _translation_transitive(adj, nverts)
-    what = ("independent set search rooted at vertex 0" if rooted
+    rooted = not every and _translation_transitive(adj, nverts)
+    what = ("independent set enumeration" if every else
+            "independent set search rooted at vertex 0" if rooted
             else "independent set search")
+    # a branch stays while its bound reaches best + gain
+    gain = 0 if every else 1
+    best, found = -1, []
+    nodes = 0
 
     def expand(cur: int, size: int, cand: int) -> None:
-        nonlocal best_size, best_set, nodes
+        nonlocal best, found, nodes
         nodes += 1
         if nodes % 4096 == 0:
             b.check_clock(what, f"{nodes} nodes")
         if not cand:
-            if size > best_size:
-                best_size, best_set = size, cur
+            if size > best:
+                best, found = size, [cur]
+            elif every and size == best:
+                found.append(cur)
             return
-        seq = _color_sequence(adj, cand)
-        for v, c in reversed(seq):
-            if size + c <= best_size:
+        for v, c in reversed(_color_sequence(adj, cand)):
+            if size + c < best + gain:
                 return
             expand(cur | (1 << v), size + 1, cand & adj[v])
             cand &= ~(1 << v)
@@ -125,7 +134,14 @@ def max_clique(adj: Sequence[int], nverts: int,
         expand(1, 1, adj[0])
     else:
         expand(0, 0, (1 << nverts) - 1)
-    return best_size, best_set
+    return best, found
+
+
+def max_clique(adj: Sequence[int], nverts: int,
+               budget: Budget | None = None) -> tuple[int, int]:
+    """(size, vertex bitset) of one maximum clique."""
+    size, found = _clique_search(adj, nverts, ensure(budget), False)
+    return size, found[0]
 
 
 def max_independent_set(adj: Sequence[int], nverts: int,
@@ -136,31 +152,6 @@ def max_independent_set(adj: Sequence[int], nverts: int,
 
 def all_maximum_independent_sets(adj: Sequence[int], nverts: int,
                                  budget: Budget | None = None) -> list[int]:
-    """Every maximum independent set, as vertex bitsets.
-
-    Each set is produced exactly once: a branch on v collects the sets
-    containing v, then v is dropped from the candidates for good.
-    """
-    comp = complement_bitsets(adj, nverts)
-    target, _ = max_clique(comp, nverts, budget)
-    out: list[int] = []
-    b = ensure(budget)
-    nodes = 0
-
-    def expand(cur: int, size: int, cand: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes % 4096 == 0:
-            b.check_clock("independent set enumeration", f"{nodes} nodes")
-        if size == target:
-            out.append(cur)
-            return
-        seq = _color_sequence(comp, cand)
-        for v, c in reversed(seq):
-            if size + c < target:
-                return
-            expand(cur | (1 << v), size + 1, cand & comp[v])
-            cand &= ~(1 << v)
-
-    expand(0, 0, (1 << nverts) - 1)
-    return out
+    """Every maximum independent set, as vertex bitsets, each once."""
+    return _clique_search(complement_bitsets(adj, nverts), nverts,
+                          ensure(budget), True)[1]

@@ -256,9 +256,7 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
     spec = field(q)
     nm = n * m
     N = q ** nm
-    if budget is not None:
-        budget.check_items(N * max(1, generator_count(q, m, n, t)),
-                           "adjacency build")
+    ensure(budget).check_items(N * N, "adjacency build")
     rows = [0] * N
     rows[0] = sum(1 << j for j, r in enumerate(rank_table(spec, n, m))
                   if r == m - t)

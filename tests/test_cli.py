@@ -391,6 +391,12 @@ MALFORMED = [
      "--tau", "q=2;n=two;m=2;rows=10;01"],
     ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "5",
      "--tau", "q=2;n=2;m=2;rows=10;01"],
+    ["extremal", "--claim", "singer", "--q", "2", "--n", "0"],
+    ["extremal", "--claim", "singer", "--q", "2", "--n", "-1"],
+    ["extremal", "--claim", "optimum", "--q", "2", "--n", "2", "--t", "0",
+     "--mode", "exhaustive"],
+    ["extremal", "--claim", "optimum", "--q", "2", "--n", "2", "--t", "0",
+     "--mode", "spectral"],
     ["regularity", "--r", "1", "--s", "1", "--eps", "1/0"],
     ["bootstrap", "--b", "0", "--N", "1", "--delta", "1/0", "--beta", "3/2"],
     ["bootstrap", "--b", "0", "--N", "1", "--delta", "1", "--beta", "1/0"],
@@ -399,6 +405,8 @@ MALFORMED = [
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=[
     "tau-without-n", "tau-non-integer-n", "derange-t-above-n",
+    "singer-n-zero", "singer-n-negative", "exhaustive-t-zero",
+    "spectral-t-zero",
     "eps-zero-denominator",
     "delta-zero-denominator", "beta-zero-denominator"])
 def test_malformed_arguments_exit_2(tmp_path, monkeypatch, argv):

@@ -109,6 +109,12 @@ def test_row_side_is_transpose_of_column_side():
 
 # --- cyclic zero-agreement families -----------------------------------------
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_singer_cycle_rejects_nonpositive_n(n):
+    with pytest.raises(DomainError, match=f"^need n >= 1, got n={n}$"):
+        ex.singer_cycle(n, 2)
+
+
 def test_singer_cycles():
     # n = 1 is F_q^* acting on F_q; GL(1, 2) is the identity alone
     for q, n, want in ((2, 2, 3), (3, 2, 8), (2, 3, 7), (3, 3, 26), (2, 1, 1),
@@ -473,6 +479,13 @@ def test_sample_report_matches_oracle(point):
         assert rep["status"] == "violated"
         assert rep["witness"] == [
             Mat.from_index(field(q), n, n, wit).to_literal()]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample", "spectral"])
+def test_bound_reports_need_t_between_1_and_n(mode):
+    for t in (0, 3):
+        with pytest.raises(DomainError, match=f"^need 1 <= t <= n, got t={t}$"):
+            ex.verify_extremal_bound(2, 2, t, mode)
 
 
 def test_spectral_bound_reports():

@@ -86,6 +86,12 @@ def test_closed_form_beyond_enumeration():
         spectrum(2, 40, 40, 3, Budget(seconds=0))
 
 
+def test_graph_bitsets_charges_the_default_budget():
+    # 2^16 rows of 2^16 bits, past the default 2^28 items
+    with pytest.raises(BudgetExceeded, match="^adjacency build needs"):
+        graph_bitsets(2, 4, 4, 3)
+
+
 def test_parameter_domain():
     with pytest.raises(DomainError):
         spectrum(2, 2, 2, 2)
