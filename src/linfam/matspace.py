@@ -577,8 +577,9 @@ class Subspace:
 # --- rank / kernel / image / agreement --------------------------------------
 
 def rank(A: Mat) -> int:
-    # an XOR echelon on the row indices at q = 2 only: IndexCode's tables at
-    # other q grow as q^(2 ceil(m/2)), where RREF costs O(n m min(n, m))
+    # IndexCode's q = 2 echelon called directly, as building a code per call
+    # costs more than the rank; at other q its tables hold q^(ceil(m/2) + 1)
+    # entries or more, where RREF costs O(n m min(n, m))
     if A.field.q == 2:
         basis: dict[int, int] = {}
         for r in A.rows:

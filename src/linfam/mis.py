@@ -99,8 +99,8 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     the candidates for good, so each clique is reached once.  A branch is
     cut when its colour bound cannot beat the best size found, or, listing
     every optimum, cannot tie it; a larger clique starts the list again.
-    One clique is searched through vertex 0 only on a graph that
-    _translation_transitive certifies.
+    When one clique is wanted on a graph that _translation_transitive
+    certifies, only cliques through vertex 0 are searched.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
