@@ -138,6 +138,8 @@ class IndexCode:
     def extend(self, span: Iterable[int], v: int) -> list[int]:
         """The shifts of span by c v for c = 1 .. q - 1, in that order: the
         members that v adds to the span listed when v lies outside it."""
+        if self.field.q == 2:   # one pass, as capture_keys extends per candidate
+            return [x ^ v for x in span]
         out = self.shift(span, v)
         for c in range(2, self.field.q):
             out += self.shift(span, self.smul(c, v))
