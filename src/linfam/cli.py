@@ -3,7 +3,8 @@
 Subcommands cover the counting formulas, walk spectra, transforms,
 regularity decompositions, the bootstrapping check, extremal reports,
 and the acceptance suites.  Every command is deterministic for a fixed
-argument vector: randomized corpora take their generator from --seed.
+argument vector: the acceptance suites' randomized corpora take their
+generator from verify's --seed.
 
 Exit codes: 0 success, 1 a checked claim failed, 2 usage or precondition
 error, 3 budget exceeded.
@@ -120,7 +121,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     F = Family.from_text(_read(args.family))
     rep = quasiregular_implies_uncaptureable_check(
         F, args.b, args.N, _fraction(args.delta, "--delta"),
-        _fraction(args.beta, "--beta"))
+        _fraction(args.beta, "--beta"), _budget(args))
     wit = rep["witness"]
     print(json.dumps({
         "holds": rep["holds"],
@@ -200,8 +201,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized corpora (default 0)")
     common.add_argument("--budget-items", type=int, default=2 ** 28,
                         help="work item ceiling (default 2^28)")
     common.add_argument("--budget-seconds", type=float, default=600.0,
@@ -272,6 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run an acceptance suite")
     p.add_argument("--suite", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized corpora (default 0)")
     p.set_defaults(func=cmd_verify)
     return parser
 

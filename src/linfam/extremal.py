@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .budget import Budget, ensure
@@ -131,19 +132,15 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     return rec(0, [], [])
 
 
-def _fixing_setup(spec: FieldSpec, n: int, t: int, b: Budget):
-    """(code, fixed): the walk fixing e_1 .. e_t, in column-code order."""
-    if not 1 <= t <= n:
-        raise DomainError(f"need 1 <= t <= n, got t={t}")
-    b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
-    return IndexCode(spec, n), [spec.q ** (n - 1 - j) for j in range(t)]
-
-
 def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     """The prefix walk over the maps fixing e_1 .. e_t, without a target."""
+    if not 1 <= t <= n:
+        raise DomainError(f"need 1 <= t <= n, got t={t}")
     b = ensure(budget)
-    code, fixed = _fixing_setup(spec, n, t, b)
-    return _prefix_walk(code, n, t, fixed, None, b)
+    b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
+    # the column code of e_j is q^(n - 1 - j)
+    fixed = [spec.q ** (n - 1 - j) for j in range(t)]
+    return _prefix_walk(IndexCode(spec, n), n, t, fixed, None, b)
 
 
 def canonical_family(n: int, q: int, t: int, side: str = "column",
@@ -217,16 +214,19 @@ def prefix_meet_dim(tau: Mat, t: int) -> int:
     return t - (rank(Mat(tau.field, low, t)) if low else 0)
 
 
-def _check_tau(n: int, q: int, t: int, tau: Mat) -> None:
+def _check_tau(n: int, q: int, t: int, tau: Mat) -> int:
+    """fixed_prefix_dim(tau, t), once tau is a valid target."""
     if tau.n != n or tau.m != n or tau.field.q != q:
         raise DomainError("tau must be a square matrix of the stated shape")
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
     if rank(tau) != n:
         raise PreconditionViolated("tau must be invertible")
-    if fixed_prefix_dim(tau, t) > t - 1:
+    d = fixed_prefix_dim(tau, t)
+    if d > t - 1:
         raise PreconditionViolated(
             "tau must not fix the whole of span(e_1 .. e_t)")
+    return d
 
 
 def derangement_enumerate(n: int, q: int, t: int, tau: Mat) -> int:
@@ -267,8 +267,13 @@ def derangement_enumerate(n: int, q: int, t: int, tau: Mat) -> int:
     tau^-1 E trivially: the avoid factor.  Nothing is enumerated, so the
     cost is O(n t^2) integer terms.
     """
-    _check_tau(n, q, t, tau)
-    d, c = fixed_prefix_dim(tau, t), prefix_meet_dim(tau, t)
+    d = _check_tau(n, q, t, tau)
+    return _class_count(n, q, t, prefix_meet_dim(tau, t), d)
+
+
+@lru_cache(maxsize=None)
+def _class_count(n: int, q: int, t: int, c: int, d: int) -> int:
+    """derangement_enumerate's closed form for every tau of class (c, d)."""
     a = t - c
     total = 0
     for k in range(t - 1, n + 1):
@@ -339,39 +344,31 @@ def derangement_ratio_chain(n: int, q: int, t: int, d: int) -> dict:
 
 # --- constructive near-agreement process ------------------------------------
 
-def _construct_setup(n: int, q: int, t: int, tau: Mat):
-    _check_tau(n, q, t, tau)
+def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
+    """(basis, walk) per admissible seed W, a (t - d - 1)-dimensional
+    subspace meeting the prefix span plus its preimage under tau trivially:
+    the basis, as vec_index codes, is e_1 .. e_t, W's rows, then unit
+    vectors completing it, and the prefix walk fixes the images e_1 ..
+    e_t, tau(W) with tau as its one target.  That prefix already spends
+    the t - 1 dependent steps (d on the prefix span, one per row of W), so
+    every later difference must be independent: the walk is the process
+    tree.  Leaves are distinct maps whenever d = 0 (the agreement space
+    recovers the seed) or the seed is unique."""
+    d = _check_tau(n, q, t, tau)
     if 3 * t > n:
         raise PreconditionViolated("the construction needs 3t <= n")
     spec = field(q)
-    # fixed subspace of tau inside the prefix span, lifted to F_q^n
-    block = Mat(spec, tuple(tuple(spec.sub(tau.rows[i][j], 1 if i == j else 0)
-                                  for j in range(t)) for i in range(n)), t)
-    D = kernel(block)
-    d = D.dim
     T = Subspace.from_vectors(spec, n, [_unit(n, j) for j in range(t)])
     # preimage of the prefix span: tau v must vanish on the last n - t coords
     low = Mat(spec, tuple(tau.rows[i] for i in range(t, n)), n)
     U = T.sum_(kernel(low))
-    seeds = [Wc for Wc in subspaces_of_dim(spec, n, t - d - 1)
-             if Wc.intersect(U).dim == 0]
-    return spec, d, seeds
-
-
-def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
-    """(basis, walk) per admissible seed W: the basis, as vec_index codes, is
-    e_1 .. e_t, W's rows, then unit vectors completing it, and the prefix
-    walk fixes the images e_1 .. e_t, tau(W) with tau as its one target.
-    That prefix already spends the t - 1 dependent steps (d on the prefix
-    span, one per row of W), so every later difference must be independent:
-    the walk is the process tree.  Leaves are distinct maps whenever d = 0
-    (the agreement space recovers the seed) or the seed is unique."""
-    spec, d, seeds = _construct_setup(n, q, t, tau)
     code = IndexCode(spec, n)
     units = [vec_index(q, _unit(n, j)) for j in range(n)]
     # entry v is the code of tau applied to the vector with code v
     act = span_indices(code, tuple(zip(*tau.rows)))
-    for W in seeds:
+    for W in subspaces_of_dim(spec, n, t - d - 1):
+        if W.intersect(U).dim:
+            continue
         basis = units[:t] + [vec_index(q, r) for r in W.rows]
         span = {0}
         for v in basis:
@@ -414,18 +411,8 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
                                 budget: Budget | None = None) -> int:
-    """Number of distinct maps the process produces.
-
-    Walk leaves are in bijection with outputs when d = 0 (the agreement
-    space recovers the seed) or when only the trivial seed exists; the
-    remaining cases deduplicate materialized outputs instead.
-    """
-    _, d, _ = _construct_setup(n, q, t, tau)
-    if d == 0 or t - d - 1 == 0:
-        return sum(len(hits) for _, walk in _seed_walks(n, q, t, tau, budget)
-                   for _, _, hits in walk)
-    outs = derangement_construct(n, q, t, tau, budget)
-    return len({M.index() for M in outs})
+    """Number of distinct maps derangement_construct yields."""
+    return len({M.index() for M in derangement_construct(n, q, t, tau, budget)})
 
 
 # --- maximality checks -------------------------------------------------------
@@ -485,21 +472,19 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "optima": len(optima), "normalized": normalized,
                 "status": status, "witness": witness}
     if mode == "sample":
-        code, fixed = _fixing_setup(spec, n, t, b)
-        b.check_items(gl_order(n, q) * bound, "augmentation scan")
+        b.check_items(gl_order(n, q), "augmentation scan")
         scanned, witness = 0, []
         for i in [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]:
-            flat = vec_from_index(q, n * n, i)
-            cols = [vec_index(q, flat[k::n]) for k in range(n)]
-            if cols[:t] == fixed:
-                continue
+            sigma = Mat.from_index(spec, n, n, i)
+            d = fixed_prefix_dim(sigma, t)
+            if d == t:
+                continue    # sigma fixes e_1 .. e_t: a member
             scanned += 1
             if scanned % 512 == 0:
                 b.check_clock("augmentation scan", f"{scanned} maps")
             # sigma can join unless some member meets it in t - 1 dimensions
-            if not any(h for _, _, h in
-                       _prefix_walk(code, n, t, fixed, cols, b)):
-                witness = [Mat.from_index(spec, n, n, i).to_literal()]
+            if _class_count(n, q, t, prefix_meet_dim(sigma, t), d) == 0:
+                witness = [sigma.to_literal()]
                 break
         return {"claim": "no single map outside the prefix-fixing family "
                          "can be added",

@@ -564,7 +564,8 @@ def max_density_ratio(F: Family, s: int, budget: Budget | None = None
 
 
 def quasiregular_implies_uncaptureable_check(F: Family, b: int, N: int,
-                                             delta: Fraction, beta: Fraction) -> dict:
+                                             delta: Fraction, beta: Fraction,
+                                             budget: Budget | None = None) -> dict:
     """Hypotheses: context complexity <= b, mu >= delta, (1, beta)-quasiregular,
     beta < q^(min(m,n) - N - b) / 2.  Conclusion checked exactly: F is not
     (N, delta/2)-captureable."""
@@ -575,13 +576,13 @@ def quasiregular_implies_uncaptureable_check(F: Family, b: int, N: int,
         raise HypothesisUnmet(f"context complexity {F.context.complexity} > b={b}")
     if mu < delta:
         raise HypothesisUnmet(f"measure {mu} below delta={delta}")
-    wit = is_quasiregular(F, 1, beta)
+    wit = is_quasiregular(F, 1, beta, budget)
     if wit is not None:
         raise NotQuasiregular(f"(1, {beta})-quasiregularity fails at {wit!r}")
     cap = Fraction(spec.q ** (min(F.m, F.n) - N - b), 2)
     if not beta < cap:
         raise HypothesisUnmet(f"beta={beta} not below {cap}")
-    witness = is_captureable(F, N, delta / 2)
+    witness = is_captureable(F, N, delta / 2, budget)
     return {"holds": witness is None, "witness": witness,
             "mu": mu, "beta": beta, "beta_cap": cap}
 

@@ -376,18 +376,22 @@ def _keep(S: Spectrum, mask) -> Spectrum:
                                [list(map(mul, c, mask)) for c in S.cols], S.den)
 
 
+def _rank_part(S: Spectrum, d: int, budget: Budget | None) -> DenseFunction:
+    """The rank-d component of the function whose spectrum is S."""
+    ranks = rank_table(S.field, S.m, S.n)
+    return inverse_transform(_keep(S, [r == d for r in ranks]), budget)
+
+
 def rank_component(f: DenseFunction, d: int, budget: Budget | None = None) -> DenseFunction:
     if not 0 <= d <= min(f.m, f.n):
         raise DomainError(f"rank {d} out of range for shape {f.n}x{f.m}")
-    return rank_split(f, budget)[d]
+    return _rank_part(fast_transform(f, budget), d, budget)
 
 
 def rank_split(f: DenseFunction, budget: Budget | None = None) -> dict[int, DenseFunction]:
     """All rank components from a single transform."""
     S = fast_transform(f, budget)
-    ranks = rank_table(f.field, f.m, f.n)
-    return {d: inverse_transform(_keep(S, [r == d for r in ranks]), budget)
-            for d in range(min(f.m, f.n) + 1)}
+    return {d: _rank_part(S, d, budget) for d in range(min(f.m, f.n) + 1)}
 
 
 def degree(f: DenseFunction, budget: Budget | None = None) -> int:
@@ -522,9 +526,7 @@ def verify_hypercontractive(f: DenseFunction, d: int, k: int,
     spec = f.field
     # one transform serves the component and every projection
     S = fast_transform(f, budget)
-    ranks = rank_table(spec, f.m, f.n)
-    comp = inverse_transform(_keep(S, [r == d for r in ranks]), budget)
-    lhs = abs_pow_mean(comp, k)
+    lhs = abs_pow_mean(_rank_part(S, d, budget), k)
     sides = ((subspaces_of_dim(spec, f.m, d), True),
              (subspaces_of_dim(spec, f.n, f.n - d), False))
     proj_sum = Fraction(0)

@@ -33,7 +33,6 @@ __all__ = [
     "bilinear_decomposition",
     "eigenvalue",
     "eigenvalue_bound_check",
-    "generator_count",
     "graph_bitsets",
     "hoffman_bound",
     "rank_invariance_check",
@@ -49,12 +48,6 @@ def _check_params(m: int, n: int, t: int) -> None:
         raise DomainError(f"need 0 <= t < m, got t={t}")
     if m - t > n:
         raise DomainError("difference rank m - t cannot exceed n")
-
-
-def generator_count(q: int, m: int, n: int, t: int) -> int:
-    """Number of n x m matrices whose kernel has dimension exactly t."""
-    _check_params(m, n, t)
-    return count_rank_d(n, m, m - t, q)
 
 
 @lru_cache(maxsize=None)

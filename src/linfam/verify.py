@@ -207,7 +207,7 @@ def criterion_3(seed: int = 0, budget: Budget | None = None) -> dict:
                     checks.append((f"sweep q={q} m={m} n={n} t={t}",
                                    S.lam == swept_spectrum(q, m, n, t, budget)))
                     for d in range(1, min(m, n) + 1):
-                        rep = spectra.eigenvalue_bound_check(q, m, n, t, d)
+                        rep = spectra.eigenvalue_bound_check(q, m, n, t, d, budget)
                         checks.append(
                             (f"bound q={q} m={m} n={n} t={t} d={d}",
                              rep["holds"]))
@@ -216,13 +216,13 @@ def criterion_3(seed: int = 0, budget: Budget | None = None) -> dict:
             for n in (1, 2):
                 for t in range(max(0, m - n), m):
                     for d in range(0, min(m, n) + 1):
-                        rep = spectra.rank_invariance_check(q, m, n, t, d)
+                        rep = spectra.rank_invariance_check(q, m, n, t, d, budget)
                         checks.append(
                             (f"rank-invariance q={q} m={m} n={n} t={t} d={d}",
                              rep["holds"]))
-    S = spectra.spectrum(2, 1, 1, 0)
+    S = spectra.spectrum(2, 1, 1, 0, budget)
     checks.append(("concrete q=2", S.lam == (Fraction(1), Fraction(-1))))
-    S = spectra.spectrum(3, 1, 1, 0)
+    S = spectra.spectrum(3, 1, 1, 0, budget)
     checks.append(("concrete q=3", S.lam == (Fraction(1), Fraction(-1, 2))))
     return _report(3, "spectral identities", checks, t0)
 
@@ -311,7 +311,7 @@ def criterion_6(seed: int = 0, budget: Budget | None = None) -> dict:
         S = fast_transform(reduce_family(F), budget)
         mu = F.measure()
         for s in (1, 2):
-            ratio, _ = max_density_ratio(F, s)
+            ratio, _ = max_density_ratio(F, s, budget)
             C = ratio if ratio >= 1 else Fraction(1)
             cap = C * C * mu * mu
             for dd in range(0, s + 1):
@@ -328,11 +328,12 @@ def criterion_6(seed: int = 0, budget: Budget | None = None) -> dict:
         mu = F.measure()
         if mu == 0:
             continue
-        ratio, _ = max_density_ratio(F, 1)
+        ratio, _ = max_density_ratio(F, 1, budget)
         if ratio >= 2:
             continue
         beta = (ratio + 2) / 2
-        rep = quasiregular_implies_uncaptureable_check(F, 0, 1, mu, beta)
+        rep = quasiregular_implies_uncaptureable_check(F, 0, 1, mu, beta,
+                                                        budget)
         claim_ok = claim_ok and rep["holds"]
         instances += 1
     checks.append((f"quasiregular implies uncaptureable ({instances})",
@@ -363,7 +364,7 @@ def criterion_7(seed: int = 0, budget: Budget | None = None) -> dict:
                 for nd in log.nodes:
                     if nd.status == "good":
                         sub = F.restrict(nd.restriction)
-                        ok_leaf = ok_leaf and is_captureable(sub, s, eps) is None
+                        ok_leaf = ok_leaf and is_captureable(sub, s, eps, budget) is None
             checks.append((f"junta residue bound r={r} s={s} (25)", ok_mu))
             checks.append((f"good leaves uncaptureable r={r} s={s}", ok_leaf))
     return _report(7, "regularity postconditions", checks, t0)
@@ -465,7 +466,8 @@ def criterion_9(seed: int = 0, budget: Budget | None = None) -> dict:
                        all(S.index() in H for S in outs)))
         checks.append((f"yields distinct n={n}",
                        len({S.index() for S in outs}) == len(outs)
-                       == extremal.derangement_construct_count(n, 2, 1, tau)))
+                       == extremal.derangement_construct_count(n, 2, 1, tau,
+                                                              budget)))
         checks.append((f"count meets bound n={n}",
                        Fraction(cnt) >= extremal.derangement_bound(n, 2, 1, 0)))
     n, t = 6, 2

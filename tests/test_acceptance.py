@@ -5,7 +5,11 @@ Run with -s (or read the captured stdout) to see the per-criterion lines.
 Slow by design: the whole file is a few minutes of exact arithmetic.
 """
 
+import pytest
+
 from linfam import verify
+from linfam.budget import Budget
+from linfam.errors import BudgetExceeded
 
 # wall-clock ceilings, seconds, where a criterion declares one
 TIME_LIMITS = {1: 120.0, 2: 300.0, 9: 900.0}
@@ -67,3 +71,8 @@ def test_suite_runner_covers_every_criterion():
     assert sorted(verify.CRITERIA) == list(range(1, 11))
     listed = sorted(k for ks in verify.SUITES.values() for k in ks)
     assert listed == list(range(1, 11))
+
+
+def test_criterion_06_keeps_the_budget():
+    with pytest.raises(BudgetExceeded, match="^density scan exceeded 0s"):
+        verify.run_criterion(6, budget=Budget(seconds=0))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from linfam import cli
+from linfam import cli, verify
 from linfam.gf import field
 from linfam.families import Family, Restriction, enumerate_coset
 
@@ -349,6 +349,14 @@ def test_bootstrap_full_space_holds(tmp_path):
     assert doc["beta_cap"] == "2"
 
 
+def test_bootstrap_keeps_the_budget(tmp_path):
+    fam = tmp_path / "full33.txt"
+    fam.write_text(Family.full_space(s2, 3, 3).to_text())
+    rc, out, err = run(["bootstrap", "--family", str(fam), "--b", "0", "--N", "1",
+                        "--delta", "1", "--beta", "3/2", "--budget-seconds", "0"])
+    assert rc == 3 and out == "" and "density scan exceeded" in err
+
+
 def test_bootstrap_rejects_lumpy_family(tmp_path):
     fam = tmp_path / "coset.txt"
     fam.write_text(Family(s2, 2, 2, enumerate_coset(COL_E1)).to_text())
@@ -470,6 +478,29 @@ def test_verify_criteria_keep_the_item_budget():
     rc, out, err = run(["verify", "--suite", "fourier", "--budget-items", "1000"])
     assert rc == 3 and out == ""
     assert "butterfly transform needs 1792 items, budget is 1000" in err
+
+
+def test_verify_prints_a_line_per_criterion_and_a_summary(monkeypatch):
+    def stub(k, ok):
+        return lambda seed, budget: {"criterion": k, "pass": ok, "seed": seed}
+
+    monkeypatch.setattr(verify, "CRITERIA", {1: stub(1, True), 2: stub(2, False)})
+    monkeypatch.setattr(verify, "SUITES", {"good": (1,)})
+    rc, out, _ = run(["verify", "--suite", "good", "--seed", "7"])
+    assert rc == 0 and out.splitlines() == [
+        '{"criterion": 1, "pass": true, "seed": 7}',
+        '{"suite": "good", "criteria": 1, "pass": true}']
+    rc, out, _ = run(["verify", "--suite", "all"])
+    assert rc == 1 and out.splitlines() == [
+        '{"criterion": 1, "pass": true, "seed": 0}',
+        '{"criterion": 2, "pass": false, "seed": 0}',
+        '{"suite": "all", "criteria": 2, "pass": false}']
+
+
+def test_seed_belongs_to_verify_alone():
+    argv = ["count", "--kind", "mqt", "--q", "2", "--n", "3", "--t", "1"]
+    assert run(argv)[0] == 0
+    assert run(argv + ["--seed", "1"])[0] == 2
 
 
 def test_no_command_is_a_usage_error():

@@ -176,6 +176,66 @@ def test_restrict_avoiding():
     assert len(F4.restrict_avoiding(COL_E1)) == 0
 
 
+def _avoids_by_points(spec, R, M):
+    """M x != y at every nonzero point sum_i u_i (v_i, w_i) of each graph."""
+    q = spec.q
+    for pairs, act, dom, img in ((R.cols, M.apply, R.m, R.n),
+                                 (R.rows, M.rapply, R.n, R.m)):
+        for u in itertools.product(range(q), repeat=len(pairs)):
+            if not any(u):
+                continue
+            x, y = (0,) * dom, (0,) * img
+            for c, (v, w) in zip(u, pairs):
+                x = vec_add(spec, x, vec_smul(spec, c, v))
+                y = vec_add(spec, y, vec_smul(spec, c, w))
+            if act(x) == y:
+                return False
+    return True
+
+
+def _independent(spec, rng, dim, k):
+    """k random independent vectors of F_q^dim."""
+    while True:
+        vs = [tuple(rng.randrange(spec.q) for _ in range(dim)) for _ in range(k)]
+        if Subspace.from_vectors(spec, dim, vs).dim == k:
+            return vs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
+       st.sampled_from(((3, 3), (2, 3), (3, 2), (1, 3), (3, 1))),
+       st.integers(0, 2 ** 32 - 1))
+def test_avoids_against_its_definition(q, shape, seed):
+    # pairs (v, A v) and (a, a^T A) of one matrix A keep both sides
+    # consistent; three or more pairs on a side reach the RREF test
+    spec, (n, m) = field(q), shape
+    rng = random.Random(seed)
+
+    def rand_vec(k):
+        return tuple(rng.randrange(q) for _ in range(k))
+
+    def rand_mat():
+        return Mat(spec, tuple(rand_vec(m) for _ in range(n)), m)
+
+    A = rand_mat()
+    kc = rng.choice((min(3, m), rng.randrange(min(3, m) + 1)))
+    kr = rng.choice((min(3, n), rng.randrange(min(3, n) + 1)))
+    R = Restriction(spec, n, m,
+                    cols=[(v, A.apply(v)) for v in _independent(spec, rng, m, kc)],
+                    rows=[(a, A.rapply(a)) for a in _independent(spec, rng, n, kr)])
+    members = [A] + [rand_mat() for _ in range(6)]
+    # A plus a rank-one map meets A on a hyperplane
+    for _ in range(6):
+        x, y = rand_vec(m), rand_vec(n)
+        members.append(A + Mat(spec, tuple(tuple(spec.mul(yi, xj) for xj in x)
+                                           for yi in y), m))
+    for M in members:
+        assert R.avoids(M) == _avoids_by_points(spec, R, M), (R, M)
+    F = Family(spec, n, m, members)
+    assert set(F.restrict_avoiding(R).indices) == {
+        M.index() for M in members if R.avoids(M)}
+
+
 def test_translate_and_dual():
     F4 = coset_family()
     A0 = Mat(s2, ((1, 1), (0, 0)), 2)

@@ -4,8 +4,8 @@
 Floats appear only where they are wall-clock limits or sampling
 probabilities: budget.py, cli.py and verify.py.  Every import in the
 library is used, and every function, class and method it defines is named
-somewhere besides its own definition: in the library, the tests or the
-benchmark.  Every parameter a library function takes is read in its body.
+somewhere besides its own definition and its own module's __all__: in the
+library, the tests or the benchmark.  Every parameter a library function takes is read in its body.
 """
 
 import ast
@@ -48,14 +48,21 @@ def test_every_module_is_checked():
         p.name for p in MODULES}
 
 
-def _exported(tree):
-    """Names listed in a module's __all__."""
+def _all_node(tree):
+    """A module's __all__ assignment, or None."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            return {c.value for c in ast.walk(node.value)
-                    if isinstance(c, ast.Constant)}
-    return set()
+            return node
+    return None
+
+
+def _exported(tree):
+    """Names listed in a module's __all__."""
+    node = _all_node(tree)
+    if node is None:
+        return set()
+    return {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -94,13 +101,17 @@ def test_every_definition_is_named_elsewhere():
              for i, text in enumerate(p.read_text().splitlines(), 1)]
     unused = []
     for path in MODULES:
+        # listing a name in its own module's __all__ is no use of it
+        node = _all_node(ast.parse(path.read_text(), filename=str(path)))
+        own = set() if node is None else {
+            (path, i) for i in range(node.lineno, node.end_lineno + 1)}
         for lineno, name, method in _definitions(path):
             if name.startswith("__") and name.endswith("__"):
                 continue
             # a method is reached as an attribute, anything else by name
             word = re.compile((r"\." if method else r"\b") + name + r"\b")
             if not any(word.search(text) for p, i, text in lines
-                       if (p, i) != (path, lineno)):
+                       if (p, i) != (path, lineno) and (p, i) not in own):
                 unused.append(f"{path.name}:{lineno} {name}")
     assert unused == [], f"defined but never named: {unused}"
 
