@@ -5,7 +5,8 @@ Floats appear only where they are wall-clock limits or sampling
 probabilities: budget.py, cli.py and verify.py.  Every import in the
 library is used, and every function, class and method it defines is named
 somewhere besides its own definition and its own module's __all__: in the
-library, the tests or the benchmark.  Every parameter a library function takes is read in its body.
+library, the tests or the benchmark.  Every parameter a library function
+takes is read in its body.
 """
 
 import ast
