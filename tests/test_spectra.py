@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from linfam import mis
 from linfam.budget import Budget
+from linfam.cyclo import Cyc
 from linfam.errors import BudgetExceeded, DomainError
 from linfam.gf import field
 from linfam.matspace import Mat, phi, rank, vec_from_index
-from linfam.fourier import DenseFunction
+from linfam.fourier import DenseFunction, abs_pow_mean
 from linfam.families import Family, is_intersection_free
 from linfam.spectra import (bilinear_decomposition, eigenvalue,
                             eigenvalue_bound_check, graph_bitsets,
@@ -129,6 +130,50 @@ def test_bilinear_split_constant_and_random():
         g = DenseFunction(s2, 2, 2,
                           [Fraction(rng.randint(-3, 3), 2) for _ in range(16)])
         assert bilinear_decomposition(f, g, 1)["holds"]
+
+
+# every shape with at most 81 matrices over the fields below
+BILINEAR_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7)
+                   for n in range(1, 7) for m in range(1, 7) if q ** (n * m) <= 81]
+
+
+def _direct_by_pairs(f, g, t):
+    """sum f(A) conj(g(A + G)) / (N |G|) over the matrices G of rank
+    m - t + 1, one Cyc product per pair."""
+    spec, n, m = f.field, f.n, f.m
+    N = spec.q ** (n * m)
+    all_A = [Mat.from_index(spec, n, m, i) for i in range(N)]
+    gens = [G for G in all_A if rank(G) == m - t + 1]
+    acc = Cyc.zero(spec.p)
+    for A, fa in zip(all_A, f.values):
+        for G in gens:
+            acc = acc + fa * g.values[(A + G).index()].conj()
+    return acc / (N * len(gens))
+
+
+@pytest.mark.parametrize("q,n,m", BILINEAR_SHAPES)
+def test_bilinear_direct_side_is_the_pair_sum(q, n, m):
+    spec = field(q)
+    rng = random.Random(q * 100 + n * 10 + m)
+    N = q ** (n * m)
+
+    def draw(cyclotomic):
+        def value():
+            coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                      for _ in range(spec.p - 1 if cyclotomic else 1)]
+            return Cyc(spec.p, coords) if cyclotomic else coords[0]
+        return DenseFunction(spec, n, m, [value() for _ in range(N)])
+
+    for cyclotomic in (False, True):
+        f, g = draw(cyclotomic), draw(cyclotomic)
+        for t in range(max(1, m - n + 1), m + 1):
+            rep = bilinear_decomposition(f, g, t)
+            assert rep["direct"] == _direct_by_pairs(f, g, t)
+            assert rep["holds"]
+        if not cyclotomic:
+            for k in (0, 2, 4, 6):
+                want = sum(v.as_fraction() ** k for v in f.values) / N
+                assert abs_pow_mean(f, k) == want
 
 
 def test_hoffman_values():
