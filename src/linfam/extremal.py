@@ -84,9 +84,10 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     position: imgs the codes of sigma(b_0) .. sigma(b_{n-2}) (one list,
     changed between yields), last the admissible images of b_{n-1} in
     order, and hits those members of last whose map has dim ker(sigma -
-    tau) = t - 1: with k steps above, those outside the coset
-    tau(b_{n-1}) + span if k = t - 1, inside it if k = t - 2.  Without a
-    target hits is empty.
+    tau) = t - 1.  A target requires the fixed images to spend exactly t -
+    1 dependent steps, as _seed_walks's do; every later difference is then
+    independent, and hits are the members of last outside the coset
+    tau(b_{n-1}) + span.  Without a target hits is empty.
     """
     q = code.field.q
     b = ensure(budget)
@@ -104,11 +105,10 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
             batches += 1
             pool = choices[depth].difference(span, added)
             hits = []
-            if target is not None and t - 2 <= steps <= t - 1:
+            if target is not None:
                 tv = target[depth]
                 coset = code.shift(diff, tv) + code.shift(grown, tv)
-                hits = sorted(pool.difference(coset) if steps == t - 1
-                              else pool.intersection(coset))
+                hits = sorted(pool.difference(coset))
             yield imgs, sorted(pool), hits
             return
         span.update(added)

@@ -21,7 +21,8 @@ vector, so every cell is integer additions whatever q is, and products of
 entries accumulate into the residue of their exponent difference.  Each
 result is reduced once, by a gcd.  ``Cyc`` values are built only when a
 caller reads ``values``, ``coeffs``, ``value_at`` or ``coeff``.  The
-quadratic-time ``transform`` stays as the oracle.
+quadratic-time ``transform`` stays as the oracle, on the same columns: for
+every dual it gathers p integer root counts, one pair at a time.
 """
 from __future__ import annotations
 
@@ -262,7 +263,8 @@ def _gather(cols, order) -> list[list[int]]:
     return [list(map(c.__getitem__, order)) for c in cols]
 
 
-def _butterfly(spec: FieldSpec, cols, nm: int, sign: int) -> list[list[int]]:
+def _butterfly(spec: FieldSpec, cols, nm: int, sign: int, b: Budget,
+               what: str) -> list[list[int]]:
     """Sum over a of w^(sign * tr(x a)) along every cell, on coordinate columns.
 
     For p > 2 a zero column for w^(p-1) is appended, so every entry is a
@@ -275,6 +277,7 @@ def _butterfly(spec: FieldSpec, cols, nm: int, sign: int) -> list[list[int]]:
     nm stages every digit has been transformed once and is back in place.
     Every sum runs over whole strided slices.  The root counts are reduced
     back to p - 1 coordinate columns by the Cyc.from_root_counts rule.
+    The clock of b is checked once per stage, under the label what.
     """
     q, p = spec.q, spec.p
     K = [[(sign * spec.trace(spec.mul(x, a))) % p for a in range(q)]
@@ -287,7 +290,8 @@ def _butterfly(spec: FieldSpec, cols, nm: int, sign: int) -> list[list[int]]:
         plan = [[[((r - K[x][a]) % p, a, 0) for a in range(q)]
                  for x in range(q)] for r in range(p)]
         cols = [*cols, [0] * len(cols[0])]
-    for _ in range(nm):
+    for stage in range(nm):
+        b.check_clock(what, f"{stage} of {nm} stages")
         parts = [[c[a::q] for a in range(q)] for c in cols]
         cols = []
         for blocks in plan:
@@ -310,61 +314,48 @@ def fast_transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
     spec = f.field
     nm = f.n * f.m
     N = spec.q ** nm
-    ensure(budget).check_items(N * nm * spec.q, "butterfly transform")
-    cols = _butterfly(spec, f.cols, nm, -1)
+    b = ensure(budget)
+    b.check_items(N * nm * spec.q, "butterfly transform")
+    cols = _butterfly(spec, f.cols, nm, -1, b, "butterfly transform")
     # the m x n transposition undoes the n x m one
     inv = _perm_table(spec, f.m, f.n)
     return Spectrum._from_cols(spec, f.n, f.m, _gather(cols, inv), f.den * N)
 
 
 def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
-    """Direct-sum transform: the oracle path, quadratic in the table size."""
+    """Direct-sum transform: the oracle path, quadratic in the table size.
+
+    Coefficient X is sum_A f(A) w^(-tr(XA)) / N.  Coordinate column j of
+    f(A) counts toward w^(j - tr(XA)), so each X gathers p integer root
+    counts, reduced by the Cyc.from_root_counts rule.
+    """
     spec = f.field
-    q, p = spec.q, spec.p
-    n, m = f.n, f.m
-    N = q ** (n * m)
+    p, n, m = spec.p, f.n, f.m
+    N = spec.q ** (n * m)
     b = ensure(budget)
     b.check_items(N * N, "naive transform")
     all_A = [Mat.from_index(spec, n, m, i) for i in range(N)]
-    rational = f.is_rational_valued()
-    fr = [f.values[i].as_fraction() for i in range(N)] if rational else None
-    out = []
-    if rational and q == 2:
-        flat_a = [sum(1 << (i * m + j) for i in range(n) for j in range(m)
-                      if A.rows[i][j]) for A in all_A]
-        for xi in range(N):
-            X = Mat.from_index(spec, m, n, xi)
-            fx = sum(1 << (i * m + j) for j in range(m) for i in range(n)
-                     if X.rows[j][i])
-            s0 = Fraction(0)
-            s1 = Fraction(0)
-            for ai in range(N):
-                if (fx & flat_a[ai]).bit_count() & 1:
-                    s1 += fr[ai]
-                else:
-                    s0 += fr[ai]
-            out.append(Cyc(2, ((s0 - s1) / N,)))
-        return Spectrum(spec, n, m, out)
+    cols = [[] for _ in range(p - 1)]
     for xi in range(N):
+        b.check_clock("naive transform", f"{xi} of {N} duals")
         X = Mat.from_index(spec, m, n, xi)
-        if rational:
-            buckets = [Fraction(0)] * p
-            for A, v in zip(all_A, fr):
-                buckets[(-char_exponent(X, A)) % p] += v
-            out.append(Cyc.from_root_counts(p, buckets) / N)
-        else:
-            acc = Cyc.zero(p)
-            for A, v in zip(all_A, f.values):
-                acc = acc + v * char_root(p, (-char_exponent(X, A)) % p)
-            out.append(acc / N)
-    return Spectrum(spec, n, m, out)
+        es = [char_exponent(X, A) for A in all_A]
+        counts = [0] * p
+        for j, col in enumerate(f.cols):
+            for e, x in zip(es, col):
+                counts[(j - e) % p] += x
+        for c, x in zip(cols, counts):
+            c.append(x - counts[p - 1])
+    return Spectrum._from_cols(spec, n, m, cols, N * f.den)
 
 
 def inverse_transform(S: Spectrum, budget: Budget | None = None) -> DenseFunction:
     spec = S.field
     nm = S.n * S.m
-    ensure(budget).check_items(spec.q ** nm * nm * spec.q, "inverse transform")
-    cols = _butterfly(spec, _gather(S.cols, _perm_table(spec, S.n, S.m)), nm, 1)
+    b = ensure(budget)
+    b.check_items(spec.q ** nm * nm * spec.q, "inverse transform")
+    cols = _butterfly(spec, _gather(S.cols, _perm_table(spec, S.n, S.m)), nm, 1,
+                      b, "inverse transform")
     return DenseFunction._from_cols(spec, S.n, S.m, cols, S.den)
 
 
@@ -501,12 +492,15 @@ def _rational_norm(v: Cyc) -> Fraction:
 
 
 def abs_pow_mean(f: DenseFunction, k: int) -> Fraction:
-    """E[|f|^k] for even k and rational-valued f."""
+    """E[|f|^k] for even k >= 0 and rational-valued f."""
+    if k < 0:
+        raise DomainError(f"need a power k >= 0, got {k}")
     if k % 2:
         raise DomainError("only even powers stay rational")
-    vals = f.rational_values()
-    total = sum(v ** k for v in vals)
-    return Fraction(total, f.field.q ** (f.n * f.m))
+    if not f.is_rational_valued():
+        raise DomainError("function takes irrational values")
+    total = sum(x ** k for x in f.cols[0])
+    return Fraction(total, f.den ** k * f.field.q ** (f.n * f.m))
 
 
 # --- inequality checks ------------------------------------------------------

@@ -17,16 +17,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
-from .fourier import DenseFunction, char_exponent, fast_transform
+from .fourier import (DenseFunction, _conj_dot, _keep, char_exponent,
+                      fast_transform, inner)
 from .gf import FieldSpec, field
-from .matspace import (Mat, count_rank_d, digit_mask, gaussian_binomial, phi,
-                       rank_table)
+from .matspace import (IndexCode, Mat, count_rank_d, digit_mask,
+                       gaussian_binomial, phi, rank_table)
 
 __all__ = [
     "CayleySpectrum",
@@ -48,13 +48,6 @@ def _check_params(m: int, n: int, t: int) -> None:
         raise DomainError(f"need 0 <= t < m, got t={t}")
     if m - t > n:
         raise DomainError("difference rank m - t cannot exceed n")
-
-
-@lru_cache(maxsize=None)
-def _generators(q: int, m: int, n: int, t: int) -> tuple[Mat, ...]:
-    spec = field(q)
-    return tuple(Mat.from_index(spec, n, m, i)
-                 for i, r in enumerate(rank_table(spec, n, m)) if r == m - t)
 
 
 def _from_counts(spec: FieldSpec, counts, denom: int) -> Fraction:
@@ -155,7 +148,8 @@ def rank_invariance_check(q: int, m: int, n: int, t: int, d: int,
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
     spec = field(q)
     ensure(budget).check_items(q ** (n * m), "rank invariance")
-    gens = _generators(q, m, n, t)
+    gens = [Mat.from_index(spec, n, m, i)
+            for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
     duals = [Mat.from_index(spec, m, n, i)
              for i, r in enumerate(rank_table(spec, m, n)) if r == d]
     values = set()
@@ -182,14 +176,15 @@ def eigenvalue_bound_check(q: int, m: int, n: int, t: int, d: int,
             "holds": lam * lam <= bound_sq}
 
 
-def bilinear_decomposition(f: DenseFunction, g: DenseFunction,
-                           t: int) -> dict:
+def bilinear_decomposition(f: DenseFunction, g: DenseFunction, t: int,
+                           budget: Budget | None = None) -> dict:
     """Pairing f against the neighbour average of g, two ways.
 
     Direct: sum f(A) conj(g(B)) over ordered pairs whose difference lies
-    in the agreement-(t-1) generator class, normalized.  Spectral: the
-    transform coefficients paired rank by rank, each rank weighted by its
-    eigenvalue.  The two must agree exactly.
+    in the agreement-(t-1) generator class, normalized; the neighbour sum
+    of g is taken on its coordinate columns, one index addition per pair.
+    Spectral: the transform coefficients paired rank by rank, each rank
+    weighted by its eigenvalue.  The two must agree exactly.
     """
     if f.field != g.field or f.n != g.n or f.m != g.m:
         raise ShapeMismatch("operands must share field and shape")
@@ -197,28 +192,19 @@ def bilinear_decomposition(f: DenseFunction, g: DenseFunction,
         raise DomainError("need t >= 1")
     spec, n, m = f.field, f.n, f.m
     _check_params(m, n, t - 1)
-    S = spectrum(spec.q, m, n, t - 1)
-    gens = _generators(spec.q, m, n, t - 1)
-    N = spec.q ** (n * m)
-    direct = Cyc.zero(spec.p)
-    for i, fa in enumerate(f.values):
-        if fa.is_zero():
-            continue
-        A = Mat.from_index(spec, n, m, i)
-        for G in gens:
-            direct = direct + fa * g.values[(A + G).index()].conj()
-    direct = direct / (N * S.gen_count)
-    Sf, Sg = fast_transform(f), fast_transform(g)
+    S = spectrum(spec.q, m, n, t - 1, budget)
+    ranks = rank_table(spec, n, m)
+    gens = [i for i, r in enumerate(ranks) if r == m - t + 1]
+    ensure(budget).check_items(len(ranks) * len(gens), "bilinear direct sum")
+    add = IndexCode(spec, n * m).add
+    nbrs = [[add(a, x) for x in gens] for a in range(len(ranks))]
+    near = [[sum(map(c.__getitem__, ns)) for ns in nbrs] for c in g.cols]
+    near_g = DenseFunction._from_cols(spec, n, m, near, g.den)
+    direct = inner(f, near_g) / S.gen_count
+    Sf, Sg = fast_transform(f, budget), fast_transform(g, budget)
     dual_ranks = rank_table(spec, m, n)
-    per_d = [Cyc.zero(spec.p) for _ in range(min(m, n) + 1)]
-    for xi in range(N):
-        cf, cg = Sf.coeffs[xi], Sg.coeffs[xi]
-        if cf.is_zero() or cg.is_zero():
-            continue
-        per_d[dual_ranks[xi]] = per_d[dual_ranks[xi]] + cf * cg.conj()
-    spectral = Cyc.zero(spec.p)
-    for d, lam_d in enumerate(S.lam):
-        spectral = spectral + per_d[d] * lam_d
+    spectral = sum((_conj_dot(_keep(Sf, [r == d for r in dual_ranks]), Sg, 1) * lam_d
+                    for d, lam_d in enumerate(S.lam)), Cyc.zero(spec.p))
     return {"t": t, "direct": direct, "spectral": spectral,
             "holds": direct == spectral}
 

@@ -241,7 +241,7 @@ def criterion_4(seed: int = 0, budget: Budget | None = None) -> dict:
                               [Fraction(rng.randrange(-3, 4)) for _ in range(16)])
             g = DenseFunction(spec, 2, 2,
                               [Fraction(rng.randrange(-3, 4)) for _ in range(16)])
-            ok = ok and spectra.bilinear_decomposition(f, g, t)["holds"]
+            ok = ok and spectra.bilinear_decomposition(f, g, t, budget)["holds"]
         checks.append((f"bilinear t={t} (100 pairs)", ok))
     return _report(4, "bilinear decomposition", checks, t0)
 

@@ -74,5 +74,14 @@ def test_suite_runner_covers_every_criterion():
 
 
 def test_criterion_06_keeps_the_budget():
-    with pytest.raises(BudgetExceeded, match="^density scan exceeded 0s"):
+    # its first budgeted call is the transform of a reduced family
+    with pytest.raises(BudgetExceeded, match="^butterfly transform exceeded 0s"):
         verify.run_criterion(6, budget=Budget(seconds=0))
+
+
+@pytest.mark.parametrize("k,layer", [(2, "butterfly transform"),
+                                     (4, "eigenvalue formula"),
+                                     (5, "butterfly transform")])
+def test_transform_criteria_keep_the_budget(k, layer):
+    with pytest.raises(BudgetExceeded, match=f"^{layer} exceeded 0s"):
+        verify.run_criterion(k, budget=Budget(seconds=0))

@@ -116,6 +116,14 @@ def test_fourier_function_file(tmp_path):
     assert all(c == ["1/2"] for c in coeffs.values())
 
 
+def test_fourier_keeps_the_budget(tmp_path):
+    fn = tmp_path / "fn.txt"
+    fn.write_text("2,1,1\n1\n0\n")
+    rc, out, err = run(["fourier", "--function", str(fn), "--budget-seconds", "0"])
+    assert rc == 3 and out == ""
+    assert "budget exceeded: butterfly transform exceeded 0.0s" in err
+
+
 def test_fourier_family_file(tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text(Family.full_space(s2, 1, 1).to_text())

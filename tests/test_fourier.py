@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfam.budget import Budget
 from linfam.cyclo import Cyc
-from linfam.errors import (DomainError, FieldMismatch, NotInKernelRelation,
-                           RankNotOne, ShapeMismatch, ZeroFunction)
+from linfam.errors import (BudgetExceeded, DomainError, FieldMismatch,
+                           NotInKernelRelation, RankNotOne, ShapeMismatch,
+                           ZeroFunction)
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, count_rank_d, image, kernel,
                               subspaces_of_dim)
@@ -106,6 +108,18 @@ def test_fast_path_handles_awkward_denominators():
     S = fast_transform(f)
     assert S.coeffs == transform(f).coeffs
     assert inverse_transform(S) == f
+
+
+def test_transforms_check_the_clock():
+    f = rational_fn(s2, 1, 2, [1, 0, Fraction(1, 2), 0])
+    S = fast_transform(f)
+    for call, label in ((fast_transform, "butterfly transform"),
+                        (transform, "naive transform")):
+        with pytest.raises(BudgetExceeded, match=f"^{label} exceeded 0s "
+                           "time budget after 0 of "):
+            call(f, Budget(seconds=0))
+    with pytest.raises(BudgetExceeded, match="^inverse transform exceeded 0s"):
+        inverse_transform(S, Budget(seconds=0))
 
 
 def test_spectrum_json_round_trips_by_value():
@@ -343,6 +357,21 @@ def test_hypercontractive_random_signs():
         f = DenseFunction(s2, 2, 2, [rng.choice((-1, 1)) for _ in range(16)])
         for d in (1, 2):
             assert verify_hypercontractive(f, d, 4)["holds"]
+
+
+def test_abs_pow_mean_domain():
+    f = rational_fn(s2, 1, 1, [Fraction(-3, 2), Fraction(1, 2)])
+    assert abs_pow_mean(f, 0) == 1
+    assert abs_pow_mean(f, 2) == Fraction(5, 4)
+    assert abs_pow_mean(f, 4) == Fraction(41, 16)
+    # a zero entry once made k = -2 divide by zero, and none made it a value
+    for g in (f, rational_fn(s2, 1, 1, [0, 1])):
+        with pytest.raises(DomainError, match="^need a power k >= 0, got -2$"):
+            abs_pow_mean(g, -2)
+    with pytest.raises(DomainError, match="^only even powers"):
+        abs_pow_mean(f, 3)
+    with pytest.raises(DomainError, match="^function takes irrational values$"):
+        abs_pow_mean(DenseFunction(s3, 1, 1, [Cyc.root(3, 1), 0, 0]), 2)
 
 
 def _hypercontractive_by_projections(f, d, k):
