@@ -85,9 +85,9 @@ def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
     changed between yields), last the admissible images of b_{n-1} in
     order, and hits those members of last whose map has dim ker(sigma -
     tau) = t - 1.  A target requires the fixed images to spend exactly t -
-    1 dependent steps, as _seed_walks's do; every later difference is then
-    independent, and hits are the members of last outside the coset
-    tau(b_{n-1}) + span.  Without a target hits is empty.
+    1 dependent steps, as the seeds of _seed_walks do; every later
+    difference is then independent, and hits are the members of last
+    outside the coset tau(b_{n-1}) + span.  Without a target hits is empty.
     """
     q = code.field.q
     b = ensure(budget)
