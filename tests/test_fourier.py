@@ -110,6 +110,35 @@ def test_fast_path_handles_awkward_denominators():
     assert inverse_transform(S) == f
 
 
+# every shape with at most 81 matrices over the fields below
+ORACLE_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                 for n in range(1, 7) for m in range(1, 7) if q ** (n * m) <= 81]
+
+
+@pytest.mark.parametrize("q,n,m", ORACLE_SHAPES)
+def test_transform_is_the_pair_sum(q, n, m):
+    """Coefficient X is sum_A f(A) conj(u_X(A)) / N, one Cyc product per pair."""
+    spec = field(q)
+    rng = random.Random(q * 100 + n * 10 + m)
+    N = q ** (n * m)
+    As = [Mat.from_index(spec, n, m, i) for i in range(N)]
+    for cyclotomic in (False, True):
+        vals = []
+        for _ in range(N):
+            coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                      for _ in range(spec.p - 1 if cyclotomic else 1)]
+            vals.append(Cyc(spec.p, coords) if cyclotomic else coords[0])
+        f = DenseFunction(spec, n, m, vals)
+        want = []
+        for xi in range(N):
+            X = Mat.from_index(spec, m, n, xi)
+            acc = Cyc.zero(spec.p)
+            for A, v in zip(As, f.values):
+                acc = acc + v * character(X, A).conj()
+            want.append(acc / N)
+        assert transform(f).coeffs == tuple(want)
+
+
 def test_transforms_check_the_clock():
     f = rational_fn(s2, 1, 2, [1, 0, Fraction(1, 2), 0])
     S = fast_transform(f)
