@@ -99,8 +99,7 @@ class Cyc:
             for j, b in enumerate(o.coeffs):
                 if b:
                     acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        return Cyc(p, tuple(acc[k] - top for k in range(p - 1)))
+        return Cyc.from_root_counts(p, acc)
 
     __rmul__ = __mul__
 
@@ -117,8 +116,7 @@ class Cyc:
         acc = [0] * p
         for j, a in enumerate(self.coeffs):
             acc[(p - j) % p] += a
-        top = acc[p - 1]
-        return Cyc(p, tuple(acc[k] - top for k in range(p - 1)))
+        return Cyc.from_root_counts(p, acc)
 
     # predicates and conversion -------------------------------------------
 

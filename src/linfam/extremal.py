@@ -24,6 +24,7 @@ from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
                        rank_table, rref_rows, span_indices, subspaces_of_dim,
                        transpose_indices, vec_from_index, vec_index)
+from .spectra import hoffman_bound, spectrum
 from . import mis
 
 __all__ = [
@@ -47,12 +48,6 @@ __all__ = [
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
-
-
-def _mat_from_columns(spec: FieldSpec, cols: Sequence[Sequence[int]]) -> Mat:
-    n = len(cols[0])
-    rows = tuple(tuple(c[i] for c in cols) for i in range(n))
-    return Mat(spec, rows, len(cols))
 
 
 def _mat_inverse(A: Mat) -> Mat:
@@ -190,7 +185,7 @@ def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
         cols = [elt]
         while len(cols) < n:
             cols.append(poly_mod(spec, (0,) + cols[-1], f))
-        members.append(_mat_from_columns(spec, cols))
+        members.append(Mat(spec, cols).transpose())
         elt = poly_mulmod(spec, elt, gen, f)
     if len({M.index() for M in members}) != order:
         raise InvariantViolated("Singer cycle powers are not distinct")
@@ -394,8 +389,7 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     code = IndexCode(spec, n)
     add, smul = code.add, code.smul
     for basis, walk in _seed_walks(n, q, t, tau, budget):
-        binv = _mat_inverse(_mat_from_columns(
-            spec, [vec_from_index(q, n, v) for v in basis]))
+        binv = _mat_inverse(Mat(spec, [vec_from_index(q, n, v) for v in basis]).transpose())
         *head, last = binv.rows
         for imgs, _, hits in walk:
             # column k of the map sending b_j to imgs[j] is
@@ -404,9 +398,8 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
             for row, v in zip(head, imgs):
                 part = [add(a, smul(x, v)) for a, x in zip(part, row)]
             for c in hits:
-                yield _mat_from_columns(spec, [
-                    vec_from_index(q, n, add(a, smul(x, c)))
-                    for a, x in zip(part, last)])
+                yield Mat(spec, [vec_from_index(q, n, add(a, smul(x, c)))
+                                 for a, x in zip(part, last)]).transpose()
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
@@ -492,7 +485,6 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "status": "violated" if witness else "exploratory",
                 "witness": witness}
     if mode == "spectral":
-        from .spectra import hoffman_bound, spectrum
         S = spectrum(q, n, n, t - 1)
         h = hoffman_bound(S)
         measure = Fraction(bound, q ** (n * n))

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 from .budget import Budget, ensure
 from .errors import (BudgetExceeded, DomainError, DomainOverlap,
-                     FieldMismatch, InconsistentRestriction, LinfamError,
-                     NotQuasiregular, ShapeMismatch)
+                     FieldMismatch, HypothesisUnmet, InconsistentRestriction,
+                     LinfamError, NotQuasiregular, ShapeMismatch)
 from .gf import FieldSpec, field as gf_field
 from .images import ImageTables, capture_keys
 from .matspace import (IndexCode, Mat, Subspace, agreement_dim, flat_literal,
@@ -569,7 +569,6 @@ def quasiregular_implies_uncaptureable_check(F: Family, b: int, N: int,
     """Hypotheses: context complexity <= b, mu >= delta, (1, beta)-quasiregular,
     beta < q^(min(m,n) - N - b) / 2.  Conclusion checked exactly: F is not
     (N, delta/2)-captureable."""
-    from .errors import HypothesisUnmet
     spec = F.field
     mu = F.measure()
     if F.context.complexity > b:

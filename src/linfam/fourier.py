@@ -20,9 +20,14 @@ when p = 2, where omega = -1); multiplying by omega^k rotates such a
 vector, so every cell is integer additions whatever q is, and products of
 entries accumulate into the residue of their exponent difference.  Each
 result is reduced once, by a gcd.  ``Cyc`` values are built only when a
-caller reads ``values``, ``coeffs``, ``value_at`` or ``coeff``.  The
-quadratic-time ``transform`` stays as the oracle, on the same columns: for
-every dual it gathers p integer root counts, one pair at a time.
+caller reads ``values``, ``coeffs``, ``value_at`` or ``coeff``.
+
+The quadratic-time ``transform`` stays as the oracle, on the same columns.
+Every direct character sum in the library, the oracle's and the class
+sums of ``spectra`` and ``verify`` alike, reads one exponent row per dual
+X: tau(Trace(X A)) for every A in index order, grown cell by cell from
+the field's multiplication and trace alone, independent of the
+butterfly's tables.  The oracle gathers p integer root counts from it.
 """
 from __future__ import annotations
 
@@ -38,11 +43,11 @@ from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import (DomainError, FieldMismatch, NotInKernelRelation,
                      RankNotOne, ShapeMismatch, ZeroFunction)
-from .gf import FieldSpec, char_root
+from .gf import FieldSpec, char_root, field
 from .matspace import (IndexCode, Mat, Subspace, image, kernel, null_basis,
                        rank, rank_table, span_indices, subspaces_of_dim,
-                       vec_from_index, vec_index)
-from .families import Family, QPow, leq_threshold
+                       transpose_indices, vec_from_index, vec_index)
+from .families import Family, QPow, coset_base, leq_threshold
 
 
 class _Table:
@@ -173,7 +178,6 @@ class DenseFunction(_Table):
 
     @classmethod
     def from_text(cls, text: str, spec: FieldSpec | None = None) -> "DenseFunction":
-        from .gf import field as gf_field
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise DomainError("empty function file")
@@ -182,7 +186,7 @@ class DenseFunction(_Table):
             rows = [[Fraction(x) for x in ln.split(",")] for ln in lines[1:]]
         except (ValueError, ZeroDivisionError) as e:
             raise DomainError(f"malformed function file: {e}") from None
-        spec = spec if spec is not None else gf_field(q)
+        spec = spec if spec is not None else field(q)
         return cls(spec, n, m, [Cyc(spec.p, r) if len(r) > 1 else r[0] for r in rows])
 
     def __repr__(self):
@@ -235,28 +239,28 @@ def character(X: Mat, A: Mat) -> Cyc:
     return char_root(X.field.p, char_exponent(X, A))
 
 
-# --- transforms -------------------------------------------------------------
+def _exponent_row(spec: FieldSpec, n: int, m: int, X: Mat) -> list[int]:
+    """char_exponent(X, A) for every n x m matrix A, in index order.
 
-def _cell_perm(q: int, n: int, m: int) -> tuple[int, ...]:
-    """perm[i] = index of the m x n transpose of the n x m matrix of index i.
-
-    The indices are listed cell by cell in row-major order of the n x m
-    matrix, so each cell multiplies the list by its q values; cell (i, j)
-    carries its value to the transpose's entry (j, i).
+    tau(Trace(X A)) is additive over the cells of A, and cell (i, j) pairs
+    with X[j][i], so the row grows one cell at a time, most significant
+    first, with no matrix built per A.
     """
-    nm = n * m
+    p = spec.p
     out = [0]
     for i in range(n):
         for j in range(m):
-            w = q ** (nm - 1 - (j * n + i))
-            steps = [a * w for a in range(q)]
-            out = [x + s for x in out for s in steps]
-    return tuple(out)
+            ks = [spec.trace(spec.mul(X.rows[j][i], a)) for a in range(spec.q)]
+            out = [(e + k) % p for e in out for k in ks]
+    return out
 
+
+# --- transforms -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _perm_table(spec: FieldSpec, n: int, m: int) -> tuple[int, ...]:
-    return _cell_perm(spec.q, n, m)
+    """perm[i] = index of the m x n transpose of the n x m matrix of index i."""
+    return tuple(transpose_indices(spec.q, n, m, range(spec.q ** (n * m))))
 
 
 def _gather(cols, order) -> list[list[int]]:
@@ -325,21 +329,20 @@ def fast_transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
 def transform(f: DenseFunction, budget: Budget | None = None) -> Spectrum:
     """Direct-sum transform: the oracle path, quadratic in the table size.
 
-    Coefficient X is sum_A f(A) w^(-tr(XA)) / N.  Coordinate column j of
-    f(A) counts toward w^(j - tr(XA)), so each X gathers p integer root
-    counts, reduced by the Cyc.from_root_counts rule.
+    Coefficient X is sum_A f(A) w^(-tr(XA)) / N, with the exponents of
+    X read off its exponent row.  Coordinate column j of f(A) counts toward
+    w^(j - tr(XA)), so each X gathers p integer root counts, reduced by the
+    Cyc.from_root_counts rule.
     """
     spec = f.field
     p, n, m = spec.p, f.n, f.m
     N = spec.q ** (n * m)
     b = ensure(budget)
     b.check_items(N * N, "naive transform")
-    all_A = [Mat.from_index(spec, n, m, i) for i in range(N)]
     cols = [[] for _ in range(p - 1)]
     for xi in range(N):
         b.check_clock("naive transform", f"{xi} of {N} duals")
-        X = Mat.from_index(spec, m, n, xi)
-        es = [char_exponent(X, A) for A in all_A]
+        es = _exponent_row(spec, n, m, Mat.from_index(spec, m, n, xi))
         counts = [0] * p
         for j, col in enumerate(f.cols):
             for e, x in zip(es, col):
@@ -577,7 +580,6 @@ def reduce_family(F: Family) -> DenseFunction:
     non-pivot columns of S's, so R is M - base read on those rows and
     columns.
     """
-    from .families import coset_base
     spec = F.field
     ctx = F.context
     base = [x for row in coset_base(ctx).rows for x in row]

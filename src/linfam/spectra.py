@@ -22,7 +22,7 @@ from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
-from .fourier import (DenseFunction, _conj_dot, _keep, char_exponent,
+from .fourier import (DenseFunction, _conj_dot, _exponent_row, _keep,
                       fast_transform, inner)
 from .gf import FieldSpec, field
 from .matspace import (IndexCode, Mat, count_rank_d, digit_mask,
@@ -50,8 +50,13 @@ def _check_params(m: int, n: int, t: int) -> None:
         raise DomainError("difference rank m - t cannot exceed n")
 
 
-def _from_counts(spec: FieldSpec, counts, denom: int) -> Fraction:
-    val = Cyc.from_root_counts(spec.p, tuple(counts)) / denom
+def _class_mean(spec: FieldSpec, n: int, m: int, X: Mat, gens) -> Fraction:
+    """The mean of the character u_X over the n x m matrices indexed by gens."""
+    row = _exponent_row(spec, n, m, X)
+    counts = [0] * spec.p
+    for a in gens:
+        counts[row[a]] += 1
+    val = Cyc.from_root_counts(spec.p, counts) / len(gens)
     # the generator class is closed under nonzero scalars, so the sum is
     # fixed by every field automorphism and lands in the rationals
     if not val.is_rational():
@@ -148,16 +153,10 @@ def rank_invariance_check(q: int, m: int, n: int, t: int, d: int,
         raise DomainError(f"need 0 <= d <= min(m, n), got d={d}")
     spec = field(q)
     ensure(budget).check_items(q ** (n * m), "rank invariance")
-    gens = [Mat.from_index(spec, n, m, i)
-            for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
-    duals = [Mat.from_index(spec, m, n, i)
-             for i, r in enumerate(rank_table(spec, m, n)) if r == d]
-    values = set()
-    for X in duals:
-        counts = [0] * spec.p
-        for A in gens:
-            counts[char_exponent(X, A)] += 1
-        values.add(_from_counts(spec, counts, len(gens)))
+    gens = [i for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
+    duals = [i for i, r in enumerate(rank_table(spec, m, n)) if r == d]
+    values = {_class_mean(spec, n, m, Mat.from_index(spec, m, n, x), gens)
+              for x in duals}
     return {"q": q, "m": m, "n": n, "t": t, "d": d,
             "representatives": len(duals),
             "values": tuple(sorted(values)),

@@ -14,20 +14,20 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .budget import Budget
+from .budget import Budget, ensure
 from .cyclo import Cyc
 from .errors import DomainError
 from .families import (Family, default_regularity_eps, is_captureable,
                        max_density_ratio, measure_outside_junta,
                        quasiregular_implies_uncaptureable_check,
                        regularity_decompose)
-from .fourier import (DenseFunction, char_exponent, check_sum_rank_nullity,
+from .fourier import (DenseFunction, _exponent_row, check_sum_rank_nullity,
                       fast_transform, inverse_transform, norm2_sq,
                       projection_mass, reduce_family, transform,
                       verify_hypercontractive)
 from .gf import field
 from .matspace import (IndexCode, Mat, Subspace, agreement_dim, count_rank_d,
-                       count_subspaces_avoiding, enumerate_all, enumerate_gl,
+                       count_subspaces_avoiding, enumerate_gl,
                        gaussian_binomial, gl_order, m_qt, phi, rank,
                        rank_census, rank_table, subspaces_of_dim,
                        vec_from_index)
@@ -110,14 +110,13 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
                 if n * m > 4:
                     continue
                 N = q ** (n * m)
-                As = [Mat.from_index(spec, n, m, j) for j in range(N)]
                 # masks[i][r]: bit a set when u_X_i(A_a) = omega^r
                 masks = []
                 for i in range(N):
-                    X = Mat.from_index(spec, m, n, i)
                     mask = [0] * p
-                    for a, A in enumerate(As):
-                        mask[char_exponent(X, A)] |= 1 << a
+                    row = _exponent_row(spec, n, m, Mat.from_index(spec, m, n, i))
+                    for a, e in enumerate(row):
+                        mask[e] |= 1 << a
                     masks.append(mask)
                 ok = True
                 for i in range(N):
@@ -134,15 +133,13 @@ def criterion_2(seed: int = 0, budget: Budget | None = None) -> dict:
                             ok = ok and val.is_zero()
                 checks.append((f"orthonormal q={q} {n}x{m}", ok))
     spec2 = field(2)
+    fracs = [Fraction(a, b) for a in range(-4, 5) for b in range(1, 4)]
     for n in range(1, 10):
         for m in range(1, 10 // n + 1):
             N = 1 << (n * m)
             okp = okr = True
             for _ in range(500):
-                f = DenseFunction(spec2, n, m,
-                                  [Fraction(rng.randrange(-4, 5),
-                                            rng.randrange(1, 4))
-                                   for _ in range(N)])
+                f = DenseFunction(spec2, n, m, rng.choices(fracs, k=N))
                 S = fast_transform(f, budget)
                 okp = okp and S.parseval_sum() == norm2_sq(f)
                 okr = okr and inverse_transform(S, budget) == f
@@ -173,23 +170,16 @@ def swept_spectrum(q: int, m: int, n: int, t: int,
                    budget: Budget | None = None) -> tuple[Fraction, ...]:
     """Walk eigenvalues by dual rank, as character sums over the class.
 
-    The block identity dual of rank d pairs a matrix with the trace of
-    its leading d x d block, so one sweep over M(n, m) accumulating
-    running diagonal sums yields every rank at once.
+    The block identity dual of rank d pairs a matrix with the trace of its
+    leading d x d block; its character's mean over the rank-(m - t)
+    matrices, read off its exponent row, is the rank-d eigenvalue.
     """
     spec = field(q)
-    dmax = min(m, n)
-    ranks = rank_table(spec, n, m)
-    counts = [[0] * spec.p for _ in range(dmax + 1)]
-    for i, A in enumerate(enumerate_all(spec, n, m, budget)):
-        if ranks[i] != m - t:
-            continue
-        acc = 0
-        counts[0][0] += 1   # the class size: rank 0 pairs trivially
-        for j in range(dmax):
-            acc = spec.add(acc, A.rows[j][j])
-            counts[j + 1][spec.trace(acc)] += 1
-    return tuple(spectra._from_counts(spec, c, counts[0][0]) for c in counts)
+    ensure(budget).check_items(q ** (n * m), "matrix space enumeration")
+    gens = [i for i, r in enumerate(rank_table(spec, n, m)) if r == m - t]
+    blocks = (Mat(spec, [[int(i == j < d) for j in range(n)] for i in range(m)], n)
+              for d in range(min(m, n) + 1))
+    return tuple(spectra._class_mean(spec, n, m, X, gens) for X in blocks)
 
 
 def criterion_3(seed: int = 0, budget: Budget | None = None) -> dict:
@@ -254,12 +244,11 @@ def criterion_5(seed: int = 0, budget: Budget | None = None) -> dict:
     checks = []
     spec = field(2)
     n = m = 2
-    As = [Mat.from_index(spec, n, m, j) for j in range(16)]
     duals = [Mat.from_index(spec, m, n, i) for i in range(16)]
     by_rank = {d: [X for X in duals if rank(X) == d] for d in (1, 2)}
     for d in (1, 2):
         chars = by_rank[d]
-        tbl = [[1 - 2 * char_exponent(X, A) for A in As] for X in chars]
+        tbl = [[1 - 2 * e for e in _exponent_row(spec, n, m, X)] for X in chars]
         ok = True
         for mask in range(1, 1 << len(chars)):
             vals = [0] * 16

@@ -18,8 +18,9 @@ from linfam.matspace import (Mat, Subspace, count_rank_d, image, kernel,
                               subspaces_of_dim)
 from linfam.families import (Family, QPow, Restriction, coset_base,
                              enumerate_coset, leq_threshold)
-from linfam.fourier import (DenseFunction, Spectrum, _cell_perm, abs_pow_mean,
-                            character, check_sum_rank_nullity, degree,
+from linfam.fourier import (DenseFunction, Spectrum, _exponent_row, _perm_table,
+                            abs_pow_mean, char_exponent, character,
+                            check_sum_rank_nullity, degree,
                             fast_transform, inner, inverse_transform,
                             norm2_sq, norm2_sq_frac,
                             project_image, project_kernel, rank_component,
@@ -137,6 +138,16 @@ def test_transform_is_the_pair_sum(q, n, m):
                 acc = acc + v * character(X, A).conj()
             want.append(acc / N)
         assert transform(f).coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("q,n,m", ORACLE_SHAPES + [(11, 1, 1), (16, 1, 1),
+                                                   (2, 0, 3), (3, 2, 0)])
+def test_exponent_row_is_the_pair_list(q, n, m):
+    spec = field(q)
+    As = [Mat.from_index(spec, n, m, i) for i in range(q ** (n * m))]
+    for xi in range(q ** (n * m)):
+        X = Mat.from_index(spec, m, n, xi)
+        assert _exponent_row(spec, n, m, X) == [char_exponent(X, A) for A in As]
 
 
 def test_transforms_check_the_clock():
@@ -309,7 +320,7 @@ def test_cell_perm_matches_digit_decode():
     shapes = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)
               for n in range(1, 13) for m in range(1, 13) if q ** (n * m) <= 4096]
     for q, n, m in shapes:
-        assert _cell_perm(q, n, m) == _cell_perm_by_digits(q, n, m), (q, n, m)
+        assert _perm_table(field(q), n, m) == _cell_perm_by_digits(q, n, m), (q, n, m)
 
 
 def seeded_function(q, n, m, seed, irrational=False):
