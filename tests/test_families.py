@@ -975,3 +975,59 @@ def test_strong_intersection_over_components():
     e2_col = Restriction(s2, 2, 2, cols=[((0, 1), (0, 1))])
     disjoint = Junta(s2, 2, 2, [COL_E1, e2_col], 2, 1)
     assert is_strongly_t_intersecting(disjoint, 1) == (False, (0, 1))
+
+
+def graph_points(spec, pairs, dom_len, img_len):
+    """Every point of the span of the (v, w) rows of one side's pairs."""
+    pts = {(0,) * (dom_len + img_len)}
+    for v, w in pairs:
+        row = tuple(v) + tuple(w)
+        pts |= {tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(p, row))
+                for p in pts for c in range(1, spec.q)}
+    return pts
+
+
+def strong_oracle(J, t):
+    """The first pair i <= j whose graphs meet in fewer than q^t points on
+    both sides, by listing the points; (True, None) if there is none."""
+    q = J.field.q
+    for i, j in itertools.combinations_with_replacement(range(len(J.components)), 2):
+        dims = []
+        for side, dom, img in (("cols", J.m, J.n), ("rows", J.n, J.m)):
+            common = len(graph_points(J.field, getattr(J.components[i], side), dom, img)
+                         & graph_points(J.field, getattr(J.components[j], side), dom, img))
+            d = 0
+            while q ** d < common:
+                d += 1
+            dims.append(d)
+        if max(dims) < t:
+            return False, (i, j)
+    return True, None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_strong_intersection_against_graph_points(q):
+    spec = field(q)
+    rng = random.Random(q)
+    seen = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        # draw from a few vectors, so that components share constraints
+        pool = [tuple(rng.randrange(q) for _ in range(max(n, m)))
+                for _ in range(3)]
+        comps, count = [], rng.randint(1, 3)
+        while len(comps) < count:
+            cols = [(rng.choice(pool)[:m], rng.choice(pool)[:n])
+                    for _ in range(rng.randint(0, min(m, 2)))]
+            rows = [(rng.choice(pool)[:n], rng.choice(pool)[:m])
+                    for _ in range(rng.randint(0, min(n, 2)))]
+            try:
+                comps.append(Restriction(spec, n, m, cols=cols, rows=rows))
+            except InconsistentRestriction:
+                continue
+        J = Junta(spec, n, m, comps, len(comps), max(R.complexity for R in comps))
+        for t in range(1, max(n, m) + 1):
+            got = is_strongly_t_intersecting(J, t)
+            assert got == strong_oracle(J, t), (J, t)
+            seen.add(got[0])
+    assert seen == {True, False}

@@ -5,6 +5,7 @@ computations on enumerated or randomly assembled instances, so a formula
 bug cannot hide behind its own enumeration.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -69,6 +70,63 @@ def test_agreement_rank_complement():
             r = rank(A1 - A2)
             assert agreement_dim(A1, A2) + r == m
             assert agreement_dim(A1.transpose(), A2.transpose()) + r == n
+
+
+FOLD_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 16]
+
+
+@pytest.mark.parametrize("q", FOLD_FIELDS)
+def test_mat_arithmetic_against_cell_folds(q):
+    """+, -, unary -, smul, apply and rapply equal folds of the field's
+    element operations, cell by cell, on every shape with n, m <= 3."""
+    spec = field(q)
+    rng = random.Random(q)
+
+    def rand_mat(n, m):
+        return Mat(spec, [[rng.randrange(q) for _ in range(m)]
+                          for _ in range(n)], m)
+
+    def dot(u, v):
+        return functools.reduce(spec.add, map(spec.mul, u, v), 0)
+
+    for n, m in itertools.product(range(4), repeat=2):
+        for _ in range(3):
+            A, B = rand_mat(n, m), rand_mat(n, m)
+            c = rng.randrange(q)
+            v = [rng.randrange(q) for _ in range(m)]
+            a = [rng.randrange(q) for _ in range(n)]
+            pairs = list(zip(A.rows, B.rows))
+            assert A + B == Mat(spec, [list(map(spec.add, r, s))
+                                       for r, s in pairs], m)
+            assert A - B == Mat(spec, [list(map(spec.sub, r, s))
+                                       for r, s in pairs], m)
+            assert -A == Mat(spec, [list(map(spec.neg, r)) for r in A.rows], m)
+            assert A.smul(c) == Mat(spec, [[spec.mul(c, x) for x in r]
+                                           for r in A.rows], m)
+            assert A.apply(v) == tuple(dot(r, v) for r in A.rows)
+            assert A.rapply(a) == tuple(dot(a, [r[j] for r in A.rows])
+                                        for j in range(m))
+
+
+@pytest.mark.parametrize("q", FOLD_FIELDS)
+def test_subspace_contains_against_span_listing(q):
+    """contains(v) is membership in the list of every combination of the
+    basis rows, for every v of F_q^L, L <= 3."""
+    spec = field(q)
+    rng = random.Random(q)
+    for length in range(4):
+        for k in range(4):
+            vecs = [[rng.randrange(q) for _ in range(length)] for _ in range(k)]
+            S = Subspace.from_vectors(spec, length, vecs)
+            listing = set()
+            for u in itertools.product(range(q), repeat=S.dim):
+                w = (0,) * length
+                for c, r in zip(u, S.rows):
+                    w = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(w, r))
+                listing.add(w)
+            assert len(listing) == q ** S.dim
+            for w in itertools.product(range(q), repeat=length):
+                assert S.contains(w) == (w in listing)
 
 
 def test_determinant_and_trace_values():
