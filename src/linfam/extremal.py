@@ -24,7 +24,7 @@ from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
                        gaussian_binomial, gl_order, kernel, m_qt, rank,
                        rank_table, rref_rows, span_indices, subspaces_of_dim,
                        transpose_indices, vec_from_index, vec_index)
-from .spectra import hoffman_bound, spectrum
+from .spectra import graph_bitsets, hoffman_bound, spectrum
 from . import mis
 
 __all__ = [
@@ -424,7 +424,8 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
     """Stress the prefix-fixing family's optimality claim at one point.
 
     exhaustive: exact maximum family avoiding agreement dimension t - 1
-    inside GL, against the prefix-fixing size; every optimum must carry a
+    inside GL, against the prefix-fixing size, searched on graph_bitsets'
+    agreement graph induced on GL; every optimum must carry a
     t-dimensional common-agreement subspace on one side or the other.
     sample: no single map outside the prefix-fixing family can be added.
     spectral: the ratio bound of the ambient walk operator, as context.
@@ -442,16 +443,12 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
         if order > 200:
             raise BudgetExceeded(f"exhaustive search capped near |GL| = 200, "
                                  f"got {order}")
-        # sigma_1, sigma_2 agree on n - rank(sigma_1 - sigma_2) dimensions
-        ranks = rank_table(spec, n, n)
-        verts = [i for i, rk in enumerate(ranks) if rk == n]
-        sub = IndexCode(spec, n * n).sub
-        adj = [0] * order
-        for i in range(order):
-            for j in range(i + 1, order):
-                if n - ranks[sub(verts[i], verts[j])] == t - 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        # sigma_1, sigma_2 agree on t - 1 dimensions iff rank(sigma_1 - sigma_2)
+        # = n - t + 1: the graph on M(n, n) that spectral mode bounds, on GL
+        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
+        full = graph_bitsets(q, n, n, t - 1, b)
+        adj = [sum(1 << j for j, v in enumerate(verts) if full[u] >> v & 1)
+               for u in verts]
         optima = mis.all_maximum_independent_sets(adj, order, b)
         size = optima[0].bit_count()
         mats = [Mat.from_index(spec, n, n, i) for i in verts]

@@ -102,12 +102,14 @@ class Restriction:
     # predicates -----------------------------------------------------------
 
     def matches(self, M: Mat) -> bool:
+        M._check_space(self.field, self.n, self.m)
         return (all(M.apply(v) == w for v, w in self.cols)
                 and all(M.rapply(a) == b for a, b in self.rows))
 
     def avoids(self, M: Mat) -> bool:
         """True iff M disagrees on every nonzero domain element, both sides."""
         spec = self.field
+        M._check_space(spec, self.n, self.m)
         col_diffs = [vec_sub(spec, M.apply(v), w) for v, w in self.cols]
         if not _frame_independent(spec, col_diffs):
             return False
@@ -130,6 +132,7 @@ class Restriction:
     def translate(self, A0: Mat) -> "Restriction":
         """Constraints equivalent to these after members shift by -A0."""
         spec = self.field
+        A0._check_space(spec, self.n, self.m)
         return Restriction(spec, self.n, self.m,
                            cols=[(v, vec_sub(spec, w, A0.apply(v))) for v, w in self.cols],
                            rows=[(a, vec_sub(spec, b, A0.rapply(a))) for a, b in self.rows])
@@ -333,7 +336,7 @@ class Family:
 
     def translate(self, A0: Mat) -> "Family":
         """The members minus A0, row by row."""
-        A0.index_in(self.field, self.n, self.m)    # A0 lies in the same space
+        A0._check_space(self.field, self.n, self.m)
         q, m = self.field.q, self.m
         code = IndexCode(self.field, m)
         rows = [code.shift(r, code.sub(0, vec_index(q, a))) for r, a in
@@ -647,6 +650,7 @@ class Junta:
         self.r = r
 
     def contains(self, M: Mat) -> bool:
+        M._check_space(self.field, self.n, self.m)
         return any(R.matches(M) for R in self.components)
 
     def dual(self) -> "Junta":
@@ -766,23 +770,11 @@ def partial_agreement_dim(spec: FieldSpec, pairs1, pairs2, dom_len: int,
 def is_strongly_t_intersecting(J: Junta, t: int):
     """Every component pair (i = j included) agrees on >= t dimensions on
     the column side or the row side.  Returns (bool, witness pair)."""
-    spec = J.field
     comps = J.components
-    for i in range(len(comps)):
-        for j in range(i, len(comps)):
-            Ri, Rj = comps[i], comps[j]
-            if i == j:
-                if Ri.dim_col >= t or Ri.dim_row >= t:
-                    continue
-                return False, (i, j)
-            col = partial_agreement_dim(spec, Ri.cols, Rj.cols, J.m, J.n) \
-                if Ri.cols and Rj.cols else 0
-            if col >= t:
-                continue
-            row = partial_agreement_dim(spec, Ri.rows, Rj.rows, J.n, J.m) \
-                if Ri.rows and Rj.rows else 0
-            if row >= t:
-                continue
+    for i, j in itertools.combinations_with_replacement(range(len(comps)), 2):
+        Ri, Rj = comps[i], comps[j]
+        if (partial_agreement_dim(J.field, Ri.cols, Rj.cols, J.m, J.n) < t
+                and partial_agreement_dim(J.field, Ri.rows, Rj.rows, J.n, J.m) < t):
             return False, (i, j)
     return True, None
 

@@ -2,18 +2,19 @@
 
 A Mat is an immutable n x m array of field-element encodings together with
 its FieldSpec.  Subspaces are kept in reduced row echelon form, so equal
-subspaces have identical representations.
+subspaces have identical representations.  Mat and Subspace compute
+through the vec_* helpers and rref_rows; only det_val, which tracks a
+determinant, keeps its own elimination.
 
 A vector of F_q^L is also coded by its index (vec_index), and a matrix by
 the index of its row-major entries (Mat.index), whose base-q^m digits are
 its rows' indices.  IndexCode adds, scales and row-reduces indices by table
 lookup, and by XOR in characteristic 2; the rank walk reduces its rows'
-indices with it.  A span
-is also held as its listing, the indices of its members: IndexCode.extend
-lists what one more vector adds to a span.  It builds span_indices, the
-listing by the index of every combination of a basis that the capture
-search and the projections share, and the member sets of the extremal
-prefix walk.
+indices with it.  A span is also held as its listing, the indices of its
+members: IndexCode.extend lists what one more vector adds to a span.  It
+builds span_indices, the listing by the index of every combination of a
+basis that the capture search and the projections share, and the member
+sets of the extremal prefix walk.
 """
 from __future__ import annotations
 
@@ -308,12 +309,16 @@ class Mat:
     def index(self) -> int:
         return vec_index(self.field.q, itertools.chain.from_iterable(self.rows))
 
-    def index_in(self, spec: FieldSpec, n: int, m: int) -> int:
-        """index(), once this is checked to be an n x m matrix over spec."""
+    def _check_space(self, spec: FieldSpec, n: int, m: int) -> None:
+        """Raise unless this is an n x m matrix over spec."""
         if self.field != spec:
             raise FieldMismatch("matrix over a different field")
-        if self.shape != (n, m):
+        if self.n != n or self.m != m:
             raise ShapeMismatch(f"matrix must be {n}x{m}, got {self.n}x{self.m}")
+
+    def index_in(self, spec: FieldSpec, n: int, m: int) -> int:
+        """index(), once this is checked to be an n x m matrix over spec."""
+        self._check_space(spec, n, m)
         return self.index()
 
     def is_zero(self) -> bool:
@@ -328,25 +333,22 @@ class Mat:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _cellwise(self, other, op, sym: str) -> "Mat":
+        """op(field, r1, r2) on each pair of rows, other sharing field and shape."""
         o = self._chk(other)
         if o.shape != self.shape:
-            raise ShapeMismatch(f"{self.shape} + {o.shape}")
+            raise ShapeMismatch(f"{self.shape} {sym} {o.shape}")
         f = self.field
-        return Mat(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, o.rows)), self.m)
+        return Mat(f, (op(f, r1, r2) for r1, r2 in zip(self.rows, o.rows)), self.m)
+
+    def __add__(self, other):
+        return self._cellwise(other, vec_add, "+")
 
     def __sub__(self, other):
-        o = self._chk(other)
-        if o.shape != self.shape:
-            raise ShapeMismatch(f"{self.shape} - {o.shape}")
-        f = self.field
-        return Mat(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, o.rows)), self.m)
+        return self._cellwise(other, vec_sub, "-")
 
     def __neg__(self):
-        f = self.field
-        return Mat(f, tuple(tuple(f.neg(a) for a in r) for r in self.rows), self.m)
+        return self.smul(self.field.neg(1))
 
     def __matmul__(self, other):
         o = self._chk(other)
@@ -361,7 +363,7 @@ class Mat:
 
     def smul(self, c: int) -> "Mat":
         f = self.field
-        return Mat(f, tuple(tuple(f.mul(c, a) for a in r) for r in self.rows), self.m)
+        return Mat(f, (vec_smul(f, c, r) for r in self.rows), self.m)
 
     def transpose(self) -> "Mat":
         if not self.rows:
@@ -379,18 +381,8 @@ class Mat:
         """Row-functional product a^T A, a of length n."""
         if len(a) != self.n:
             raise ShapeMismatch("functional length != n")
-        f = self.field
-        if f.s == 1:
-            # one integer sum per column, as in vec_dot
-            cols = zip(*self.rows) if self.rows else [()] * self.m
-            return tuple(sum(map(mul, a, c)) % f.p for c in cols)
-        out = []
-        for j in range(self.m):
-            t = 0
-            for i in range(self.n):
-                t = f.add(t, f.mul(a[i], self.rows[i][j]))
-            out.append(t)
-        return tuple(out)
+        cols = zip(*self.rows) if self.rows else [()] * self.m
+        return tuple(vec_dot(self.field, a, c) for c in cols)
 
     def det_val(self) -> int:
         if self.n != self.m:
@@ -526,23 +518,17 @@ class Subspace:
 
     @classmethod
     def full(cls, spec: FieldSpec, ambient: int) -> "Subspace":
-        return cls(spec, ambient,
-                   tuple(tuple(1 if i == j else 0 for j in range(ambient))
-                         for i in range(ambient)))
+        return cls(spec, ambient, Mat.identity(spec, ambient).rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, v: Sequence[int]) -> bool:
-        f = self.field
-        w = list(v)
-        for row in self.rows:
-            piv = next(j for j, x in enumerate(row) if x)
-            if w[piv]:
-                c = w[piv]
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        return not any(w)
+        if len(v) != self.ambient:
+            raise ShapeMismatch(f"vector of length {len(v)} in F^{self.ambient}")
+        return Subspace.from_vectors(self.field, self.ambient,
+                                     self.rows + (v,)).dim == self.dim
 
     def sum_(self, other: "Subspace") -> "Subspace":
         self._chk(other)

@@ -964,6 +964,21 @@ def test_junta_residue_rejects_other_spaces():
             measure_outside_junta(F, Junta(s2, 3, 2, [comp], 1, 1))
 
 
+def test_restriction_and_junta_reject_other_spaces():
+    s3, s5 = field(3), field(5)
+    R = Restriction(s3, 2, 2, cols=[((1, 0), (1, 2))])
+    J = Junta(s3, 2, 2, [R], 1, 1)
+    F = Family.from_coset(R)
+    # the F_5 matrix once matched R, and a 3x2 one neither matched nor avoided it
+    for M, err in ((Mat(s5, ((1, 0), (2, 4)), 2), FieldMismatch),
+                   (Mat(s3, ((1, 0), (2, 1), (0, 0)), 2), ShapeMismatch)):
+        for check in (R.matches, R.avoids, R.translate, J.contains,
+                      Junta(s3, 2, 2, [], 1, 1).contains, F.translate):
+            with pytest.raises(err):
+                check(M)
+        assert M not in F
+
+
 def test_strong_intersection_over_components():
     single = Junta(s2, 2, 2, [COL_E1], 1, 1)
     assert is_strongly_t_intersecting(single, 1) == (True, None)

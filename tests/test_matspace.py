@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from linfam.errors import DomainError
+from linfam.errors import DomainError, ShapeMismatch
 from linfam.gf import field
 from linfam.matspace import (IndexCode, Mat, Subspace, agreement,
                              agreement_dim, count_rank_d,
@@ -127,6 +127,14 @@ def test_subspace_contains_against_span_listing(q):
             assert len(listing) == q ** S.dim
             for w in itertools.product(range(q), repeat=length):
                 assert S.contains(w) == (w in listing)
+
+
+def test_subspace_contains_rejects_other_lengths():
+    # zip once truncated (1, 0, 0, 1) to a member of span{(1, 0, 0)}
+    S = Subspace.from_vectors(s2, 3, [(1, 0, 0)])
+    for v in ((1, 0, 0, 1), (1, 0)):
+        with pytest.raises(ShapeMismatch):
+            S.contains(v)
 
 
 def test_determinant_and_trace_values():
