@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import extremal, spectra, verify
-from .budget import Budget
+from .budget import DEFAULT_ITEMS, DEFAULT_SECONDS, Budget
 from .errors import BudgetExceeded, DomainError, LinfamError
 from .families import (Family, measure_outside_junta,
                        quasiregular_implies_uncaptureable_check,
@@ -201,9 +201,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget-items", type=int, default=2 ** 28,
+    common.add_argument("--budget-items", type=int, default=DEFAULT_ITEMS,
                         help="work item ceiling (default 2^28)")
-    common.add_argument("--budget-seconds", type=float, default=600.0,
+    common.add_argument("--budget-seconds", type=float, default=DEFAULT_SECONDS,
                         help="wall clock ceiling per run (default 600)")
 
     parser = argparse.ArgumentParser(

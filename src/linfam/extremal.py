@@ -482,7 +482,7 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "status": "violated" if witness else "exploratory",
                 "witness": witness}
     if mode == "spectral":
-        S = spectrum(q, n, n, t - 1)
+        S = spectrum(q, n, n, t - 1, b)
         h = hoffman_bound(S)
         measure = Fraction(bound, q ** (n * n))
         return {"claim": "ratio bound of the ambient agreement walk, "
@@ -515,8 +515,4 @@ def sl_family(n: int, q: int, t: int,
 
 
 def report_to_json(rep: dict) -> str:
-    def enc(x):
-        if isinstance(x, Fraction):
-            return str(x)
-        raise TypeError(f"not JSON serializable: {x!r}")
-    return json.dumps(rep, default=enc)
+    return json.dumps(rep)

@@ -257,8 +257,9 @@ class FieldSpec:
     # identity -------------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.s, self.modulus) == (other.p, other.s, other.modulus))
+        return other is self or (
+            isinstance(other, FieldSpec)
+            and (self.p, self.s, self.modulus) == (other.p, other.s, other.modulus))
 
     def __hash__(self):
         return self._hash

@@ -27,7 +27,7 @@ def _listing(code: IndexCode, gens: list, count: int) -> list:
     v + d e_k for each d != 0 and listed v != 0 above k, by IndexCode.add."""
     q = code.field.q
     # one byte per member while the image indices fit, else four
-    typecode = "B" if q ** len(code.powers) <= 256 else "I"
+    typecode = "B" if q ** code.length <= 256 else "I"
     out = [None] * q ** len(gens)
     out[0] = array(typecode, [0]) * count
     for k, g in enumerate(gens):

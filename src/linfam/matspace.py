@@ -8,18 +8,16 @@ determinant, keeps its own elimination.
 
 A vector of F_q^L is also coded by its index (vec_index), and a matrix by
 the index of its row-major entries (Mat.index), whose base-q^m digits are
-its rows' indices.  IndexCode adds, scales and row-reduces indices by table
-lookup, and by XOR in characteristic 2; the rank walk reduces its rows'
-indices with it.  A span is also held as its listing, the indices of its
-members: IndexCode.extend lists what one more vector adds to a span.  It
-builds span_indices, the listing by the index of every combination of a
-basis that the capture search and the projections share, and the member
-sets of the extremal prefix walk.
+its rows' indices.  IndexCode adds and scales indices by table lookup, and
+by XOR in characteristic 2.  A span of indices is held as its listing, the
+indices of its members: IndexCode.extend lists what one more vector adds to
+a span.  It builds span_indices, the listing by the index of every
+combination of a basis that the capture search and the projections share,
+and the member sets of the extremal prefix walk and of the rank walk.
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -91,31 +89,28 @@ def _index_tables(spec: FieldSpec, length: int) -> tuple[list | None, list]:
 
 
 class IndexCode:
-    """Vector arithmetic, span listings and echelon reduction on the
-    indices of length-L vectors.
+    """Vector arithmetic and span listings on the indices of length-L
+    vectors.
 
     An index splits into its leading ceil(L/2) and trailing floor(L/2)
     coordinates; each half has its own tables, so no table holds more than
     q^(L+1) entries.  In characteristic 2 an index's base-q digits are bit
-    fields, so add, sub and shift are XOR and no add table is built; at
-    q = 2 reduce and insert are the bit echelon (reduce_bits).
+    fields, so add, sub and shift are XOR and no add table is built.
     """
 
-    __slots__ = ("field", "powers", "base", "hadd", "hmul", "ladd", "lmul",
-                 "minus_one", "add", "sub", "reduce", "insert")
+    __slots__ = ("field", "length", "base", "hadd", "hmul", "ladd", "lmul",
+                 "minus_one", "add", "sub")
 
     def __init__(self, spec: FieldSpec, length: int):
         low = length // 2
         self.field = spec
-        self.powers = [spec.q ** k for k in range(length)]
+        self.length = length
         self.base = spec.q ** low
         self.hadd, self.hmul = _index_tables(spec, length - low)
         self.ladd, self.lmul = _index_tables(spec, low)
         self.minus_one = spec.neg(1)
         self.add, self.sub = ((xor, xor) if spec.p == 2
                               else (self._add, self._sub))
-        self.reduce, self.insert = ((reduce_bits, _insert_bits) if spec.q == 2
-                                    else (self._reduce, self._insert))
 
     def _add(self, x: int, y: int) -> int:
         B = self.base
@@ -145,28 +140,6 @@ class IndexCode:
         for c in range(2, self.field.q):
             out += self.shift(span, self.smul(c, v))
         return out
-
-    def _reduce(self, basis: dict[int, list[int]], v: int) -> int:
-        """Remainder of v against an echelon basis keyed by digit length, as
-        reduce_bits keys by bit length; 0 exactly when v lies in the span.
-        basis[k][d] is the index of -d times the row scaled to leading
-        digit 1, so cancelling a leading digit d is one add."""
-        powers = self.powers
-        while v:
-            k = bisect_right(powers, v)
-            negs = basis.get(k)
-            if negs is None:
-                return v
-            v = self.add(v, negs[v // powers[k - 1]])
-        return 0
-
-    def _insert(self, basis: dict[int, list[int]], r: int) -> int:
-        """Store a nonzero remainder and return its key."""
-        spec = self.field
-        k = bisect_right(self.powers, r)
-        row = self.smul(spec.inv(r // self.powers[k - 1]), r)
-        basis[k] = [self.smul(spec.neg(d), row) for d in range(spec.q)]
-        return k
 
 
 def span_indices(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
@@ -236,29 +209,6 @@ def rref_rows(spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: int,
     reduced = [tuple(w) for w in work[:r]]
     leftover = [tuple(w) for w in work[r:] if any(w)]
     return tuple(pivots), reduced, leftover
-
-
-# The echelon walks reduce a new row against a basis held as a dict with one
-# row per leading position, so a row costs one pass from its leading place
-# down and an insertion is one dict store.  A search tree stores the reduced
-# row under its key before descending and deletes that key on the way back.
-
-def reduce_bits(basis: dict[int, int], v: int) -> int:
-    """Remainder of the GF(2) row v (packed int) against a basis keyed by bit
-    length; 0 exactly when v lies in the span.  Insert a nonzero remainder r
-    as basis[r.bit_length()] = r."""
-    while v:
-        b = basis.get(v.bit_length())
-        if b is None:
-            return v
-        v ^= b
-    return 0
-
-
-def _insert_bits(basis: dict[int, int], r: int) -> int:
-    key = r.bit_length()
-    basis[key] = r
-    return key
 
 
 # --- Mat --------------------------------------------------------------------
@@ -565,15 +515,19 @@ class Subspace:
 # --- rank / kernel / image / agreement --------------------------------------
 
 def rank(A: Mat) -> int:
-    # IndexCode's q = 2 echelon called directly, as building a code per call
-    # costs more than the rank; at other q its tables hold q^(ceil(m/2) + 1)
-    # entries or more, where RREF costs O(n m min(n, m))
+    # at q = 2 a bit echelon of the rows' indices, held as one row per bit
+    # length, so a row is reduced by XOR from its leading bit down; at other
+    # q RREF, as one rank does not repay IndexCode's tables
     if A.field.q == 2:
         basis: dict[int, int] = {}
-        for r in A.rows:
-            r = reduce_bits(basis, vec_index(2, r))
-            if r:
-                _insert_bits(basis, r)
+        for v in A.rows:
+            v = vec_index(2, v)
+            while v:
+                b = basis.get(v.bit_length())
+                if b is None:
+                    basis[v.bit_length()] = v
+                    break
+                v ^= b
         return len(basis)
     _, reduced, _ = rref_rows(A.field, A.rows, A.m)
     return len(reduced)
@@ -709,29 +663,30 @@ def _rank_walk(spec: FieldSpec, n: int, m: int, emit) -> None:
     one list per choice of the rows above the last.
 
     A DFS over rows in lexicographic order visits the matrices in index
-    order and keeps an incremental echelon basis of the rows above, so each
-    matrix costs one row reduction and no Mat is built.
+    order and holds the span of the rows above as the set of its members'
+    indices, grown by IndexCode.extend as the prefix walk grows its spans:
+    a row adds to the rank exactly when it lies outside that set, so each
+    matrix costs one set lookup and no Mat is built.
     """
     if n == 0:
         emit([0])
         return
     code = IndexCode(spec, m)
-    reduce, insert = code.reduce, code.insert
     rows = range(spec.q ** m)
-    basis: dict = {}
+    span = {0}
 
     def rec(depth: int, rk: int) -> None:
         if depth == n - 1:
-            emit([rk + 1 if reduce(basis, v) else rk for v in rows])
+            emit([rk if v in span else rk + 1 for v in rows])
             return
         for v in rows:
-            r = reduce(basis, v)
-            if r:
-                key = insert(basis, r)
-                rec(depth + 1, rk + 1)
-                del basis[key]
-            else:
+            if v in span:
                 rec(depth + 1, rk)
+            else:
+                added = code.extend(span, v)
+                span.update(added)
+                rec(depth + 1, rk + 1)
+                span.difference_update(added)
 
     rec(0, 0)
 

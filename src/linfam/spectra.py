@@ -24,7 +24,7 @@ from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
                      ShapeMismatch)
 from .fourier import (DenseFunction, _conj_dot, _exponent_row, _keep,
                       fast_transform, inner)
-from .gf import FieldSpec, field
+from .gf import FieldSpec, field, prime_power
 from .matspace import (IndexCode, Mat, count_rank_d, digit_mask,
                        gaussian_binomial, phi, rank_table)
 
@@ -69,9 +69,9 @@ def _krawtchouk(q: int, m: int, n: int, t: int, ds,
     """Walk eigenvalues on the rank-d characters, d in ds: Delsarte's
     generalized Krawtchouk numbers (JCTA 25 (1978) 226-241) for the
     distance-k relation, divided by the class size."""
-    field(q)    # DomainError unless q is a prime power
     N, M, k = min(m, n), max(m, n), m - t
     b = ensure(budget)
+    prime_power(q, b)   # DomainError unless q is a prime power
     b.check_items(len(ds) * (k + 1), "eigenvalue formula terms")
     size = count_rank_d(n, m, k, q)
     out = []

@@ -493,3 +493,10 @@ def test_spectral_bound_reports():
     assert rep["consistent"] and rep["status"] == "exploratory"
     rep3 = ex.verify_extremal_bound(2, 3, 1, "spectral")
     assert rep3["consistent"], rep3
+
+
+def test_bound_reports_keep_to_their_limits():
+    with pytest.raises(BudgetExceeded, match="capped near [|]GL[|] = 200, got 480"):
+        ex.verify_extremal_bound(2, 5, 1, "exhaustive")
+    with pytest.raises(BudgetExceeded, match="eigenvalue formula terms"):
+        ex.verify_extremal_bound(40, 2, 1, "spectral", Budget(items=10))

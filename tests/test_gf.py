@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,24 @@ def test_field_axioms_exhaustive_small_orders():
                 assert f.mul(a, b) == f.mul(b, a)
                 for c in els:
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("q", (512, 729))
+def test_field_axioms_sampled_without_add_table(q):
+    # above q = 256 F_{p^s} adds coefficient-wise, with no table
+    f = field(q)
+    rng = random.Random(q)
+    for _ in range(200):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert f.add(a, b) == f.add(b, a)
+        assert f.add(a, f.neg(a)) == 0
+        assert f.sub(f.add(a, b), b) == a
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+def test_field_order_capped():
+    with pytest.raises(DomainError, match="beyond supported size 4096"):
+        FieldSpec(2, 13)
 
 
 def test_encode_coeffs_round_trip():

@@ -102,6 +102,14 @@ def test_parameter_domain():
         spectrum(6, 1, 1, 0)    # 6 is not a prime power
 
 
+def test_closed_form_beyond_field_tables():
+    # the Krawtchouk form needs only that q is a prime power, tested within
+    # the caller's budget, not a field table
+    assert spectrum(8192, 1, 1, 0).lam == (1, Fraction(-1, 8191))
+    with pytest.raises(BudgetExceeded, match="prime power test"):
+        spectrum(10 ** 12 + 39, 2, 2, 1, Budget(seconds=0))
+
+
 def test_rank_invariance():
     rep = rank_invariance_check(2, 2, 2, 0, 1)
     assert rep["holds"]
@@ -265,6 +273,11 @@ def test_clique_and_independence_on_small_graphs():
 
     assert not mis._translation_transitive(path3, 3)
     assert mis._translation_transitive(c5, 5)
+
+
+def test_exact_search_caps_the_vertex_count():
+    with pytest.raises(DomainError, match="capped at 4096 vertices"):
+        mis.max_clique([0] * (mis.MAX_VERTICES + 1), mis.MAX_VERTICES + 1)
 
 
 def test_search_budget_reports_progress():
