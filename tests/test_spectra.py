@@ -1,6 +1,7 @@
 """Walk-operator eigenvalues by dual rank, and the independence bounds they
 give.  Small points are frozen from direct computation."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,13 +13,13 @@ from linfam.budget import Budget
 from linfam.cyclo import Cyc
 from linfam.errors import BudgetExceeded, DomainError
 from linfam.gf import field
-from linfam.matspace import Mat, phi, rank, vec_from_index
+from linfam.matspace import Mat, phi, rank, rank_table, vec_from_index
 from linfam.fourier import DenseFunction, abs_pow_mean
 from linfam.families import Family, is_intersection_free
 from linfam.spectra import (bilinear_decomposition, eigenvalue,
                             eigenvalue_bound_check, graph_bitsets,
                             hoffman_bound, rank_invariance_check, spectrum)
-from linfam.verify import swept_spectrum
+from linfam.verify import _mis_grid, swept_spectrum
 
 s2 = field(2)
 
@@ -422,3 +423,50 @@ def test_all_maximum_independent_sets_on_tiny_graphs():
     assert mis.max_independent_set([], 0) == (0, 0)
     assert mis.all_maximum_independent_sets([0], 1) == [1]
     assert mis.max_independent_set([0], 1) == (1, 1)
+
+
+def _gl_induced_graph(n, q, t):
+    """The graph exhaustive mode searches: graph_bitsets' agreement graph
+    on M(n, n) at agreement dimension t - 1, induced on GL (vertices in
+    index order)."""
+    verts = [i for i, rk in enumerate(rank_table(field(q), n, n)) if rk == n]
+    pos = {v: j for j, v in enumerate(verts)}
+    full = graph_bitsets(q, n, n, t - 1)
+    return [sum(1 << pos[v] for v in mis.bits_of(full[u]) if v in pos)
+            for u in verts]
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of repr([(point, size, mask)]) over verify._mis_grid(), which
+# holds the perfbench graphs points (2,3,3,0), (2,3,3,1) and (3,2,3,0):
+# pins the independent set the search returns, not only its size
+MIS_GRID_GOLDEN = "6e8e5e878eb38a60e4675e8a35664a894f04b907de31357eaff4f223b20f1338"
+
+
+def test_max_independent_set_pinned_on_mis_grid():
+    got = []
+    for q, m, n, t in _mis_grid():
+        N = q ** (n * m)
+        size, mask = mis.max_independent_set(graph_bitsets(q, m, n, t), N)
+        got.append(((q, m, n, t), size, mask))
+    assert _digest(got) == MIS_GRID_GOLDEN, [(p, s) for p, s, _ in got]
+
+
+# sha256 of repr(all_maximum_independent_sets(...)) on the GL-induced graph
+# at (n, q, t): pins the optima list in the order the search lists it
+OPTIMA_GOLDEN = [
+    (2, 5, 1, 480, "51314393c7eee19432d0f6c93e8384f200d4b7073e19b7fcc4e748cb78207c81"),
+    (2, 7, 1, 2016, "7bfcb631c80e644cb1df5f67ff2b39fcb17f361f3f2b2a76cd2a11d1b581d4f5"),
+]
+
+
+@pytest.mark.parametrize("n,q,t,order,sha", OPTIMA_GOLDEN,
+                         ids=["n2q5t1", "n2q7t1"])
+def test_optima_lists_pinned_on_gl_graphs(n, q, t, order, sha):
+    adj = _gl_induced_graph(n, q, t)
+    assert len(adj) == order
+    optima = mis.all_maximum_independent_sets(adj, order)
+    assert _digest(optima) == sha, (len(optima), optima[0].bit_count())
