@@ -434,11 +434,11 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
     """
     if not 1 <= t <= n:
         raise DomainError(f"need 1 <= t <= n, got t={t}")
-    spec = field(q)
     b = ensure(budget)
     bound = m_qt(n, q, t)
     params = {"n": n, "q": q, "t": t, "mode": mode}
     if mode == "exhaustive":
+        spec = field(q)
         order = gl_order(n, q)
         if order > 200:
             raise BudgetExceeded(f"exhaustive search capped near |GL| = 200, "
@@ -462,6 +462,7 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 "optima": len(optima), "normalized": normalized,
                 "status": status, "witness": witness}
     if mode == "sample":
+        spec = field(q)
         b.check_items(gl_order(n, q), "augmentation scan")
         scanned, witness = 0, []
         for i in [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]:

@@ -4,10 +4,14 @@ Graphs are adjacency bitsets: bit j of row i is set when i and j are
 adjacent.  Independent sets of a graph are the cliques of its complement,
 so the solver is a max-clique search with a greedy colouring bound: the
 candidate set is partitioned into colour classes, and a clique can take
-at most one vertex per class.  One depth-first search finds one maximum
-clique or lists them all.  A graph invariant under the digit-wise
-translations of its vertex indices is vertex-transitive, so the search
-verifies that symmetry and then looks only at cliques through vertex 0.
+at most one vertex per class; only the classes that could still branch are
+kept (San Segundo et al., Comput. Oper. Res. 2011).  One depth-first
+search finds one maximum clique or lists them all.  A graph invariant
+under the digit-wise translations of its vertex indices is
+vertex-transitive, so the search for one clique verifies that symmetry,
+looks only at cliques through vertex 0, and stops at the first clique
+that meets the clique-coclique bound alpha * omega <= N (Godsil-Meagher,
+Erdos-Ko-Rado Theorems: Algebraic Approaches, CUP 2016).
 """
 from __future__ import annotations
 
@@ -42,25 +46,39 @@ def complement_bitsets(adj: Sequence[int], nverts: int) -> list[int]:
     return [full & ~adj[i] & ~(1 << i) for i in range(nverts)]
 
 
-def _color_sequence(adj: Sequence[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy colouring of the candidate set, vertices tagged by colour.
+def _color_classes(adj: Sequence[int], cand: int,
+                   kmin: int) -> list[tuple[int, int]]:
+    """Greedy colouring of the candidate set, lowest vertex first, as
+    (colour, class bitset) pairs in colour order, kept only from colour
+    kmin up.
 
-    Returned in colour order, so a prefix ending at colour c certifies
-    that no clique inside the remaining candidates exceeds c.
+    A clique inside the classes up to colour c has at most c vertices, so
+    a branch on a class below kmin could never be taken.
     """
-    seq = []
+    out = []
     rest = cand
     color = 0
     while rest:
         color += 1
-        avail = rest
+        cls, avail = 0, rest
         while avail:
             low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~(adj[v] | low)
-            rest ^= low
-            seq.append((v, color))
-    return seq
+            avail &= ~(adj[low.bit_length() - 1] | low)
+            cls |= low
+        rest ^= cls
+        if color >= kmin:
+            out.append((color, cls))
+    return out
+
+
+def _greedy_independent_count(adj: Sequence[int], nverts: int) -> int:
+    """Size of the independent set taken greedily, lowest vertex first."""
+    k, avail = 0, (1 << nverts) - 1
+    while avail:
+        low = avail & -avail
+        avail &= ~(adj[low.bit_length() - 1] | low)
+        k += 1
+    return k
 
 
 def _translation_transitive(adj: Sequence[int], nverts: int) -> bool:
@@ -100,7 +118,11 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     cut when its colour bound cannot beat the best size found, or, listing
     every optimum, cannot tie it; a larger clique starts the list again.
     When one clique is wanted on a graph that _translation_transitive
-    certifies, only cliques through vertex 0 are searched.
+    certifies, only cliques through vertex 0 are searched, and the search
+    ends as soon as it holds a clique of the clique-coclique bound
+    alpha * omega <= nverts, which holds on vertex-transitive graphs: an
+    independent set of k vertices, taken greedily, caps every clique at
+    nverts // k.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
@@ -108,27 +130,36 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     what = ("independent set enumeration" if every else
             "independent set search rooted at vertex 0" if rooted
             else "independent set search")
-    # a branch stays while its bound reaches best + gain
+    cap = nverts // _greedy_independent_count(adj, nverts) if rooted else nverts
+    # a branch stays while its bound reaches need: best + gain, or past
+    # any clique once best reaches cap
     gain = 0 if every else 1
     best, found = -1, []
+    need = gain - 1
     nodes = 0
 
     def expand(cur: int, size: int, cand: int) -> None:
-        nonlocal best, found, nodes
+        nonlocal best, found, need, nodes
         nodes += 1
         if nodes % 4096 == 0:
             b.check_clock(what, f"{nodes} nodes")
         if not cand:
             if size > best:
                 best, found = size, [cur]
+                need = size + gain if size < cap else nverts + 1
             elif every and size == best:
                 found.append(cur)
             return
-        for v, c in reversed(_color_sequence(adj, cand)):
-            if size + c < best + gain:
-                return
-            expand(cur | (1 << v), size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+        # highest colour first, each class from its highest vertex down
+        for c, cls in reversed(_color_classes(adj, cand, need - size)):
+            while cls:
+                if size + c < need:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                expand(cur | bit, size + 1, cand & adj[v])
+                cand ^= bit
+                cls ^= bit
 
     if rooted:
         expand(1, 1, adj[0])

@@ -495,6 +495,20 @@ def test_spectral_bound_reports():
     assert rep3["consistent"], rep3
 
 
+def test_spectral_report_builds_no_field_tables():
+    # the closed-form spectrum needs q to be a prime power, not F_q's tables
+    rep = ex.verify_extremal_bound(2, 8192, 1, "spectral")
+    assert rep["consistent"] and rep["value"] == "8191/549755813888"
+    with pytest.raises(BudgetExceeded, match="^prime power test exceeded"):
+        ex.verify_extremal_bound(2, 10 ** 12 + 39, 1, "spectral",
+                                 Budget(seconds=0))
+    for mode in ("exhaustive", "sample", "spectral"):
+        with pytest.raises(DomainError, match="q=6 is not a prime power"):
+            ex.verify_extremal_bound(2, 6, 1, mode)
+    with pytest.raises(DomainError, match="unknown mode 'census'"):
+        ex.verify_extremal_bound(2, 8192, 1, "census")
+
+
 def test_bound_reports_keep_to_their_limits():
     with pytest.raises(BudgetExceeded, match="capped near [|]GL[|] = 200, got 480"):
         ex.verify_extremal_bound(2, 5, 1, "exhaustive")

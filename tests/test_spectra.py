@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linfam import mis
 from linfam.budget import Budget
@@ -388,6 +388,62 @@ def test_max_clique_on_cayley_graphs(graph, data):
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
         assert not mis._translation_transitive(adj, N)
+
+
+def _cayley(b, K, conn):
+    N = b ** K
+    return N, [sum(1 << j for j in range(N) if _digit_op(b, i, j, -1) in conn)
+               for i in range(N)]
+
+
+def _exact_answers(adj, N):
+    """Brute-force clique and independence numbers; max_clique and
+    max_independent_set must return sets of those sizes."""
+    full = (1 << N) - 1
+    omega = _clique_number(adj, full, {})
+    comp = mis.complement_bitsets(adj, N)
+    alpha = _clique_number(comp, full, {})
+    size, mask = mis.max_clique(adj, N)
+    assert size == omega and mask.bit_count() == size and _is_clique(adj, mask)
+    size, mask = mis.max_independent_set(adj, N)
+    assert size == alpha and mask.bit_count() == size and _is_clique(comp, mask)
+    return omega, alpha
+
+
+# graphs where alpha * omega = N, so the clique-coclique bound is met: the
+# empty graph, the 4-cycle, the 3 x 3 rook's graph and Q_3 plus its
+# antipodal matching
+@example((8, [0] * 8))
+@example(_cayley(2, 2, {1, 2}))
+@example(_cayley(3, 2, {1, 2, 3, 6}))
+@example(_cayley(2, 3, {1, 2, 4, 7}))
+@settings(max_examples=40, deadline=None)
+@given(cayley_graphs())
+def test_clique_coclique_stop_on_cayley_graphs(graph):
+    N, adj = graph
+    assert mis._translation_transitive(adj, N)
+    omega, alpha = _exact_answers(adj, N)
+    assert alpha * omega <= N
+    if N >= 3:
+        # one flipped edge breaks the symmetry, so the search is not rooted
+        # and no cap applies; the answer is still exact
+        adj = list(adj)
+        adj[0] ^= 1 << (N - 1)
+        adj[N - 1] ^= 1
+        assert not mis._translation_transitive(adj, N)
+        _exact_answers(adj, N)
+
+
+def test_clique_coclique_stop_cuts_the_colourings(monkeypatch):
+    # at (2,3,3,0), alpha = 64 = 512 // 8 and the greedy clique of the
+    # agreement graph has 8 vertices, so the search ends at its first
+    # 64-vertex independent set; without the stop it coloured 392 times
+    calls = []
+    colour = mis._color_classes
+    monkeypatch.setattr(mis, "_color_classes",
+                        lambda *a: calls.append(1) or colour(*a))
+    assert mis.max_independent_set(graph_bitsets(2, 3, 3, 0), 512)[0] == 64
+    assert 0 < len(calls) <= 65
 
 
 @settings(max_examples=60, deadline=None)
