@@ -118,11 +118,10 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     cut when its colour bound cannot beat the best size found, or, listing
     every optimum, cannot tie it; a larger clique starts the list again.
     When one clique is wanted on a graph that _translation_transitive
-    certifies, only cliques through vertex 0 are searched, and the search
-    ends as soon as it holds a clique of the clique-coclique bound
-    alpha * omega <= nverts, which holds on vertex-transitive graphs: an
-    independent set of k vertices, taken greedily, caps every clique at
-    nverts // k.
+    certifies, only cliques through vertex 0 are searched.  Such a graph
+    is vertex-transitive, so alpha * omega <= nverts (the clique-coclique
+    bound): a greedy independent set of k vertices caps every clique at
+    nverts // k, and the search ends at the first clique of that size.
     """
     if nverts > MAX_VERTICES:
         raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
@@ -135,7 +134,7 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     # any clique once best reaches cap
     gain = 0 if every else 1
     best, found = -1, []
-    need = gain - 1
+    need = best + gain
     nodes = 0
 
     def expand(cur: int, size: int, cand: int) -> None:
