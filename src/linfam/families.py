@@ -665,13 +665,18 @@ class Junta:
 
     @classmethod
     def from_json(cls, text: str, spec: FieldSpec | None = None) -> "Junta":
-        d = json.loads(text)
-        spec = spec if spec is not None else gf_field(d["q"])
-        if spec.q != d["q"]:
-            raise FieldMismatch(f"junta q={d['q']} but field has q={spec.q}")
-        n, m = d["n"], d["m"]
-        return cls(spec, n, m, (Restriction.from_dict(spec, n, m, c)
-                                for c in d["components"]), d["C"], d["r"])
+        try:
+            d = json.loads(text)
+            spec = spec if spec is not None else gf_field(d["q"])
+            if spec.q != d["q"]:
+                raise FieldMismatch(f"junta q={d['q']} but field has q={spec.q}")
+            n, m = d["n"], d["m"]
+            return cls(spec, n, m, (Restriction.from_dict(spec, n, m, c)
+                                    for c in d["components"]), d["C"], d["r"])
+        except LinfamError:
+            raise    # field, shape and entry errors keep their types
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise DomainError(f"malformed junta file: {e}") from None
 
     def __repr__(self):
         return (f"Junta(q={self.field.q}, {self.n}x{self.m}, "

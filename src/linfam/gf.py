@@ -17,7 +17,8 @@ from typing import Iterable
 
 from .budget import Budget, ensure
 from .cyclo import Cyc
-from .errors import DivisionByZero, DomainError, GeneratorSearchFailed
+from .errors import (DivisionByZero, DomainError, GeneratorSearchFailed,
+                     LinfamError)
 
 _MAX_Q = 4096
 
@@ -274,8 +275,16 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FieldSpec":
-        d = json.loads(text)
-        return field(d["p"] ** d["s"], modulus=tuple(d["modulus"]))
+        try:
+            d = json.loads(text)
+            # p >= 2, so p^s > _MAX_Q from s = 13: refuse before building it
+            if d["s"] >= _MAX_Q.bit_length():
+                raise DomainError(f"field order beyond supported size {_MAX_Q}")
+            return field(d["p"] ** d["s"], modulus=tuple(d["modulus"]))
+        except LinfamError:
+            raise    # order and modulus errors keep their types
+        except (KeyError, TypeError, ValueError) as e:
+            raise DomainError(f"malformed field file: {e}") from None
 
 
 _FIELDS: dict[tuple[int, tuple[int, ...] | None], FieldSpec] = {}

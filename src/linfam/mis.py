@@ -6,11 +6,12 @@ so the solver is a max-clique search with a greedy colouring bound: the
 candidate set is partitioned into colour classes, and a clique can take
 at most one vertex per class; only the classes that could still branch are
 kept (San Segundo et al., Comput. Oper. Res. 2011).  One depth-first
-search finds one maximum clique or lists them all.  A graph invariant
-under the digit-wise translations of its vertex indices is
-vertex-transitive, so the search for one clique verifies that symmetry,
-looks only at cliques through vertex 0, and stops at the first clique
-that meets the clique-coclique bound alpha * omega <= N (Godsil-Meagher,
+search finds one maximum clique or lists them all.  _cayley_rows builds
+a Cayley graph on (Z/b)^K from row 0, by base-b digit translations of the
+vertex indices; spectra.graph_bitsets builds with it too.  A graph it
+rebuilds is vertex-transitive, so the search for one clique looks only at
+cliques through vertex 0 and stops at the first clique that meets the
+clique-coclique bound alpha * omega <= N (Godsil-Meagher,
 Erdos-Ko-Rado Theorems: Algebraic Approaches, CUP 2016).
 """
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Sequence
 
 from .budget import Budget, ensure
 from .errors import DomainError
-from .matspace import digit_mask
 
 __all__ = [
     "all_maximum_independent_sets",
@@ -41,7 +41,42 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def _check_graph(adj: Sequence[int], nverts: int) -> None:
+    if nverts > MAX_VERTICES:
+        raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
+    # a negative row shifts down to -1, so it is refused too
+    if len(adj) != nverts or any(row >> nverts for row in adj):
+        raise DomainError(f"need {nverts} rows of vertices below {nverts}")
+
+
+def _cayley_rows(row0: int, nverts: int) -> list[int] | None:
+    """Rows of the Cayley graph on (Z/b)^K whose row 0 is row0, for
+    nverts = b^K with b its smallest prime factor; None for any other nverts.
+
+    Row i + j is row j translated by i, digit by digit mod b.  The rows with
+    digit d > 0 at place value w, and none above, are the rows with digit
+    d - 1 there moved one step at w, digit b - 1 wrapping round to 0.
+    """
+    if nverts < 2:
+        return None
+    b = next(p for p in range(2, nverts + 1) if nverts % p == 0)
+    rows, w, full = [row0], 1, (1 << nverts) - 1
+    while w < nverts:
+        if nverts % (w * b):
+            return None
+        # top: the indices whose digit at w is b - 1, w of every b * w
+        back = (b - 1) * w
+        top = full // ((1 << b * w) - 1) * ((1 << w) - 1) << back
+        for i in range(back):
+            row = rows[i]
+            hi = row & top
+            rows.append(((row ^ hi) << w) | (hi >> back))
+        w *= b
+    return rows
+
+
 def complement_bitsets(adj: Sequence[int], nverts: int) -> list[int]:
+    _check_graph(adj, nverts)
     full = (1 << nverts) - 1
     return [full & ~adj[i] & ~(1 << i) for i in range(nverts)]
 
@@ -71,41 +106,10 @@ def _color_classes(adj: Sequence[int], cand: int,
     return out
 
 
-def _greedy_independent_count(adj: Sequence[int], nverts: int) -> int:
-    """Size of the independent set taken greedily, lowest vertex first."""
-    k, avail = 0, (1 << nverts) - 1
-    while avail:
-        low = avail & -avail
-        avail &= ~(adj[low.bit_length() - 1] | low)
-        k += 1
-    return k
-
-
 def _translation_transitive(adj: Sequence[int], nverts: int) -> bool:
-    """Whether adding 1 mod b to any one base-b digit of the vertex
-    indices is an automorphism, for nverts = b^K with b its smallest
-    prime factor.
-
-    Those maps generate the translations of (Z/b)^K, which act
-    transitively, so some maximum clique then contains vertex 0.
-    """
-    if nverts < 2:
-        return False
-    b = next(p for p in range(2, nverts + 1) if nverts % p == 0)
-    w = 1
-    while w < nverts:
-        if nverts % (w * b):
-            return False
-        # indices whose digit at w is b - 1 wrap round to digit 0
-        top = digit_mask(b, w, b - 1, nverts)
-        low, back = ~top, (b - 1) * w
-        for i in range(nverts):
-            row = adj[i]
-            j = i + w if (i // w) % b != b - 1 else i - back
-            if adj[j] != ((row & low) << w) | ((row & top) >> back):
-                return False
-        w *= b
-    return True
+    """Whether every row of adj is the translate of row 0: the graph is then
+    vertex-transitive, so some maximum clique contains vertex 0."""
+    return nverts >= 2 and _cayley_rows(adj[0], nverts) == list(adj)
 
 
 def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
@@ -117,19 +121,20 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     the candidates for good, so each clique is reached once.  A branch is
     cut when its colour bound cannot beat the best size found, or, listing
     every optimum, cannot tie it; a larger clique starts the list again.
-    When one clique is wanted on a graph that _translation_transitive
-    certifies, only cliques through vertex 0 are searched.  Such a graph
-    is vertex-transitive, so alpha * omega <= nverts (the clique-coclique
-    bound): a greedy independent set of k vertices caps every clique at
-    nverts // k, and the search ends at the first clique of that size.
+    When one clique is wanted on a graph that _cayley_rows rebuilds from
+    row 0, only cliques through vertex 0 are searched.  Such a graph is
+    vertex-transitive, so alpha * omega <= nverts (the clique-coclique
+    bound): the first colour class, k independent vertices, caps every
+    clique at nverts // k, and the search ends at the first such clique.
     """
-    if nverts > MAX_VERTICES:
-        raise DomainError(f"exact search capped at {MAX_VERTICES} vertices")
+    _check_graph(adj, nverts)
     rooted = not every and _translation_transitive(adj, nverts)
     what = ("independent set enumeration" if every else
             "independent set search rooted at vertex 0" if rooted
             else "independent set search")
-    cap = nverts // _greedy_independent_count(adj, nverts) if rooted else nverts
+    full = (1 << nverts) - 1
+    cap = (nverts // _color_classes(adj, full, 1)[0][1].bit_count()
+           if rooted else nverts)
     # a branch stays while its bound reaches need: best + gain, or past
     # any clique once best reaches cap
     gain = 0 if every else 1
@@ -163,7 +168,7 @@ def _clique_search(adj: Sequence[int], nverts: int, b: Budget,
     if rooted:
         expand(1, 1, adj[0])
     else:
-        expand(0, 0, (1 << nverts) - 1)
+        expand(0, 0, full)
     return best, found
 
 

@@ -8,9 +8,9 @@ to a character depends only on the rank of its dual matrix.  The
 generator class is the distance-(m - t) relation of the bilinear forms
 scheme, so the eigenvalues are Delsarte's generalized Krawtchouk numbers,
 evaluated exactly in closed form; the trace of the squared walk operator
-gives an independent cross-check of the whole table.  The graph is
-invariant under every translation, so graph_bitsets builds each adjacency
-row by shifting an earlier one.
+gives an independent cross-check of the whole table.  The graph is a
+Cayley graph of the additive group, so graph_bitsets builds its rows from
+row 0 by the digit translations of mis._cayley_rows.
 """
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ from .errors import (DomainError, InvariantViolated, NoNegativeEigenvalue,
 from .fourier import (DenseFunction, _conj_dot, _exponent_row, _keep,
                       fast_transform, inner)
 from .gf import FieldSpec, field, prime_power
-from .matspace import (IndexCode, Mat, count_rank_d, digit_mask,
-                       gaussian_binomial, phi, rank_table)
+from .matspace import (IndexCode, Mat, count_rank_d, gaussian_binomial, phi,
+                       rank_table)
+from .mis import _cayley_rows
 
 __all__ = [
     "CayleySpectrum",
@@ -224,30 +225,16 @@ def graph_bitsets(q: int, m: int, n: int, t: int,
                   budget: Budget | None = None) -> list[int]:
     """Adjacency rows of the agreement-t graph, one bitset per index.
 
-    Row 0 marks the generators.  The graph is invariant under every
-    translation.  Adding a to entry k (place value w = q^k) sends an index
-    whose digit k is d forward by (s - d) * w, s the code of the field sum
-    d + a, so row a * w + i (i < w) is row i with each digit-k class of
-    bits shifted that way.
+    Row 0 marks the generators, and row i is row 0 translated by i.  gf
+    encodes an element of F_q, q = p^s, by the base-p digits of its
+    coefficients, so a vec_index's base-p digits are its entries'
+    coefficients and F_q addition adds them mod p: the graph is the Cayley
+    graph on (Z/p)^(s*n*m) that mis._cayley_rows builds from row 0.
     """
     _check_params(m, n, t)
     spec = field(q)
-    nm = n * m
-    N = q ** nm
+    N = q ** (n * m)
     ensure(budget).check_items(N * N, "adjacency build")
-    rows = [0] * N
-    rows[0] = sum(1 << j for j, r in enumerate(rank_table(spec, n, m))
-                  if r == m - t)
-    for k in range(nm):
-        w = q ** k
-        masks = [digit_mask(q, w, d, N) for d in range(q)]
-        for a in range(1, q):
-            moves = [(masks[d], (spec.add(d, a) - d) * w) for d in range(q)]
-            for i in range(w):
-                row = rows[i]
-                acc = 0
-                for mask, shift in moves:
-                    part = row & mask
-                    acc |= part << shift if shift >= 0 else part >> -shift
-                rows[a * w + i] = acc
-    return rows
+    row0 = sum(1 << j for j, r in enumerate(rank_table(spec, n, m))
+               if r == m - t)
+    return _cayley_rows(row0, N)

@@ -936,6 +936,15 @@ def test_junta_declared_bounds_enforced():
         Junta(s2, 2, 2, [COL_E1], 1, 0)                  # complexity over r
 
 
+@pytest.mark.parametrize("text", [
+    "{}", "not json", "[]", '{"q": 2, "n": 2}',
+    '{"q": 2, "n": 2, "m": 2, "C": 1, "r": 1, "components": [5]}',
+    '{"q": 2, "n": 2, "m": 2, "C": 1, "r": 1, "components": [{"cols": [[1]]}]}'])
+def test_malformed_junta_file(text):
+    with pytest.raises(DomainError, match="^malformed junta file: "):
+        Junta.from_json(text)
+
+
 def test_junta_json_and_membership():
     e2_col = Restriction(s2, 2, 2, cols=[((0, 1), (0, 1))])
     J = Junta(s2, 2, 2, [COL_E1, e2_col], 2, 1)

@@ -155,6 +155,29 @@ def test_spec_json_round_trip():
         assert g.q == q
 
 
+@pytest.mark.parametrize("text", [
+    "{}", "not json", '"F4"', '{"p": 2, "s": 2}',
+    '{"p": 2, "s": "2", "modulus": [1, 1, 1]}',
+    '{"p": 2, "s": 2, "modulus": 7}'])
+def test_malformed_field_file(text):
+    with pytest.raises(DomainError, match="^malformed field file: "):
+        FieldSpec.from_json(text)
+
+
+def test_field_file_order_and_modulus_errors():
+    with pytest.raises(DomainError, match="^q=6 is not a prime power$"):
+        FieldSpec.from_json('{"p": 6, "s": 1, "modulus": [1, 1]}')
+    with pytest.raises(DomainError, match="^modulus must be monic"):
+        FieldSpec.from_json('{"p": 2, "s": 2, "modulus": [1, 1, 0]}')
+    # refused before 2^(10^12) is built
+    with pytest.raises(DomainError,
+                       match="^field order beyond supported size 4096$"):
+        FieldSpec.from_json('{"p": 2, "s": 1000000000000, "modulus": [1]}')
+    # json refuses integers of more than 4300 digits with a ValueError
+    with pytest.raises(DomainError):
+        FieldSpec.from_json('{"p": 1' + "0" * 5000 + ', "s": 1}')
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 

@@ -6,10 +6,12 @@ probabilities: budget.py, cli.py and verify.py.  Every import in the
 library is used, and every function, class and method it defines is named
 somewhere besides its own definition and its own module's __all__: in the
 library, the tests or the benchmark.  Every parameter a library function
-takes is read in its body.
+takes is read in its body.  The modules' imports of each other form no
+cycle.
 """
 
 import ast
+import graphlib
 import pathlib
 import re
 
@@ -140,3 +142,24 @@ def test_every_parameter_is_read():
               for line, name, arg in _unread_parameters(path)
               if (path.name, name) not in dispatched]
     assert unread == [], f"parameters never read: {unread}"
+
+
+def _package_imports(path):
+    """The library modules a module imports, by package-relative imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # `from . import mis` names modules; `from .mis import x` one
+            out |= ({node.module} if node.module
+                    else {a.name for a in node.names})
+    return out
+
+
+def test_package_imports_have_no_cycle():
+    graph = {p.stem: _package_imports(p) for p in MODULES}
+    assert {"budget", "mis"} <= graph["spectra"] <= set(graph)
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as e:
+        pytest.fail(f"import cycle: {' -> '.join(e.args[1])}")

@@ -281,6 +281,24 @@ def test_exact_search_caps_the_vertex_count():
         mis.max_clique([0] * (mis.MAX_VERTICES + 1), mis.MAX_VERTICES + 1)
 
 
+def test_search_refuses_rows_it_cannot_read():
+    with pytest.raises(DomainError, match="^need 3 rows of vertices below 3$"):
+        mis.max_independent_set([0, 0], 3)
+    with pytest.raises(DomainError, match="^need 3 rows"):
+        mis.max_clique([0b10, 0b01], 3)
+    # row 1 is row 0 translated, so only the range check keeps the rooted
+    # search off vertex 2
+    assert mis._cayley_rows(0b110, 2) == [0b110, 0b1001]
+    with pytest.raises(DomainError, match="^need 2 rows"):
+        mis.max_clique([0b110, 0b1001], 2)
+    with pytest.raises(DomainError, match="^need 2 rows"):
+        mis.all_maximum_independent_sets([0b10, -1], 2)
+    # the cap is checked before any complement row is built
+    with pytest.raises(DomainError, match="capped at 4096 vertices"):
+        mis.complement_bitsets([0] * (mis.MAX_VERTICES + 1),
+                               mis.MAX_VERTICES + 1)
+
+
 def test_search_budget_reports_progress():
     adj = graph_bitsets(2, 3, 3, 1)
     with pytest.raises(BudgetExceeded, match="^independent set search rooted "
@@ -359,6 +377,30 @@ def cayley_graphs(draw):
     conn = {x for x in range(1, N) if pick[x] or pick[_digit_op(b, 0, x, -1)]}
     return N, [sum(1 << j for j in range(N) if _digit_op(b, i, j, -1) in conn)
                for i in range(N)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cayley_graphs())
+def test_cayley_rows_rebuild_cayley_graphs(graph):
+    N, adj = graph
+    assert mis._cayley_rows(adj[0], N) == adj
+
+
+def test_cayley_rows_need_a_prime_power():
+    for N in (0, 1, 6, 10, 12):
+        assert mis._cayley_rows(0b10, N) is None
+
+
+def test_cayley_rows_from_a_one_sided_connection_set():
+    # in (Z/3)^2, C = {1, 3, 5} holds no negative of its members: row i is
+    # i + C, not i - C, and the rows form no symmetric relation
+    conn = {1, 3, 5}
+    rows = mis._cayley_rows(sum(1 << c for c in conn), 9)
+    assert rows == [sum(1 << _digit_op(3, i, c, 1) for c in conn)
+                    for i in range(9)]
+    assert rows != [sum(1 << _digit_op(3, i, c, -1) for c in conn)
+                    for i in range(9)]
+    assert mis._translation_transitive(rows, 9)
 
 
 @st.composite
