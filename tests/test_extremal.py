@@ -17,8 +17,9 @@ from linfam import extremal as ex
 from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
 from linfam.gf import field
-from linfam.matspace import (Mat, agreement_dim, enumerate_gl, m_qt,
-                             mat_from_literal, rank)
+from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
+                             m_qt, mat_from_literal, rank, subspaces_of_dim,
+                             vec_from_index, vec_index)
 
 
 def ident(spec, n):
@@ -342,6 +343,44 @@ CONSTRUCT_GOLDEN = [
     (3, 9, 1, "q=9;n=3;m=3;rows=010;100;001", 500,
      "037b1bfc35a54f84fa35c014ac25bdf86bc75fc4d8b6d432a2b96e1da5a79024"),
 ]
+
+
+def echelon_seeds(n, q, t, tau):
+    """The seeds W of dimension t - d - 1 whose Zassenhaus meet with E +
+    tau^-1 E is zero, E the prefix span and tau^-1 E found by a scan."""
+    spec = field(q)
+    prefix = [tuple(int(i == j) for i in range(n)) for j in range(t)]
+    pre = [v for v in itertools.product(range(q), repeat=n)
+           if not any(tau.apply(v)[t:])]
+    U = Subspace.from_vectors(spec, n, prefix + pre)
+    d = ex.fixed_prefix_dim(tau, t)
+    return [W for W in subspaces_of_dim(spec, n, t - d - 1)
+            if W.intersect(U).dim == 0]
+
+
+def test_seed_walks_match_echelon_seeds():
+    # 40 seeded taus at each DERANGE_POINTS point with 3t <= n, and both
+    # (6, 2, 2) goldens, whose seeds are lines (d = 0) and the zero space
+    targets = [(n, q, t, T) for n, q, t in DERANGE_POINTS if 3 * t <= n
+               for T in random.Random(n * q).sample(valid_taus(n, q, t), 40)]
+    targets += [(n, q, t, mat_from_literal(tau))
+                for n, q, t, tau, _, _ in CONSTRUCT_GOLDEN if (n, t) == (6, 2)]
+    ds = set()
+    for n, q, t, tau in targets:
+        spec = field(q)
+        units = [q ** (n - 1 - j) for j in range(n)]
+        seeds = echelon_seeds(n, q, t, tau)
+        bases = [basis for basis, _ in ex._seed_walks(n, q, t, tau, None)]
+        assert len(bases) == len(seeds) > 0
+        for basis, W in zip(bases, seeds):
+            head = units[:t] + [vec_index(q, r) for r in W.rows]
+            assert basis[:len(head)] == head
+            tail = basis[len(head):]
+            assert tail == sorted(tail, reverse=True) and set(tail) <= set(units)
+            rows = [vec_from_index(q, n, v) for v in basis]
+            assert len(basis) == n and rank(Mat(spec, rows, n)) == n
+        ds.add((n, ex.fixed_prefix_dim(tau, t)))
+    assert {(6, 0), (6, 1)} <= ds
 
 
 @pytest.mark.parametrize("n,q,t,tau,take,sha", CONSTRUCT_GOLDEN, ids=[

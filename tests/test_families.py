@@ -21,7 +21,7 @@ from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
                            ShapeMismatch)
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl, rank,
-                             vec_add, vec_smul, vec_sub)
+                             subspaces_of_dim, vec_add, vec_smul, vec_sub)
 from linfam.families import (Family, Junta, Restriction, _domains,
                              _frame_independent, default_regularity_eps,
                              enumerate_coset,
@@ -555,6 +555,80 @@ def _densities_by_scan(F, s):
             yield (Restriction(spec, n, m, cols=list(zip(colbasis, us)),
                                rows=list(zip(rowbasis, vs))),
                    Fraction(buckets[(us, vs)], sub_card))
+
+
+def _read_off(A, kc, kr, rng):
+    """kc column and kr row constraints that A satisfies, on seeded domain
+    vectors (possibly dependent), so any two such restrictions agree."""
+    q, n, m = A.field.q, A.n, A.m
+    cols = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(kc)]
+    rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(kr)]
+    return Restriction(A.field, n, m, [(v, A.apply(v)) for v in cols],
+                       [(a, A.rapply(a)) for a in rows])
+
+
+def _seeded_matrix(spec, n, m, rng):
+    return Mat(spec, tuple(tuple(rng.randrange(spec.q) for _ in range(m))
+                           for _ in range(n)), m)
+
+
+def _echelon(spec, length, pairs):
+    return Subspace.from_vectors(spec, length, [v for v, _ in pairs])
+
+
+def _meets(D, S):
+    return D.sum_(S).dim != D.dim + S.dim
+
+
+def _domains_by_echelon(spec, m, n, s, ctx):
+    """Every (column, row) domain pair of total dimension <= s meeting
+    neither context domain, by echelon sums, in _domains' order."""
+    dc, dr = _echelon(spec, m, ctx.cols), _echelon(spec, n, ctx.rows)
+    out = []
+    for total in range(s + 1):
+        for c in range(total + 1):
+            cols = [S.rows for S in subspaces_of_dim(spec, m, c) if not _meets(dc, S)]
+            rows = [A.rows for A in subspaces_of_dim(spec, n, total - c)
+                    if not _meets(dr, A)]
+            out += itertools.product(cols, rows)
+    return out
+
+
+SPAN_SHAPES = [(q, n, m) for q in (2, 3, 4, 5, 7, 8, 9)
+               for n, m in ((2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("q,n,m", SPAN_SHAPES)
+def test_domains_match_echelon_sums(q, n, m):
+    spec, rng = field(q), random.Random(q * 10 + n)
+    for kc, kr in itertools.product(range(3), repeat=2):
+        ctx = _read_off(_seeded_matrix(spec, n, m, rng), kc, kr, rng)
+        assert _domains(spec, m, n, 2, ctx) == _domains_by_echelon(spec, m, n, 2, ctx)
+
+
+@pytest.mark.parametrize("q,n,m", SPAN_SHAPES)
+def test_restrict_refuses_exactly_the_meeting_domains(q, n, m):
+    spec, rng = field(q), random.Random(q * 10 + n)
+    outcomes = set()
+    for kc, kr in itertools.product(range(3), repeat=2):
+        A = _seeded_matrix(spec, n, m, rng)
+        ctx = _read_off(A, kc, kr, rng)
+        F = Family(spec, n, m, [A], ctx)
+        for _ in range(6):
+            R = _read_off(A, rng.randrange(3), rng.randrange(3), rng)
+            if _meets(_echelon(spec, m, ctx.cols), _echelon(spec, m, R.cols)):
+                side = "column"
+            elif _meets(_echelon(spec, n, ctx.rows), _echelon(spec, n, R.rows)):
+                side = "row"
+            else:
+                assert F.restrict(R).indices == (A.index(),)
+                outcomes.add(None)
+                continue
+            with pytest.raises(DomainOverlap, match=f"^{side} domains meet "
+                               "the context non-trivially$"):
+                F.restrict(R)
+            outcomes.add(side)
+    assert outcomes == {None, "column", "row"}
 
 
 # at q >= 7 the scan oracles keep to n * m <= 2: on 1 x 3 and 3 x 1 at s = 2
