@@ -20,10 +20,10 @@ from .errors import (BudgetExceeded, DomainError, InvariantViolated,
 from .families import Family
 from .gf import (FieldSpec, digits, field, first_generator, least_irreducible,
                  poly_mod, poly_mulmod)
-from .matspace import (IndexCode, Mat, Subspace, count_subspaces_avoiding,
-                       gaussian_binomial, gl_order, kernel, m_qt, rank,
-                       rank_table, rref_rows, span_indices, subspaces_of_dim,
-                       transpose_indices, vec_from_index, vec_index)
+from .matspace import (IndexCode, Mat, count_subspaces_avoiding,
+                       gaussian_binomial, gl_order, m_qt, rank, rank_table,
+                       span_indices, subspaces_of_dim, transpose_indices,
+                       vec_from_index, vec_index)
 from .spectra import graph_bitsets, hoffman_bound, spectrum
 from . import mis
 
@@ -48,15 +48,6 @@ __all__ = [
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
-
-
-def _mat_inverse(A: Mat) -> Mat:
-    spec, n = A.field, A.n
-    aug = [tuple(A.rows[i]) + _unit(n, i) for i in range(n)]
-    pivots, reduced, _ = rref_rows(spec, aug, 2 * n, pivot_cols=n)
-    if len(pivots) != n:
-        raise DomainError("matrix is singular")
-    return Mat(spec, tuple(r[n:] for r in reduced), n)
 
 
 # --- prefix-fixing invertible families --------------------------------------
@@ -138,20 +129,17 @@ def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     return _prefix_walk(IndexCode(spec, n), n, t, fixed, None, b)
 
 
-def canonical_family(n: int, q: int, t: int, side: str = "column",
+def canonical_family(n: int, q: int, t: int,
                      budget: Budget | None = None) -> Family:
-    """All invertible maps fixing e_1 .. e_t; or the transpose family."""
-    if side not in ("column", "row"):
-        raise DomainError(f"side must be column or row, got {side!r}")
+    """All invertible maps fixing e_1 .. e_t; its dual() is the row-side
+    family, the transposes."""
     spec = field(q)
     # a map's column images are its transpose's rows
     rows = []
     for imgs, last, _ in _fixing_walk(spec, n, t, budget):
         head = vec_index(q ** n, imgs) * q ** n
         rows += [head + c for c in last]
-    if side == "column":
-        rows = transpose_indices(q, n, n, rows)
-    return Family(spec, n, n, rows)
+    return Family(spec, n, n, transpose_indices(q, n, n, rows))
 
 
 def canonical_family_size(n: int, q: int, t: int,
@@ -341,39 +329,39 @@ def derangement_ratio_chain(n: int, q: int, t: int, d: int) -> dict:
 
 def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
     """(basis, walk) per admissible seed W, a (t - d - 1)-dimensional
-    subspace meeting the prefix span plus its preimage under tau trivially:
-    the basis, as vec_index codes, is e_1 .. e_t, W's rows, then unit
-    vectors completing it, and the prefix walk fixes the images e_1 ..
+    subspace meeting the prefix span E plus its preimage under tau
+    trivially: the basis, as vec_index codes, is e_1 .. e_t, W's rows, then
+    unit vectors completing it, and the prefix walk fixes the images e_1 ..
     e_t, tau(W) with tau as its one target.  That prefix already spends
     the t - 1 dependent steps (d on the prefix span, one per row of W), so
     every later difference must be independent: the walk is the process
     tree.  Leaves are distinct maps whenever d = 0 (the agreement space
-    recovers the seed) or the seed is unique."""
+    recovers the seed) or the seed is unique.  Spans are member sets, as in
+    the walk: E + tau^-1 E grows E by each vector tau sends into E, and a
+    seed's nonzero members miss it."""
     d = _check_tau(n, q, t, tau)
     if 3 * t > n:
         raise PreconditionViolated("the construction needs 3t <= n")
     spec = field(q)
-    T = Subspace.from_vectors(spec, n, [_unit(n, j) for j in range(t)])
-    # preimage of the prefix span: tau v must vanish on the last n - t coords
-    low = Mat(spec, tuple(tau.rows[i] for i in range(t, n)), n)
-    U = T.sum_(kernel(low))
     code = IndexCode(spec, n)
-    units = [vec_index(q, _unit(n, j)) for j in range(n)]
+    # the code of e_j is q^(n - 1 - j); E's members end in n - t zero digits
+    units = [q ** (n - 1 - j) for j in range(n)]
+    low = q ** (n - t)
     # entry v is the code of tau applied to the vector with code v
     act = span_indices(code, tuple(zip(*tau.rows)))
+    prefix_sum = set(range(0, q ** n, low))
+    for v, image in enumerate(act):
+        if image % low == 0 and v not in prefix_sum:
+            prefix_sum.update(code.extend(prefix_sum, v))
     for W in subspaces_of_dim(spec, n, t - d - 1):
-        if W.intersect(U).dim:
+        if not prefix_sum.isdisjoint(span_indices(code, W.rows)[1:]):
             continue
-        basis = units[:t] + [vec_index(q, r) for r in W.rows]
-        span = {0}
-        for v in basis:
-            if v in span:
-                raise DomainError("seed subspace meets the prefix span")
-            span.update(code.extend(span, v))
-        for u in units:
-            if u not in span:
-                span.update(code.extend(span, u))
-                basis.append(u)
+        # W misses E, so e_1 .. e_t and W's rows all enter the basis
+        basis, span = [], {0}
+        for v in units[:t] + [vec_index(q, r) for r in W.rows] + units:
+            if v not in span:
+                span.update(code.extend(span, v))
+                basis.append(v)
         images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
         yield basis, _prefix_walk(code, n, t, fixed, images, budget)
@@ -389,8 +377,11 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     code = IndexCode(spec, n)
     add, smul = code.add, code.smul
     for basis, walk in _seed_walks(n, q, t, tau, budget):
-        binv = _mat_inverse(Mat(spec, [vec_from_index(q, n, v) for v in basis]).transpose())
-        *head, last = binv.rows
+        # entry vec_index(u) of the basis listing is sum_j u_j b_j, so the
+        # entry holding e_k is column k of the inverse basis matrix binv
+        listing = span_indices(code, [vec_from_index(q, n, v) for v in basis])
+        *head, last = zip(*(vec_from_index(q, n, listing.index(q ** (n - 1 - k)))
+                            for k in range(n)))
         for imgs, _, hits in walk:
             # column k of the map sending b_j to imgs[j] is
             # sum_j binv[j][k] imgs[j]; only the last term varies in a batch

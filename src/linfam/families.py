@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -95,9 +96,6 @@ class Restriction:
 
     def col_domain(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.m, [v for v, _ in self.cols])
-
-    def row_domain(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.n, [a for a, _ in self.rows])
 
     # predicates -----------------------------------------------------------
 
@@ -219,14 +217,17 @@ def coset_base(R: Restriction) -> Mat:
 def _coset_listing(R: Restriction, budget: Budget | None = None) -> list[int]:
     """The index of every matrix satisfying R, unsorted, under the item
     budget alone: row by row, the base's row plus the span listing of the
-    homogeneous solutions' rows."""
+    homogeneous solutions' rows; with no rows, the empty matrix alone."""
     ensure(budget).check_items(R.coset_cardinality(), "coset enumeration")
     base, basis = _coset_system(R)
     q, m = R.field.q, R.m
-    code = IndexCode(R.field, m)
-    rows = [code.shift(span_indices(code, [b[i * m:(i + 1) * m] for b in basis]),
-                       vec_index(q, base[i * m:(i + 1) * m])) for i in range(R.n)]
-    return [vec_index(q ** m, r) for r in zip(*rows)]
+    Q, code = q ** m, IndexCode(R.field, m)
+    out = [0] * q ** len(basis)
+    for i in range(R.n):
+        row = code.shift(span_indices(code, [b[i * m:(i + 1) * m] for b in basis]),
+                         vec_index(q, base[i * m:(i + 1) * m]))
+        out = [x * Q + y for x, y in zip(out, row)]
+    return out
 
 
 def coset_indices(R: Restriction, budget: Budget | None = None) -> list[int]:
@@ -338,11 +339,12 @@ class Family:
         """The members minus A0, row by row."""
         A0._check_space(self.field, self.n, self.m)
         q, m = self.field.q, self.m
-        code = IndexCode(self.field, m)
-        rows = [code.shift(r, code.sub(0, vec_index(q, a))) for r, a in
-                zip(index_rows(q, self.n, m, self.indices), A0.rows)]
-        return Family(self.field, self.n, m, [vec_index(q ** m, r) for r in zip(*rows)],
-                      self.context.translate(A0))
+        Q, code = q ** m, IndexCode(self.field, m)
+        out = [0] * len(self)
+        for r, a in zip(index_rows(q, self.n, m, self.indices), A0.rows):
+            row = code.shift(r, code.sub(0, vec_index(q, a)))
+            out = [x * Q + y for x, y in zip(out, row)]
+        return Family(self.field, self.n, m, out, self.context.translate(A0))
 
     def __contains__(self, M: Mat) -> bool:
         if not (isinstance(M, Mat) and M.field == self.field
@@ -411,17 +413,19 @@ class Family:
         return cls(spec, n, m, members, Restriction(spec, n, m, cols, rows))
 
 
+def _domain_members(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
+    """The vec_index of every nonzero member of the span of these
+    independent vectors: two domains meet iff their lists share one."""
+    return span_indices(code, basis)[1:]
+
+
 def _check_trivial_overlap(ctx: Restriction, R: Restriction) -> None:
-    if R.dim_col:
-        D = ctx.col_domain()
-        S = R.col_domain()
-        if D.sum_(S).dim != D.dim + S.dim:
-            raise DomainOverlap("column domains meet the context non-trivially")
-    if R.dim_row:
-        D = ctx.row_domain()
-        A = R.row_domain()
-        if D.sum_(A).dim != D.dim + A.dim:
-            raise DomainOverlap("row domains meet the context non-trivially")
+    for side, length, mine, theirs in (("column", ctx.m, ctx.cols, R.cols),
+                                       ("row", ctx.n, ctx.rows, R.rows)):
+        code = IndexCode(ctx.field, length)
+        spans = [_domain_members(code, [v for v, _ in pairs]) for pairs in (mine, theirs)]
+        if not set(spans[0]).isdisjoint(spans[1]):
+            raise DomainOverlap(f"{side} domains meet the context non-trivially")
 
 
 # --- quarter-power thresholds ----------------------------------------------
@@ -454,21 +458,22 @@ def default_regularity_eps(q: int, m: int, n: int, r: int) -> QPow:
 # --- capture / quasiregularity searches ------------------------------------
 
 def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
-    """Constraint domains of total dimension <= s avoiding the context,
-    in deterministic lexicographic order."""
-    col_ctx = ctx.col_domain()
-    row_ctx = ctx.row_domain()
+    """Constraint domains of total dimension <= s avoiding the context, in
+    deterministic lexicographic order: the pairs of subspaces_of_dim bases
+    whose nonzero members miss those of the context's domains."""
+    col_code, row_code = IndexCode(spec, m), IndexCode(spec, n)
+    col_ctx = set(_domain_members(col_code, [v for v, _ in ctx.cols]))
+    row_ctx = set(_domain_members(row_code, [a for a, _ in ctx.rows]))
     out = []
     for total in range(s + 1):
         for c in range(total + 1):
             r = total - c
-            if c > m - col_ctx.dim or r > n - row_ctx.dim:
+            if c > m - ctx.dim_col or r > n - ctx.dim_row:
                 continue
-            # every subspace avoids a zero context: no echelon needed
             col_spaces = [S for S in subspaces_of_dim(spec, m, c)
-                          if not col_ctx.dim or S.sum_(col_ctx).dim == c + col_ctx.dim]
+                          if col_ctx.isdisjoint(_domain_members(col_code, S.rows))]
             row_spaces = [A for A in subspaces_of_dim(spec, n, r)
-                          if not row_ctx.dim or A.sum_(row_ctx).dim == r + row_ctx.dim]
+                          if row_ctx.isdisjoint(_domain_members(row_code, A.rows))]
             for S in col_spaces:
                 for A in row_spaces:
                     out.append((S.rows, A.rows))
@@ -541,8 +546,8 @@ def is_quasiregular(F: Family, s: int, alpha: Fraction,
     in lexicographic order."""
     bound = alpha * F.measure()
     for colbasis, rowbasis, sub_card, counts in _density_scan(F, s, budget):
-        # hoisted: the product in the comprehension costs a Fraction per key
-        cut = bound * sub_card
+        # an integer count exceeds the cut exactly when it exceeds its floor
+        cut = math.floor(bound * sub_card)
         over = [key for key, cnt in counts.items() if cnt > cut]
         if over:
             return _witness(F, colbasis, rowbasis, min(over))

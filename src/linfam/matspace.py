@@ -13,7 +13,9 @@ by XOR in characteristic 2.  A span of indices is held as its listing, the
 indices of its members: IndexCode.extend lists what one more vector adds to
 a span.  It builds span_indices, the listing by the index of every
 combination of a basis that the capture search and the projections share,
-and the member sets of the extremal prefix walk and of the rank walk.
+and the member sets of the extremal prefix walk, of the rank walk, of the
+seed walks' spans (E + tau^-1 E, the seeds, the basis and its inverse) and
+of the domain tests of Family.restrict and the density and capture scans.
 """
 from __future__ import annotations
 

@@ -20,10 +20,12 @@ from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
                            InconsistentRestriction, NotQuasiregular,
                            ShapeMismatch)
 from linfam.gf import field
-from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl, rank,
-                             subspaces_of_dim, vec_add, vec_smul, vec_sub)
-from linfam.families import (Family, Junta, Restriction, _domains,
-                             _frame_independent, default_regularity_eps,
+from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_all,
+                             enumerate_gl, rank, subspaces_of_dim, vec_add,
+                             vec_smul, vec_sub)
+from linfam.families import (Family, Junta, Restriction, _coset_listing,
+                             _domains, _frame_independent,
+                             default_regularity_eps,
                              enumerate_coset,
                              is_captureable, is_intersection_free,
                              is_quasiregular, is_strongly_t_intersecting,
@@ -143,6 +145,23 @@ def test_enumerate_coset_caps_members_before_building_them():
         enumerate_coset(Restriction.empty(s7, 3, 3))
     with pytest.raises(BudgetExceeded):
         Family.full_space(s7, 3, 3)
+
+
+@pytest.mark.parametrize("q,n,m", [(3, 0, 2), (2, 0, 3), (3, 2, 0), (2, 0, 0)])
+def test_zero_row_and_zero_column_shapes_hold_one_matrix(q, n, m):
+    spec = field(q)
+    want = [M.index() for M in enumerate_all(spec, n, m)]
+    R = Restriction.empty(spec, n, m)
+    assert want == [0] and sorted(_coset_listing(R)) == want
+    if m:    # a column constraint with an empty image still cuts nothing
+        cut = Restriction(spec, n, m, cols=[((1,) + (0,) * (m - 1), (0,) * n)])
+        assert cut.coset_cardinality() == 1 and _coset_listing(cut) == want
+    full = Family.full_space(spec, n, m)
+    assert full.indices == (0,) and full.measure() == 1
+    assert full.translate(Mat.zero(spec, n, m)) == full
+    # inclusion-exclusion up to 12 components, marking listings beyond
+    assert junta_measure(Junta(spec, n, m, [R], 1, 0)) == 1
+    assert junta_measure(Junta(spec, n, m, [R] * 13, 13, 0)) == 1
 
 
 # --- family bookkeeping -----------------------------------------------------
