@@ -99,6 +99,13 @@ def test_budget_errors_say_how_far_they_got():
         next(enumerate_gl(field(2), 3, Budget(items=100)))
 
 
+@pytest.mark.parametrize("n,t", [(3, 0), (3, 4), (1, 2)])
+def test_prefix_family_needs_t_between_1_and_n(n, t):
+    for build in (ex.canonical_family, ex.canonical_family_size):
+        with pytest.raises(DomainError, match=f"^need 1 <= t <= n, got t={t}$"):
+            build(n, 2, t)
+
+
 def test_row_side_is_transpose_of_column_side():
     fc = ex.canonical_family(3, 2, 1)
     assert {M.index() for M in fc.dual().members} == \
@@ -195,6 +202,30 @@ def test_fixed_prefix_dim_and_precondition():
     assert ex.fixed_prefix_dim(ident(s2, 3), 1) == 1
     with pytest.raises(PreconditionViolated):
         ex.derangement_enumerate(3, 2, 1, ident(s2, 3))
+
+
+def test_targets_must_be_invertible_and_of_the_stated_shape():
+    s2, s3 = field(2), field(3)
+    tau = Mat(s2, ((0, 1, 0), (1, 0, 0), (0, 0, 1)), 3)
+    for bad in (Mat(s2, ((0, 1), (1, 0)), 2), Mat(s2, tau.rows[:2], 3),
+                Mat(s3, tau.rows, 3)):
+        with pytest.raises(DomainError, match="^tau must be a square matrix "
+                           "of the stated shape$"):
+            ex.derangement_enumerate(3, 2, 1, bad)
+    singular = Mat(s2, ((0, 1, 0), (1, 0, 0), (0, 1, 0)), 3)
+    for count in (ex.derangement_enumerate, ex.derangement_construct_count):
+        with pytest.raises(PreconditionViolated, match="^tau must be invertible$"):
+            count(3, 2, 1, singular)
+    for t in (0, 4):
+        with pytest.raises(DomainError, match=f"^need 1 <= t <= n, got t={t}$"):
+            ex.derangement_enumerate(3, 2, t, tau)
+
+
+def test_construction_needs_3t_at_most_n():
+    tau = seeded_tau(5, 2, 2, 0)
+    with pytest.raises(PreconditionViolated,
+                       match="^the construction needs 3t <= n$"):
+        next(ex.derangement_construct(5, 2, 2, tau))
 
 
 def test_enumerate_against_brute_force_gf2():
@@ -297,6 +328,14 @@ def test_derangement_ratio_chain():
             ex.derangement_ratio_chain(*bad)
 
 
+@pytest.mark.parametrize("d", [-1, 2])
+def test_derangement_d_must_lie_below_t(d):
+    for call in (ex.derangement_bound, ex.derangement_ratio_chain):
+        with pytest.raises(DomainError,
+                           match=f"^need 0 <= d <= t - 1, got d={d}$"):
+            call(6, 2, 2, d)
+
+
 def test_constructive_process_lands_in_target_set():
     for n, q in ((3, 2), (4, 2), (3, 3)):
         spec = field(q)
@@ -312,6 +351,19 @@ def test_constructive_process_lands_in_target_set():
         H = brute_H(n, q, 1, tau)
         bound = ex.derangement_bound(n, q, 1, 0)
         assert cnt <= H and Fraction(cnt) >= bound and Fraction(H) >= bound
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])
+def test_construction_at_t1_is_every_invertible_difference(n, q):
+    # at t = 1 the seed is the zero space, so the process yields exactly the
+    # maps fixing e_1 that disagree with tau on every nonzero vector
+    for seed in range(3):
+        tau = seeded_tau(n, q, 1, seed)
+        want = {S.index() for S in gl(n, q)
+                if fixes_prefix(S, 1) and rank(S - tau) == n}
+        got = [S.index() for S in ex.derangement_construct(n, q, 1, tau)]
+        assert ex.fixed_prefix_dim(tau, 1) == 0 and want
+        assert set(got) == want and len(got) == len(want)
 
 
 # sha256 of the Mat.index() sequence of derangement_construct for fixed

@@ -46,6 +46,14 @@ def test_division_by_zero_raises():
         f5.inv(0)
 
 
+@pytest.mark.parametrize("q", (2, 4, 5, 9))
+def test_powers_of_zero(q):
+    f = field(q)
+    assert f.pow(0, 0) == 1 and f.pow(0, 1) == f.pow(0, q) == 0
+    with pytest.raises(DivisionByZero, match="^negative power of zero$"):
+        f.pow(0, -1)
+
+
 def test_non_prime_power_order_rejected():
     for bad in (0, 1, 6, 10, 12):
         with pytest.raises(DomainError):
