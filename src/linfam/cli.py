@@ -149,22 +149,20 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     elif claim == "canonical":
         size = extremal.canonical_family_size(args.n, q, args.t, b)
         want = m_qt(args.n, q, args.t)
-        rep = {"claim": "fixed-prefix family size",
-               "params": {"n": args.n, "q": q, "t": args.t},
-               "value": str(size), "bound": str(want),
-               "status": "confirmed" if size == want else "violated",
-               "witness": []}
+        rep = extremal._report("fixed-prefix family size",
+                               {"n": args.n, "q": q, "t": args.t}, size, want,
+                               "confirmed" if size == want else "violated")
     elif claim == "singer":
         fam = extremal.singer_cycle(args.n, q, b)
         ms = sorted(fam.members, key=lambda M: M.index())
         clash = [(A, B) for i, A in enumerate(ms) for B in ms[i + 1:]
                  if agreement_dim(A, B) != 0]
-        rep = {"claim": "cyclic zero-agreement family",
-               "params": {"n": args.n, "q": q},
-               "value": str(len(ms)), "bound": str(q ** args.n - 1),
-               "status": ("confirmed" if not clash
-                          and len(ms) == q ** args.n - 1 else "violated"),
-               "witness": [A.to_literal() for pair in clash[:1] for A in pair]}
+        rep = extremal._report(
+            "cyclic zero-agreement family", {"n": args.n, "q": q}, len(ms),
+            q ** args.n - 1,
+            "confirmed" if not clash and len(ms) == q ** args.n - 1
+            else "violated",
+            [A.to_literal() for pair in clash[:1] for A in pair])
     elif claim == "determinant":
         _, rep = extremal.sl_family(args.n, q, args.t, b)
     else:
@@ -173,11 +171,11 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         cnt = extremal.derangement_enumerate(args.n, q, args.t, tau)
         d = extremal.fixed_prefix_dim(tau, args.t)
         bound = extremal.derangement_bound(args.n, q, args.t, d)
-        rep = {"claim": "near-agreement derangement count",
-               "params": {"n": args.n, "q": q, "t": args.t, "d": d},
-               "value": str(cnt), "bound": str(bound),
-               "status": "confirmed" if cnt >= bound else "violated",
-               "witness": [tau.to_literal()]}
+        rep = extremal._report("near-agreement derangement count",
+                               {"n": args.n, "q": q, "t": args.t, "d": d},
+                               cnt, bound,
+                               "confirmed" if cnt >= bound else "violated",
+                               [tau.to_literal()])
     print(extremal.report_to_json(rep))
     return _exit_by_status(rep)
 

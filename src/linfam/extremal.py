@@ -50,72 +50,70 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(n))
 
 
+def _report(claim: str, params: dict, value, bound, status: str,
+            witness=(), **extra) -> dict:
+    """A claim report: value and bound as strings, extra keys before the
+    status and the witness list."""
+    return {"claim": claim, "params": params, "value": str(value),
+            "bound": str(bound), **extra, "status": status,
+            "witness": list(witness)}
+
+
 # --- prefix-fixing invertible families --------------------------------------
 
-def _prefix_walk(code: IndexCode, n: int, t: int, fixed: Sequence[int],
+def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
                  target: Sequence[int] | None, budget: Budget | None):
     """Depth-first walk over the invertible maps sigma of F_q^n, given by
     the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
     j < len(fixed).  Every vector is its vec_index code, and every span is
     held as the set of its members, grown by code.extend.
 
-    Free images are tried in code order among the nonzero vectors outside
-    the span of the images above.  target[j], if a target is given, is
-    tau(b_j): the walk also holds the span of the differences sigma(b_j) -
-    tau(b_j) and counts the steps at which a difference already lies in
-    it; at a leaf that count is dim ker(sigma - tau).  A branch is dropped
-    once it has counted more than t - 1 steps.
+    Fixed images are taken as given.  A free image is admitted, in code
+    order, when it lies outside the span of the images above it and, if a
+    target tau is given (target[j] = tau(b_j)), when its difference from
+    tau(b_j) also lies outside the span of the differences above it; a
+    fixed image grows that span only when its difference is independent.
 
-    Yields (imgs, last, hits) once per choice of the images above the last
+    Yields (imgs, last) once per choice of the images above the last
     position: imgs the codes of sigma(b_0) .. sigma(b_{n-2}) (one list,
-    changed between yields), last the admissible images of b_{n-1} in
-    order, and hits those members of last whose map has dim ker(sigma -
-    tau) = t - 1.  A target requires the fixed images to spend exactly t -
-    1 dependent steps, as the seeds of _seed_walks do; every later
-    difference is then independent, and hits are the members of last
-    outside the coset tau(b_{n-1}) + span.  Without a target hits is empty.
+    changed between yields) and last the admitted images of b_{n-1}.
     """
-    q = code.field.q
     b = ensure(budget)
-    choices = [{v} for v in fixed] + [set(range(1, q ** n))] * (n - len(fixed))
+    free = set(range(1, code.field.q ** n))
     span, diff = {0}, {0}
-    steps = batches = 0
     imgs: list = []
+    batches = 0
 
-    def rec(depth: int, added: list, grown: list):
-        # added, grown: what the image above adds to the span and to the
-        # difference span; a position before the last merges them into both
-        nonlocal steps, batches
+    def admitted(depth: int) -> list:
+        if depth < len(fixed):
+            return [fixed[depth]]
+        pool = free.difference(span)
+        if target is not None:
+            pool.difference_update(code.shift(diff, target[depth]))
+        return sorted(pool)
+
+    def rec(depth: int):
+        nonlocal batches
         if depth == n - 1:
             b.check_clock("fixed-prefix enumeration", f"{batches} batches")
             batches += 1
-            pool = choices[depth].difference(span, added)
-            hits = []
-            if target is not None:
-                tv = target[depth]
-                coset = code.shift(diff, tv) + code.shift(grown, tv)
-                hits = sorted(pool.difference(coset))
-            yield imgs, sorted(pool), hits
+            yield imgs, admitted(depth)
             return
-        span.update(added)
-        diff.update(grown)
-        for c in sorted(choices[depth].difference(span)):
-            below, dep = [], False
+        for c in admitted(depth):
+            added, grown = code.extend(span, c), []
             if target is not None:
                 d = code.sub(c, target[depth])
-                dep = d in diff
-                if not dep:
-                    below = code.extend(diff, d)
-            steps += dep
-            if steps < t:
-                imgs.append(c)
-                yield from rec(depth + 1, code.extend(span, c), below)
-                imgs.pop()
-            steps -= dep
-        span.difference_update(added)
-        diff.difference_update(grown)
+                if d not in diff:
+                    grown = code.extend(diff, d)
+            span.update(added)
+            diff.update(grown)
+            imgs.append(c)
+            yield from rec(depth + 1)
+            imgs.pop()
+            span.difference_update(added)
+            diff.difference_update(grown)
 
-    return rec(0, [], [])
+    return rec(0)
 
 
 def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
@@ -126,7 +124,7 @@ def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
     # the column code of e_j is q^(n - 1 - j)
     fixed = [spec.q ** (n - 1 - j) for j in range(t)]
-    return _prefix_walk(IndexCode(spec, n), n, t, fixed, None, b)
+    return _prefix_walk(IndexCode(spec, n), n, fixed, None, b)
 
 
 def canonical_family(n: int, q: int, t: int,
@@ -136,7 +134,7 @@ def canonical_family(n: int, q: int, t: int,
     spec = field(q)
     # a map's column images are its transpose's rows
     rows = []
-    for imgs, last, _ in _fixing_walk(spec, n, t, budget):
+    for imgs, last in _fixing_walk(spec, n, t, budget):
         head = vec_index(q ** n, imgs) * q ** n
         rows += [head + c for c in last]
     return Family(spec, n, n, transpose_indices(q, n, n, rows))
@@ -145,7 +143,7 @@ def canonical_family(n: int, q: int, t: int,
 def canonical_family_size(n: int, q: int, t: int,
                           budget: Budget | None = None) -> int:
     """Member count by walking the enumeration, never materializing it."""
-    return sum(len(last) for _, last, _ in
+    return sum(len(last) for _, last in
                _fixing_walk(field(q), n, t, budget))
 
 
@@ -329,16 +327,14 @@ def derangement_ratio_chain(n: int, q: int, t: int, d: int) -> dict:
 
 def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
     """(basis, walk) per admissible seed W, a (t - d - 1)-dimensional
-    subspace meeting the prefix span E plus its preimage under tau
-    trivially: the basis, as vec_index codes, is e_1 .. e_t, W's rows, then
-    unit vectors completing it, and the prefix walk fixes the images e_1 ..
-    e_t, tau(W) with tau as its one target.  That prefix already spends
-    the t - 1 dependent steps (d on the prefix span, one per row of W), so
-    every later difference must be independent: the walk is the process
-    tree.  Leaves are distinct maps whenever d = 0 (the agreement space
-    recovers the seed) or the seed is unique.  Spans are member sets, as in
-    the walk: E + tau^-1 E grows E by each vector tau sends into E, and a
-    seed's nonzero members miss it."""
+    subspace meeting E + tau^-1 E trivially, E the prefix span.  The basis,
+    as vec_index codes, is e_1 .. e_t, W's rows, then unit vectors
+    completing it; the walk fixes the images e_1 .. e_t, tau(W) and targets
+    tau.  The prefix's differences span (1 - tau)E, of dimension t - d, and
+    every later difference is independent, so each map has dim ker(sigma -
+    tau) = t - 1.  Leaves are distinct maps whenever d = 0 (the agreement
+    space recovers the seed) or the seed is unique.  E + tau^-1 E is a
+    member set, E grown by each vector tau sends into E."""
     d = _check_tau(n, q, t, tau)
     if 3 * t > n:
         raise PreconditionViolated("the construction needs 3t <= n")
@@ -364,15 +360,14 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
                 basis.append(v)
         images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
-        yield basis, _prefix_walk(code, n, t, fixed, images, budget)
+        yield basis, _prefix_walk(code, n, fixed, images, budget)
 
 
 def derangement_construct(n: int, q: int, t: int, tau: Mat,
                           budget: Budget | None = None) -> Iterator[Mat]:
     """Every map the constructive process can produce: identity on the
-    prefix span, equal to tau on an admissible seed subspace, images then
-    extended avoiding the span of previous images and the affine shift of
-    the running difference span."""
+    prefix span, equal to tau on an admissible seed subspace, every later
+    image admitted by the prefix walk's rule."""
     spec = field(q)
     code = IndexCode(spec, n)
     add, smul = code.add, code.smul
@@ -380,17 +375,17 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
         # entry vec_index(u) of the basis listing is sum_j u_j b_j, so the
         # entry holding e_k is column k of the inverse basis matrix binv
         listing = span_indices(code, [vec_from_index(q, n, v) for v in basis])
-        *head, last = zip(*(vec_from_index(q, n, listing.index(q ** (n - 1 - k)))
+        *head, tail = zip(*(vec_from_index(q, n, listing.index(q ** (n - 1 - k)))
                             for k in range(n)))
-        for imgs, _, hits in walk:
+        for imgs, last in walk:
             # column k of the map sending b_j to imgs[j] is
             # sum_j binv[j][k] imgs[j]; only the last term varies in a batch
             part = [0] * n
             for row, v in zip(head, imgs):
                 part = [add(a, smul(x, v)) for a, x in zip(part, row)]
-            for c in hits:
+            for c in last:
                 yield Mat(spec, [vec_from_index(q, n, add(a, smul(x, c)))
-                                 for a, x in zip(part, last)]).transpose()
+                                 for a, x in zip(part, tail)]).transpose()
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
@@ -435,9 +430,10 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
             raise BudgetExceeded(f"exhaustive search capped near |GL| = 200, "
                                  f"got {order}")
         # sigma_1, sigma_2 agree on t - 1 dimensions iff rank(sigma_1 - sigma_2)
-        # = n - t + 1: the graph on M(n, n) that spectral mode bounds, on GL
-        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
+        # = n - t + 1: the graph on M(n, n) that spectral mode bounds, on GL;
+        # it charges its N^2 bits before the rank table lists the vertices
         full = graph_bitsets(q, n, n, t - 1, b)
+        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
         adj = [sum(1 << j for j, v in enumerate(verts) if full[u] >> v & 1)
                for u in verts]
         optima = mis.all_maximum_independent_sets(adj, order, b)
@@ -447,14 +443,14 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                          for bs in optima)
         status = "exploratory" if size == bound and normalized else "violated"
         witness = [mats[i].to_literal() for i in mis.bits_of(optima[0])]
-        return {"claim": "maximum family avoiding agreement dimension t-1 "
-                         "in GL matches the prefix-fixing size",
-                "params": params, "value": str(size), "bound": str(bound),
-                "optima": len(optima), "normalized": normalized,
-                "status": status, "witness": witness}
+        return _report("maximum family avoiding agreement dimension t-1 in "
+                       "GL matches the prefix-fixing size", params, size,
+                       bound, status, witness, optima=len(optima),
+                       normalized=normalized)
     if mode == "sample":
         spec = field(q)
-        b.check_items(gl_order(n, q), "augmentation scan")
+        # the scan lists GL off the rank table of all q^(n^2) matrices
+        b.check_items(q ** (n * n), "augmentation scan")
         scanned, witness = 0, []
         for i in [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]:
             sigma = Mat.from_index(spec, n, n, i)
@@ -468,20 +464,16 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
             if _class_count(n, q, t, prefix_meet_dim(sigma, t), d) == 0:
                 witness = [sigma.to_literal()]
                 break
-        return {"claim": "no single map outside the prefix-fixing family "
-                         "can be added",
-                "params": params, "value": str(scanned), "bound": str(bound),
-                "status": "violated" if witness else "exploratory",
-                "witness": witness}
+        return _report("no single map outside the prefix-fixing family can "
+                       "be added", params, scanned, bound,
+                       "violated" if witness else "exploratory", witness)
     if mode == "spectral":
         S = spectrum(q, n, n, t - 1, b)
         h = hoffman_bound(S)
         measure = Fraction(bound, q ** (n * n))
-        return {"claim": "ratio bound of the ambient agreement walk, "
-                         "for context",
-                "params": params, "value": str(measure), "bound": str(h),
-                "consistent": measure <= h,
-                "status": "exploratory", "witness": []}
+        return _report("ratio bound of the ambient agreement walk, for "
+                       "context", params, measure, h, "exploratory",
+                       consistent=measure <= h)
     raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -498,12 +490,9 @@ def sl_family(n: int, q: int, t: int,
         raise InvariantViolated(f"q - 1 = {q - 1} does not divide m_qt = {total}")
     expected = total // classes
     fam = Family(spec, n, n, members)
-    rep = {"claim": "prefix-fixing determinant-one family size",
-           "params": {"n": n, "q": q, "t": t},
-           "value": str(len(members)), "bound": str(expected),
-           "status": "confirmed" if len(members) == expected else "violated",
-           "witness": []}
-    return fam, rep
+    return fam, _report("prefix-fixing determinant-one family size",
+                        {"n": n, "q": q, "t": t}, len(members), expected,
+                        "confirmed" if len(members) == expected else "violated")
 
 
 def report_to_json(rep: dict) -> str:

@@ -372,7 +372,6 @@ def criterion_8(seed: int = 0, budget: Budget | None = None) -> dict:
                      extremal.canonical_family_size(n, q, t, budget)
                      == m_qt(n, q, t)))
     for q in (2, 3):
-        spec = field(q)
         for n in (2, 3):
             fam = extremal.singer_cycle(n, q, budget)
             ms = sorted(fam.members, key=lambda M: M.index())

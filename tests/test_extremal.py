@@ -18,8 +18,8 @@ from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
-                             m_qt, mat_from_literal, rank, subspaces_of_dim,
-                             vec_from_index, vec_index)
+                             m_qt, mat_from_literal, rank, rank_table,
+                             subspaces_of_dim, vec_from_index, vec_index)
 
 
 def ident(spec, n):
@@ -602,3 +602,16 @@ def test_bound_reports_keep_to_their_limits():
         ex.verify_extremal_bound(2, 5, 1, "exhaustive")
     with pytest.raises(BudgetExceeded, match="eigenvalue formula terms"):
         ex.verify_extremal_bound(40, 2, 1, "spectral", Budget(items=10))
+
+
+def test_bound_reports_charge_the_rank_table_to_the_callers_budget():
+    # the n x n rank table holds q^(n^2) entries and checks only a default
+    # budget, so both modes must refuse before they build it
+    rank_table.cache_clear()
+    with pytest.raises(BudgetExceeded, match="^augmentation scan needs 512 "
+                       "items, budget is 511$"):
+        ex.verify_extremal_bound(3, 2, 1, "sample", Budget(items=511))
+    with pytest.raises(BudgetExceeded, match="^adjacency build needs 256 "
+                       "items, budget is 255$"):
+        ex.verify_extremal_bound(2, 2, 1, "exhaustive", Budget(items=255))
+    assert rank_table.cache_info().currsize == 0

@@ -6,7 +6,7 @@ probabilities: budget.py, cli.py and verify.py.  Every import in the
 library is used, and every function, class and method it defines is named
 somewhere besides its own definition and its own module's __all__: in the
 library, the tests or the benchmark.  Every parameter a library function
-takes is read in its body.  The modules' imports of each other form no
+takes is read in its body, and so is every name it binds.  The modules' imports of each other form no
 cycle.
 """
 
@@ -142,6 +142,33 @@ def test_every_parameter_is_read():
               for line, name, arg in _unread_parameters(path)
               if (path.name, name) not in dispatched]
     assert unread == [], f"parameters never read: {unread}"
+
+
+def _unread_locals(path):
+    """(line, function, name) for each name a function binds, by
+    assignment, loop, with, except or walrus, that its body never loads;
+    _-prefixed names are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [n for stmt in node.body for n in ast.walk(stmt)]
+            read = {n.id for n in inner
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            bound = {}
+            for n in inner:
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    bound.setdefault(n.id, n.lineno)
+                elif isinstance(n, ast.ExceptHandler) and n.name:
+                    bound.setdefault(n.name, n.lineno)
+            for name, line in bound.items():
+                if name not in read and not name.startswith("_"):
+                    yield line, node.name, name
+
+
+def test_every_local_is_read():
+    unread = [f"{path.name}:{line} {name}: {local}" for path in MODULES
+              for line, name, local in _unread_locals(path)]
+    assert unread == [], f"names bound and never read: {unread}"
 
 
 def _package_imports(path):
