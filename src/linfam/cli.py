@@ -155,14 +155,19 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     elif claim == "singer":
         fam = extremal.singer_cycle(args.n, q, b)
         ms = sorted(fam.members, key=lambda M: M.index())
-        clash = [(A, B) for i, A in enumerate(ms) for B in ms[i + 1:]
-                 if agreement_dim(A, B) != 0]
+        clash = ()
+        for i, A in enumerate(ms):
+            b.check_clock("singer pair scan", f"{i} of {len(ms)} members")
+            clash = next(((A, B) for B in ms[i + 1:]
+                          if agreement_dim(A, B) != 0), ())
+            if clash:
+                break
         rep = extremal._report(
             "cyclic zero-agreement family", {"n": args.n, "q": q}, len(ms),
             q ** args.n - 1,
             "confirmed" if not clash and len(ms) == q ** args.n - 1
             else "violated",
-            [A.to_literal() for pair in clash[:1] for A in pair])
+            [A.to_literal() for A in clash])
     elif claim == "determinant":
         _, rep = extremal.sl_family(args.n, q, args.t, b)
     else:

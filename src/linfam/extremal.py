@@ -21,9 +21,9 @@ from .families import Family
 from .gf import (FieldSpec, digits, field, first_generator, least_irreducible,
                  poly_mod, poly_mulmod)
 from .matspace import (IndexCode, Mat, count_subspaces_avoiding,
-                       gaussian_binomial, gl_order, m_qt, rank, rank_table,
-                       span_indices, subspaces_of_dim, transpose_indices,
-                       vec_from_index, vec_index)
+                       gaussian_binomial, gl_order, index_rows, m_qt, rank,
+                       rank_table, span_indices, subspaces_of_dim,
+                       transpose_indices, vec_from_index, vec_index)
 from .spectra import graph_bitsets, hoffman_bound, spectrum
 from . import mis
 
@@ -171,7 +171,7 @@ def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
         cols = [elt]
         while len(cols) < n:
             cols.append(poly_mod(spec, (0,) + cols[-1], f))
-        members.append(Mat(spec, cols).transpose())
+        members.append(Mat(spec, zip(*cols), n))
         elt = poly_mulmod(spec, elt, gen, f)
     if len({M.index() for M in members}) != order:
         raise InvariantViolated("Singer cycle powers are not distinct")
@@ -181,7 +181,8 @@ def singer_cycle(n: int, q: int, budget: Budget | None = None) -> Family:
 # --- near-agreement derangement counts --------------------------------------
 
 def fixed_prefix_dim(tau: Mat, t: int) -> int:
-    """dim of {v in span(e_1 .. e_t) : tau v = v}."""
+    """dim of {v in span(e_1 .. e_t) : tau v = v}; like prefix_meet_dim
+    it reads only tau's first t columns, so an n x t block will do."""
     spec, n = tau.field, tau.n
     rows = tuple(tuple(spec.sub(tau.rows[i][j], 1 if i == j else 0)
                        for j in range(t)) for i in range(n))
@@ -371,11 +372,12 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
     spec = field(q)
     code = IndexCode(spec, n)
     add, smul = code.add, code.smul
+    vecs = [vec_from_index(q, n, v) for v in range(q ** n)]
     for basis, walk in _seed_walks(n, q, t, tau, budget):
         # entry vec_index(u) of the basis listing is sum_j u_j b_j, so the
         # entry holding e_k is column k of the inverse basis matrix binv
-        listing = span_indices(code, [vec_from_index(q, n, v) for v in basis])
-        *head, tail = zip(*(vec_from_index(q, n, listing.index(q ** (n - 1 - k)))
+        listing = span_indices(code, [vecs[v] for v in basis])
+        *head, tail = zip(*(vecs[listing.index(q ** (n - 1 - k))]
                             for k in range(n)))
         for imgs, last in walk:
             # column k of the map sending b_j to imgs[j] is
@@ -384,8 +386,8 @@ def derangement_construct(n: int, q: int, t: int, tau: Mat,
             for row, v in zip(head, imgs):
                 part = [add(a, smul(x, v)) for a, x in zip(part, row)]
             for c in last:
-                yield Mat(spec, [vec_from_index(q, n, add(a, smul(x, c)))
-                                 for a, x in zip(part, tail)]).transpose()
+                yield Mat(spec, zip(*(vecs[add(a, smul(x, c))]
+                                      for a, x in zip(part, tail))), n)
 
 
 def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
@@ -396,13 +398,23 @@ def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
 
 # --- maximality checks -------------------------------------------------------
 
-def _common_agreement_ok(members: Sequence[Mat], t: int) -> bool:
-    """Whether the members agree on a common subspace of dimension >= t on
-    one side: the kernel of the stacked A - A_0, or of their transposes."""
-    A0 = members[0]
-    diffs = [A - A0 for A in members[1:]]
-    return any(A0.n - rank(Mat(A0.field, [r for D in side for r in D.rows], A0.n)) >= t
-               for side in (diffs, [D.transpose() for D in diffs]))
+def _actions(code: IndexCode, n: int, i: int) -> tuple[list, list]:
+    """The column and row action listings of the n x n map with index i:
+    entry v is the code of sigma(v), then of v^T sigma."""
+    flat = vec_from_index(code.field.q, n * n, i)
+    rows = [flat[j * n:(j + 1) * n] for j in range(n)]
+    return span_indices(code, list(zip(*rows))), span_indices(code, rows)
+
+
+def _common_agreement_ok(actions: Sequence[tuple[list, list]], q: int,
+                         t: int) -> bool:
+    """Whether the members, given by their _actions listings, agree on a
+    common subspace of dimension >= t on one side.  The members agree on
+    a subspace (the kernel of the stacked A - A_0, or of their
+    transposes), so it has dimension >= t exactly when at least q^t
+    positions agree across all of that side's listings."""
+    return any(sum(len(set(vs)) == 1 for vs in zip(*side)) >= q ** t
+               for side in zip(*actions))
 
 
 def verify_extremal_bound(n: int, q: int, t: int, mode: str,
@@ -412,8 +424,13 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
     exhaustive: exact maximum family avoiding agreement dimension t - 1
     inside GL, against the prefix-fixing size, searched on graph_bitsets'
     agreement graph induced on GL; every optimum must carry a
-    t-dimensional common-agreement subspace on one side or the other.
+    t-dimensional common-agreement subspace on one side or the other,
+    read off its members' action listings (_common_agreement_ok).
     sample: no single map outside the prefix-fixing family can be added.
+    The scan walks GL in index order; a map's class (c, d), and so whether
+    it can join, depends only on its first t columns, read off its index
+    digits and evaluated once per block.  A Mat is built per block and for
+    the witness, none per scanned map.
     spectral: the ratio bound of the ambient walk operator, as context.
     Findings are exploratory: they are data at one small n, not the
     asymptotic statement.
@@ -438,11 +455,13 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                for u in verts]
         optima = mis.all_maximum_independent_sets(adj, order, b)
         size = optima[0].bit_count()
-        mats = [Mat.from_index(spec, n, n, i) for i in verts]
-        normalized = all(_common_agreement_ok([mats[i] for i in mis.bits_of(bs)], t)
-                         for bs in optima)
+        code = IndexCode(spec, n)
+        actions = [_actions(code, n, i) for i in verts]
+        normalized = all(_common_agreement_ok([actions[i] for i in mis.bits_of(bs)],
+                                              q, t) for bs in optima)
         status = "exploratory" if size == bound and normalized else "violated"
-        witness = [mats[i].to_literal() for i in mis.bits_of(optima[0])]
+        witness = [Mat.from_index(spec, n, n, verts[i]).to_literal()
+                   for i in mis.bits_of(optima[0])]
         return _report("maximum family avoiding agreement dimension t-1 in "
                        "GL matches the prefix-fixing size", params, size,
                        bound, status, witness, optima=len(optima),
@@ -451,18 +470,30 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
         spec = field(q)
         # the scan lists GL off the rank table of all q^(n^2) matrices
         b.check_items(q ** (n * n), "augmentation scan")
+        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
+        # sigma's class (c, d) depends only on its first t columns: block
+        # row j is the leading t digits of sigma's row j
+        low, Qt = q ** (n - t), q ** t
+        blocks = [0] * len(verts)
+        for rows in index_rows(q, n, n, verts):
+            blocks = [k * Qt + r // low for k, r in zip(blocks, rows)]
+        joins: dict = {}
         scanned, witness = 0, []
-        for i in [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]:
-            sigma = Mat.from_index(spec, n, n, i)
-            d = fixed_prefix_dim(sigma, t)
-            if d == t:
-                continue    # sigma fixes e_1 .. e_t: a member
+        for i, key in zip(verts, blocks):
+            if key not in joins:
+                block = Mat.from_index(spec, n, t, key)
+                d = fixed_prefix_dim(block, t)
+                # None when sigma fixes e_1 .. e_t, a member; otherwise sigma
+                # can join unless some member meets it in t - 1 dimensions
+                joins[key] = None if d == t else _class_count(
+                    n, q, t, prefix_meet_dim(block, t), d) == 0
+            if joins[key] is None:
+                continue
             scanned += 1
             if scanned % 512 == 0:
                 b.check_clock("augmentation scan", f"{scanned} maps")
-            # sigma can join unless some member meets it in t - 1 dimensions
-            if _class_count(n, q, t, prefix_meet_dim(sigma, t), d) == 0:
-                witness = [sigma.to_literal()]
+            if joins[key]:
+                witness = [Mat.from_index(spec, n, n, i).to_literal()]
                 break
         return _report("no single map outside the prefix-fixing family can "
                        "be added", params, scanned, bound,

@@ -399,6 +399,14 @@ def test_extremal_claims():
     assert doc["status"] == "exploratory" and doc["value"] == doc["bound"] == "2"
 
 
+def test_extremal_singer_keeps_the_budget():
+    # 511 members: the pairwise agreement scan checks the clock per member
+    rc, out, err = run(["extremal", "--claim", "singer", "--q", "2", "--n", "9",
+                        "--budget-seconds", "0"])
+    assert rc == 3 and out == ""
+    assert "singer pair scan exceeded 0.0s time budget after 0 of 511" in err
+
+
 # a typo in an argument is a usage error (2), never a failed claim (1)
 MALFORMED = [
     ["extremal", "--claim", "derange", "--q", "2", "--n", "2", "--t", "1",

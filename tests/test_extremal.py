@@ -17,7 +17,8 @@ from linfam import extremal as ex
 from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
 from linfam.gf import field
-from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
+from linfam.matspace import (IndexCode, Mat, Subspace, agreement_dim,
+                             enumerate_gl,
                              m_qt, mat_from_literal, rank, rank_table,
                              subspaces_of_dim, vec_from_index, vec_index)
 
@@ -497,6 +498,72 @@ EXHAUSTIVE_GOLDEN = [
 def test_exhaustive_reports_pinned(n, q, t, sha):
     text = ex.report_to_json(ex.verify_extremal_bound(n, q, t, "exhaustive"))
     assert hashlib.sha256(text.encode()).hexdigest() == sha, text
+
+
+def random_gl(rng, spec, n):
+    while True:
+        A = Mat.from_index(spec, n, n, rng.randrange(spec.q ** (n * n)))
+        if rank(A) == n:
+            return A
+
+
+def agreement_dims(members):
+    """The Mat oracle: dim ker of the stacked A - A_0 (column side) and of
+    their transposes (row side)."""
+    A0 = members[0]
+    diffs = [A - A0 for A in members[1:]]
+    return tuple(A0.n - rank(Mat(A0.field, [r for D in side for r in D.rows],
+                                 A0.n))
+                 for side in (diffs, [D.transpose() for D in diffs]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_common_agreement_check_matches_mat_oracle(q):
+    # members A_0 + D g (or A_0 + g D) with D zero on its first k columns
+    # (rows) agree on a k-dimensional subspace on that side; plain random
+    # members mostly agree on neither
+    spec, rng = field(q), random.Random(3100 + q)
+    seen = set()
+    for n in (2, 3):
+        code = IndexCode(spec, n)
+        for _ in range(40):
+            A0, g = random_gl(rng, spec, n), random_gl(rng, spec, n)
+            side, k = rng.choice(("col", "row", "any")), rng.randrange(n + 1)
+            members = {A0.index(): A0}
+            for _ in range(rng.randrange(1, 6)):
+                if side == "any":
+                    A = random_gl(rng, spec, n)
+                else:
+                    D = Mat(spec, [[0 if (j if side == "col" else i) < k
+                                    else rng.randrange(q) for j in range(n)]
+                                   for i in range(n)])
+                    A = A0 + (D @ g if side == "col" else g @ D)
+                if rank(A) == n:
+                    members[A.index()] = A
+            members = list(members.values())
+            col, row = agreement_dims(members)
+            actions = [ex._actions(code, n, M.index()) for M in members]
+            for t in range(1, n + 1):
+                assert ex._common_agreement_ok(actions, q, t) == (
+                    col >= t or row >= t), (n, t, members)
+                seen.add((col >= t, row >= t))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_sample_scan_builds_no_mat_per_map(monkeypatch):
+    # one Mat per first-t-column block of GL(4, 2) and one for a witness,
+    # where a Mat per scanned map would make 20,160
+    calls = []
+    from_index = Mat.from_index.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return from_index(cls, *args)
+
+    monkeypatch.setattr(Mat, "from_index", classmethod(counted))
+    rep = ex.verify_extremal_bound(4, 2, 1, "sample")
+    assert rep["status"] == "exploratory" and rep["value"] == "18816"
+    assert 0 < len(calls) <= 2 ** (4 * 1) + 1, len(calls)
 
 
 # sha256 of report_to_json(verify_extremal_bound(n, q, t, "sample")): pins
