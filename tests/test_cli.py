@@ -399,6 +399,24 @@ def test_extremal_claims():
     assert doc["status"] == "exploratory" and doc["value"] == doc["bound"] == "2"
 
 
+# sha256 of `linfam extremal --claim singer` stdout: the member count and
+# the zero-agreement verdict at q = 2 and q > 2
+SINGER_GOLDEN = [
+    ("2", "3", "852be5f746c1fa999023d007a66a307624ba70df0b20ad105e2077b6d4c862d7"),
+    ("3", "2", "68a7ed79934f448e2e44bf05df8a7d30394b2bd960c769a0a5e1ed273b699835"),
+    ("4", "2", "10a60e3103a857dea7009a5ab7779631217875b0022e6d9be49066cccc930ff5"),
+    ("2", "5", "d941536bdd90162189d6f2f5c08aed6cd82f9aafb2af0feab327eb79b0b82292"),
+]
+
+
+@pytest.mark.parametrize("q,n,sha", SINGER_GOLDEN,
+                         ids=[f"q{q}-n{n}" for q, n, _ in SINGER_GOLDEN])
+def test_extremal_singer_stdout_golden(q, n, sha):
+    rc, out, err = run(["extremal", "--claim", "singer", "--q", q, "--n", n])
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_extremal_singer_keeps_the_budget():
     # 511 members: the pairwise agreement scan checks the clock per member
     rc, out, err = run(["extremal", "--claim", "singer", "--q", "2", "--n", "9",
