@@ -24,7 +24,7 @@ from .families import (Family, measure_outside_junta,
                        regularity_decompose)
 from .fourier import DenseFunction, fast_transform, reduce_family
 from .gf import prime_power
-from .matspace import (agreement_dim, count_rank_d, count_subspaces_avoiding,
+from .matspace import (Mat, count_rank_d, count_subspaces_avoiding,
                        gaussian_binomial, m_qt, mat_from_literal, phi)
 
 
@@ -133,6 +133,21 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     return 0 if rep["holds"] else 1
 
 
+def _first_clash(fam: Family, b: Budget) -> list[Mat]:
+    """The first pair of members, in index order, that agree on a nonzero
+    vector, or []: members agreeing on v agree on its multiples, so a clash
+    repeats an entry of some listed vector's image array."""
+    listed = [images for images in fam.tables().col[1:] if images is not None]
+    clashes = []
+    for k, images in enumerate(listed):
+        b.check_clock("singer pair scan", f"{k} of {len(listed)} vectors")
+        if len(set(images)) < len(images):
+            clashes += [(images.index(w), j) for j, w in enumerate(images)
+                        if images.index(w) < j]
+    return [Mat.from_index(fam.field, fam.n, fam.m, fam.indices[i])
+            for i in min(clashes, default=())]
+
+
 def _exit_by_status(rep: dict) -> int:
     return 1 if rep.get("status") == "violated" else 0
 
@@ -154,19 +169,10 @@ def cmd_extremal(args: argparse.Namespace) -> int:
                                "confirmed" if size == want else "violated")
     elif claim == "singer":
         fam = extremal.singer_cycle(args.n, q, b)
-        ms = sorted(fam.members, key=lambda M: M.index())
-        clash = ()
-        for i, A in enumerate(ms):
-            b.check_clock("singer pair scan", f"{i} of {len(ms)} members")
-            clash = next(((A, B) for B in ms[i + 1:]
-                          if agreement_dim(A, B) != 0), ())
-            if clash:
-                break
+        clash, want = _first_clash(fam, b), q ** args.n - 1
         rep = extremal._report(
-            "cyclic zero-agreement family", {"n": args.n, "q": q}, len(ms),
-            q ** args.n - 1,
-            "confirmed" if not clash and len(ms) == q ** args.n - 1
-            else "violated",
+            "cyclic zero-agreement family", {"n": args.n, "q": q}, len(fam),
+            want, "violated" if clash or len(fam) != want else "confirmed",
             [A.to_literal() for A in clash])
     elif claim == "determinant":
         _, rep = extremal.sl_family(args.n, q, args.t, b)

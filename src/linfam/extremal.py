@@ -20,10 +20,11 @@ from .errors import (BudgetExceeded, DomainError, InvariantViolated,
 from .families import Family
 from .gf import (FieldSpec, digits, field, first_generator, least_irreducible,
                  poly_mod, poly_mulmod)
+from .images import ImageTables
 from .matspace import (IndexCode, Mat, count_subspaces_avoiding,
-                       gaussian_binomial, gl_order, index_rows, m_qt, rank,
-                       rank_table, span_indices, subspaces_of_dim,
-                       transpose_indices, vec_from_index, vec_index)
+                       gaussian_binomial, gl_order, m_qt, rank, span_indices,
+                       subspaces_of_dim, transpose_indices, vec_from_index,
+                       vec_index)
 from .spectra import graph_bitsets, hoffman_bound, spectrum
 from . import mis
 
@@ -116,6 +117,12 @@ def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
     return rec(0)
 
 
+def _gl(spec: FieldSpec, n: int, budget: Budget | None):
+    """GL(n, q) in Mat.index order: the prefix walk with no fixed images,
+    the map (imgs, c) read as rows, of index vec_index(q^n, imgs) q^n + c."""
+    return _prefix_walk(IndexCode(spec, n), n, [], None, budget)
+
+
 def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     """The prefix walk over the maps fixing e_1 .. e_t, without a target."""
     if not 1 <= t <= n:
@@ -133,10 +140,8 @@ def canonical_family(n: int, q: int, t: int,
     family, the transposes."""
     spec = field(q)
     # a map's column images are its transpose's rows
-    rows = []
-    for imgs, last in _fixing_walk(spec, n, t, budget):
-        head = vec_index(q ** n, imgs) * q ** n
-        rows += [head + c for c in last]
+    rows = [head + c for imgs, last in _fixing_walk(spec, n, t, budget)
+            for head in [vec_index(q ** n, imgs) * q ** n] for c in last]
     return Family(spec, n, n, transpose_indices(q, n, n, rows))
 
 
@@ -398,23 +403,16 @@ def derangement_construct_count(n: int, q: int, t: int, tau: Mat,
 
 # --- maximality checks -------------------------------------------------------
 
-def _actions(code: IndexCode, n: int, i: int) -> tuple[list, list]:
-    """The column and row action listings of the n x n map with index i:
-    entry v is the code of sigma(v), then of v^T sigma."""
-    flat = vec_from_index(code.field.q, n * n, i)
-    rows = [flat[j * n:(j + 1) * n] for j in range(n)]
-    return span_indices(code, list(zip(*rows))), span_indices(code, rows)
-
-
-def _common_agreement_ok(actions: Sequence[tuple[list, list]], q: int,
+def _common_agreement_ok(tables: ImageTables, members: Sequence[int],
                          t: int) -> bool:
-    """Whether the members, given by their _actions listings, agree on a
-    common subspace of dimension >= t on one side.  The members agree on
-    a subspace (the kernel of the stacked A - A_0, or of their
-    transposes), so it has dimension >= t exactly when at least q^t
-    positions agree across all of that side's listings."""
-    return any(sum(len(set(vs)) == 1 for vs in zip(*side)) >= q ** t
-               for side in zip(*actions))
+    """Whether the members at these positions of the tables agree on a
+    common t-space of one side.  They agree on a subspace, so exactly when
+    at least [t, 1]_q listed vectors of that side, one per line, have a
+    single image across the members."""
+    return any(sum(len({images[i] for i in members}) == 1
+                   for images in side[1:] if images is not None)
+               >= gaussian_binomial(t, 1, tables.spec.q)
+               for side in (tables.col, tables.row))
 
 
 def verify_extremal_bound(n: int, q: int, t: int, mode: str,
@@ -425,12 +423,11 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
     inside GL, against the prefix-fixing size, searched on graph_bitsets'
     agreement graph induced on GL; every optimum must carry a
     t-dimensional common-agreement subspace on one side or the other,
-    read off its members' action listings (_common_agreement_ok).
+    read off the image tables of GL (_common_agreement_ok).
     sample: no single map outside the prefix-fixing family can be added.
-    The scan walks GL in index order; a map's class (c, d), and so whether
-    it can join, depends only on its first t columns, read off its index
-    digits and evaluated once per block.  A Mat is built per block and for
-    the witness, none per scanned map.
+    The scan walks GL in index order (_gl); a map's class (c, d), and so
+    whether it can join, depends only on its first t columns, read off its
+    row codes: one Mat and one evaluation per block, none per scanned map.
     spectral: the ratio bound of the ambient walk operator, as context.
     Findings are exploratory: they are data at one small n, not the
     asymptotic statement.
@@ -448,17 +445,17 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                                  f"got {order}")
         # sigma_1, sigma_2 agree on t - 1 dimensions iff rank(sigma_1 - sigma_2)
         # = n - t + 1: the graph on M(n, n) that spectral mode bounds, on GL;
-        # it charges its N^2 bits before the rank table lists the vertices
+        # it charges its N^2 bits before the walk lists the vertices
         full = graph_bitsets(q, n, n, t - 1, b)
-        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
+        verts = [head + c for imgs, last in _gl(spec, n, b)
+                 for head in [vec_index(q ** n, imgs) * q ** n] for c in last]
         adj = [sum(1 << j for j, v in enumerate(verts) if full[u] >> v & 1)
                for u in verts]
         optima = mis.all_maximum_independent_sets(adj, order, b)
         size = optima[0].bit_count()
-        code = IndexCode(spec, n)
-        actions = [_actions(code, n, i) for i in verts]
-        normalized = all(_common_agreement_ok([actions[i] for i in mis.bits_of(bs)],
-                                              q, t) for bs in optima)
+        tables = ImageTables(spec, n, n, verts)
+        normalized = all(_common_agreement_ok(tables, list(mis.bits_of(bs)), t)
+                         for bs in optima)
         status = "exploratory" if size == bound and normalized else "violated"
         witness = [Mat.from_index(spec, n, n, verts[i]).to_literal()
                    for i in mis.bits_of(optima[0])]
@@ -468,18 +465,17 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                        normalized=normalized)
     if mode == "sample":
         spec = field(q)
-        # the scan lists GL off the rank table of all q^(n^2) matrices
+        # the scan is charged for the q^(n^2) matrices GL lies in
         b.check_items(q ** (n * n), "augmentation scan")
-        verts = [i for i, rk in enumerate(rank_table(spec, n, n)) if rk == n]
         # sigma's class (c, d) depends only on its first t columns: block
         # row j is the leading t digits of sigma's row j
-        low, Qt = q ** (n - t), q ** t
-        blocks = [0] * len(verts)
-        for rows in index_rows(q, n, n, verts):
-            blocks = [k * Qt + r // low for k, r in zip(blocks, rows)]
+        Q, low, Qt = q ** n, q ** (n - t), q ** t
         joins: dict = {}
         scanned, witness = 0, []
-        for i, key in zip(verts, blocks):
+        maps = ((top + c // low, imgs, c) for imgs, last in _gl(spec, n, b)
+                for top in [vec_index(Qt, [r // low for r in imgs]) * Qt]
+                for c in last)
+        for key, imgs, c in maps:
             if key not in joins:
                 block = Mat.from_index(spec, n, t, key)
                 d = fixed_prefix_dim(block, t)
@@ -487,12 +483,9 @@ def verify_extremal_bound(n: int, q: int, t: int, mode: str,
                 # can join unless some member meets it in t - 1 dimensions
                 joins[key] = None if d == t else _class_count(
                     n, q, t, prefix_meet_dim(block, t), d) == 0
-            if joins[key] is None:
-                continue
-            scanned += 1
-            if scanned % 512 == 0:
-                b.check_clock("augmentation scan", f"{scanned} maps")
+            scanned += joins[key] is not None
             if joins[key]:
+                i = vec_index(Q, imgs) * Q + c
                 witness = [Mat.from_index(spec, n, n, i).to_literal()]
                 break
         return _report("no single map outside the prefix-fixing family can "

@@ -7,6 +7,7 @@ errors (argparse raises SystemExit) and domain errors (returned).
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,8 +15,10 @@ from fractions import Fraction
 import pytest
 
 from linfam import cli, verify
+from linfam.budget import Budget
 from linfam.gf import field
 from linfam.families import Family, Restriction, enumerate_coset
+from linfam.matspace import Mat, agreement_dim, rank
 
 s2 = field(2)
 
@@ -415,6 +418,29 @@ def test_extremal_singer_stdout_golden(q, n, sha):
     rc, out, err = run(["extremal", "--claim", "singer", "--q", q, "--n", n])
     assert rc == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_first_clash_matches_pairwise_scan(q):
+    # random invertible members; a pair clashes when it agrees on a nonzero
+    # vector, and the scan reports the first such pair in index order
+    spec, rng = field(q), random.Random(3200 + q)
+    seen = set()
+    for n in (2, 3):
+        for _ in range(30):
+            members, size = set(), rng.randrange(2, 6)
+            while len(members) < size:
+                M = Mat.from_index(spec, n, n, rng.randrange(q ** (n * n)))
+                if rank(M) == n:
+                    members.add(M)
+            fam = Family(spec, n, n, members)
+            ms = sorted(members, key=Mat.index)
+            want = next(((i, j) for i, j in itertools.combinations(
+                range(len(ms)), 2) if agreement_dim(ms[i], ms[j])), ())
+            assert cli._first_clash(fam, Budget()) == [ms[i] for i in want], ms
+            seen.add(want)
+    # clash-free sets, and clashes found past the first pair
+    assert () in seen and (0, 1) in seen and seen - {(), (0, 1)}, seen
 
 
 def test_extremal_singer_keeps_the_budget():

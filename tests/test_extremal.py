@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from linfam import extremal as ex
 from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
+from linfam.families import Family
 from linfam.gf import field
-from linfam.matspace import (IndexCode, Mat, Subspace, agreement_dim,
-                             enumerate_gl,
-                             m_qt, mat_from_literal, rank, rank_table,
+from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
+                             gl_order, m_qt, mat_from_literal, rank, rank_table,
                              subspaces_of_dim, vec_from_index, vec_index)
 
 
@@ -525,7 +525,7 @@ def test_common_agreement_check_matches_mat_oracle(q):
     spec, rng = field(q), random.Random(3100 + q)
     seen = set()
     for n in (2, 3):
-        code = IndexCode(spec, n)
+        corpus = []
         for _ in range(40):
             A0, g = random_gl(rng, spec, n), random_gl(rng, spec, n)
             side, k = rng.choice(("col", "row", "any")), rng.randrange(n + 1)
@@ -540,11 +540,15 @@ def test_common_agreement_check_matches_mat_oracle(q):
                     A = A0 + (D @ g if side == "col" else g @ D)
                 if rank(A) == n:
                     members[A.index()] = A
-            members = list(members.values())
+            corpus.append(list(members.values()))
+        # one table over every set's members, each set read by position
+        fam = Family(spec, n, n, [M for members in corpus for M in members])
+        tables = fam.tables()
+        for members in corpus:
             col, row = agreement_dims(members)
-            actions = [ex._actions(code, n, M.index()) for M in members]
+            at = [fam.indices.index(M.index()) for M in members]
             for t in range(1, n + 1):
-                assert ex._common_agreement_ok(actions, q, t) == (
+                assert ex._common_agreement_ok(tables, at, t) == (
                     col >= t or row >= t), (n, t, members)
                 seen.add((col >= t, row >= t))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -682,3 +686,32 @@ def test_bound_reports_charge_the_rank_table_to_the_callers_budget():
                        "items, budget is 255$"):
         ex.verify_extremal_bound(2, 2, 1, "exhaustive", Budget(items=255))
     assert rank_table.cache_info().currsize == 0
+
+
+def test_sample_scan_builds_no_rank_table():
+    # sample mode lists GL off the prefix walk, never the q^(n^2)-entry table
+    rank_table.cache_clear()
+    ex.verify_extremal_bound(4, 2, 1, "sample")
+    ex.verify_extremal_bound(3, 3, 1, "sample")
+    assert rank_table.cache_info().currsize == 0
+
+
+def test_sample_scan_keeps_the_callers_clock():
+    with pytest.raises(BudgetExceeded, match="exceeded 0s time budget"):
+        ex.verify_extremal_bound(4, 2, 1, "sample", Budget(seconds=0))
+
+
+# every shape with q^(n^2) <= 2^16, at n = 1 for q <= 64
+GL_POINTS = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
+                              27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)
+             for n in range(1, 5) if q ** (n * n) <= 2 ** 16]
+
+
+@pytest.mark.parametrize("n,q", GL_POINTS,
+                         ids=[f"n{n}q{q}" for n, q in GL_POINTS])
+def test_gl_walk_lists_the_rank_table_order(n, q):
+    spec, Q = field(q), q ** n
+    got = [vec_index(Q, imgs) * Q + c
+           for imgs, last in ex._gl(spec, n, None) for c in last]
+    assert got == [i for i, r in enumerate(rank_table(spec, n, n)) if r == n]
+    assert len(got) == gl_order(n, q)
