@@ -356,7 +356,7 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
         if image % low == 0 and v not in prefix_sum:
             prefix_sum.update(code.extend(prefix_sum, v))
     for W in subspaces_of_dim(spec, n, t - d - 1):
-        if not prefix_sum.isdisjoint(span_indices(code, W.rows)[1:]):
+        if not prefix_sum.isdisjoint(W.listing[1:]):
             continue
         # W misses E, so e_1 .. e_t and W's rows all enter the basis
         basis, span = [], {0}

@@ -413,17 +413,12 @@ class Family:
         return cls(spec, n, m, members, Restriction(spec, n, m, cols, rows))
 
 
-def _domain_members(code: IndexCode, basis: Sequence[Sequence[int]]) -> list[int]:
-    """The vec_index of every nonzero member of the span of these
-    independent vectors: two domains meet iff their lists share one."""
-    return span_indices(code, basis)[1:]
-
-
 def _check_trivial_overlap(ctx: Restriction, R: Restriction) -> None:
+    # two domains meet iff their listings share a nonzero member
     for side, length, mine, theirs in (("column", ctx.m, ctx.cols, R.cols),
                                        ("row", ctx.n, ctx.rows, R.rows)):
         code = IndexCode(ctx.field, length)
-        spans = [_domain_members(code, [v for v, _ in pairs]) for pairs in (mine, theirs)]
+        spans = [span_indices(code, [v for v, _ in pairs])[1:] for pairs in (mine, theirs)]
         if not set(spans[0]).isdisjoint(spans[1]):
             raise DomainOverlap(f"{side} domains meet the context non-trivially")
 
@@ -458,12 +453,12 @@ def default_regularity_eps(q: int, m: int, n: int, r: int) -> QPow:
 # --- capture / quasiregularity searches ------------------------------------
 
 def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
-    """Constraint domains of total dimension <= s avoiding the context, in
-    deterministic lexicographic order: the pairs of subspaces_of_dim bases
+    """Constraint domains (S, A) of total dimension <= s avoiding the
+    context, in lexicographic order: the pairs of subspaces_of_dim spaces
     whose nonzero members miss those of the context's domains."""
-    col_code, row_code = IndexCode(spec, m), IndexCode(spec, n)
-    col_ctx = set(_domain_members(col_code, [v for v, _ in ctx.cols]))
-    row_ctx = set(_domain_members(row_code, [a for a, _ in ctx.rows]))
+    # the context sets hold no zero, so each space's whole listing is tested
+    col_ctx = set(span_indices(IndexCode(spec, m), [v for v, _ in ctx.cols])[1:])
+    row_ctx = set(span_indices(IndexCode(spec, n), [a for a, _ in ctx.rows])[1:])
     out = []
     for total in range(s + 1):
         for c in range(total + 1):
@@ -471,23 +466,20 @@ def _domains(spec: FieldSpec, m: int, n: int, s: int, ctx: Restriction):
             if c > m - ctx.dim_col or r > n - ctx.dim_row:
                 continue
             col_spaces = [S for S in subspaces_of_dim(spec, m, c)
-                          if col_ctx.isdisjoint(_domain_members(col_code, S.rows))]
+                          if col_ctx.isdisjoint(S.listing)]
             row_spaces = [A for A in subspaces_of_dim(spec, n, r)
-                          if row_ctx.isdisjoint(_domain_members(row_code, A.rows))]
-            for S in col_spaces:
-                for A in row_spaces:
-                    out.append((S.rows, A.rows))
+                          if row_ctx.isdisjoint(A.listing)]
+            out += itertools.product(col_spaces, row_spaces)
     return out
 
 
-def _witness(F: Family, colbasis, rowbasis, key) -> Restriction:
-    """The restriction sending the domain bases to the image indices in key."""
+def _witness(F: Family, S: Subspace, A: Subspace, key) -> Restriction:
+    """The restriction sending the domains' bases to the image indices in key."""
     spec, n, m = F.field, F.n, F.m
-    c = len(colbasis)
     return Restriction(
         spec, n, m,
-        cols=[(v, vec_from_index(spec.q, n, w)) for v, w in zip(colbasis, key[:c])],
-        rows=[(a, vec_from_index(spec.q, m, b)) for a, b in zip(rowbasis, key[c:])])
+        cols=[(v, vec_from_index(spec.q, n, w)) for v, w in zip(S.rows, key[:S.dim])],
+        rows=[(a, vec_from_index(spec.q, m, b)) for a, b in zip(A.rows, key[S.dim:])])
 
 
 def is_captureable(F: Family, s: int, eps,
@@ -509,11 +501,11 @@ def is_captureable(F: Family, s: int, eps,
             hi = mid - 1
     max_avoid = lo
     b = ensure(budget)
-    for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
+    for k, (S, A) in enumerate(_domains(spec, m, n, s, F.context)):
         b.check_clock("capture search", f"{k} domains")
-        for key in capture_keys(F.tables(), colbasis, rowbasis, max_avoid):
+        for key in capture_keys(F.tables(), S, A, max_avoid):
             try:
-                return _witness(F, colbasis, rowbasis, key)
+                return _witness(F, S, A, key)
             except InconsistentRestriction:
                 # column and row constraints disagree: no matrix
                 # satisfies them, so this is no candidate
@@ -522,21 +514,21 @@ def is_captureable(F: Family, s: int, eps,
 
 
 def _density_scan(F: Family, s: int, budget: Budget | None):
-    """Yield (colbasis, rowbasis, sub_card, counts) for every refinement
-    domain of complexity <= s in lexicographic order; counts is the
-    domain's member tally, keyed by image indices."""
+    """Yield (S, A, sub_card, counts) for every refinement domain of
+    complexity <= s in lexicographic order; counts is the domain's member
+    tally, keyed by image indices."""
     spec = F.field
     q = spec.q
     n, m = F.n, F.m
     dc, dr = F.context.dim_col, F.context.dim_row
     tables = F.tables()
     b = ensure(budget)
-    for k, (colbasis, rowbasis) in enumerate(_domains(spec, m, n, s, F.context)):
+    for k, (S, A) in enumerate(_domains(spec, m, n, s, F.context)):
         b.check_clock("density scan", f"{k} domains")
-        sub_card = q ** ((m - dc - len(colbasis)) * (n - dr - len(rowbasis)))
-        counts = tables.tally(tuple(vec_index(q, v) for v in colbasis),
-                              tuple(vec_index(q, a) for a in rowbasis))
-        yield colbasis, rowbasis, sub_card, counts
+        sub_card = q ** ((m - dc - S.dim) * (n - dr - A.dim))
+        counts = tables.tally(tuple(vec_index(q, v) for v in S.rows),
+                              tuple(vec_index(q, a) for a in A.rows))
+        yield S, A, sub_card, counts
 
 
 def is_quasiregular(F: Family, s: int, alpha: Fraction,
@@ -545,12 +537,12 @@ def is_quasiregular(F: Family, s: int, alpha: Fraction,
     density above alpha * mu(F); otherwise the first violating witness,
     in lexicographic order."""
     bound = alpha * F.measure()
-    for colbasis, rowbasis, sub_card, counts in _density_scan(F, s, budget):
+    for S, A, sub_card, counts in _density_scan(F, s, budget):
         # an integer count exceeds the cut exactly when it exceeds its floor
         cut = math.floor(bound * sub_card)
         over = [key for key, cnt in counts.items() if cnt > cut]
         if over:
-            return _witness(F, colbasis, rowbasis, min(over))
+            return _witness(F, S, A, min(over))
     return None
 
 
@@ -562,12 +554,12 @@ def max_density_ratio(F: Family, s: int, budget: Budget | None = None
     if mu == 0:
         raise DomainError("density ratio undefined for an empty family")
     best, best_w = Fraction(0), None
-    for colbasis, rowbasis, sub_card, counts in _density_scan(F, s, budget):
+    for S, A, sub_card, counts in _density_scan(F, s, budget):
         top = max(counts.values())
         if Fraction(top, sub_card) > best:
             best = Fraction(top, sub_card)
             first = min(key for key, cnt in counts.items() if cnt == top)
-            best_w = _witness(F, colbasis, rowbasis, first)
+            best_w = _witness(F, S, A, first)
     return best / mu, best_w
 
 

@@ -410,11 +410,10 @@ def _space_mask(spec: FieldSpec, n: int, m: int, target: Subspace,
     """
     q = spec.q
     if on_image:
-        basis, nrows, width, r = target.rows, n, m, target.dim
+        span, nrows, width, r = target.listing, n, m, target.dim
     else:
-        basis = null_basis(spec, target.rows, n)
         nrows, width, r = m, n, n - target.dim
-    span = span_indices(IndexCode(spec, width), basis)
+        span = span_indices(IndexCode(spec, width), null_basis(spec, target.rows, n))
     step = q ** width
     cand = [0]
     for _ in range(nrows):

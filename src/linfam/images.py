@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Sequence
 
 from .gf import FieldSpec
-from .matspace import (IndexCode, index_rows, span_indices, subspaces_of_dim,
+from .matspace import (IndexCode, index_rows, subspaces_of_dim,
                        transpose_indices, vec_index)
 
 
@@ -84,9 +84,9 @@ class ImageTables:
         return self._marg[key]
 
 
-def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
-    """Image keys (w_1..w_c, b_1..b_r) of the domain bases, in
-    lexicographic order, with at most max_avoid avoiders.
+def capture_keys(tables: ImageTables, S, A, max_avoid: int):
+    """Image keys (w_1..w_c, b_1..b_r) of the bases of the domain subspaces
+    S and A, in lexicographic order, with at most max_avoid avoiders.
 
     A member M avoids them iff U_M = {u : M(sum u_i v_i) = sum u_i w_i} and
     its row twin V_M are zero.  Moebius inversion over the subspace lattices
@@ -100,12 +100,9 @@ def capture_keys(tables: ImageTables, colbasis, rowbasis, max_avoid: int):
     """
     spec = tables.spec
     q = spec.q
-    c, r = len(colbasis), len(rowbasis)
+    c, r = S.dim, A.dim
     depth = c + r
-    # IndexCode.extend puts the newest image first, so the domain listings
-    # run over the bases reversed: sum u_i basis_i sits at vec_index(u[::-1])
-    cspan = span_indices(tables.rowcode, colbasis[::-1])
-    rspan = span_indices(tables.colcode, rowbasis[::-1])
+    cspan, rspan = S.listing, A.listing
     lines_at: list[list] = [[] for _ in range(depth)]
     line_max = [0] * depth
     for span, dim, col, offset in ((cspan, c, True, 0), (rspan, r, False, c)):

@@ -12,10 +12,10 @@ its rows' indices.  IndexCode adds and scales indices by table lookup, and
 by XOR in characteristic 2.  A span of indices is held as its listing, the
 indices of its members: IndexCode.extend lists what one more vector adds to
 a span.  It builds span_indices, the listing by the index of every
-combination of a basis that the capture search and the projections share,
-and the member sets of the extremal prefix walk, of the rank walk, of the
-seed walks' spans (E + tau^-1 E, the seeds, the basis and its inverse) and
-of the domain tests of Family.restrict and the density and capture scans.
+combination of a basis; Subspace.listing, each subspace's one listing, kept
+for the capture and density scans' domains, the seeds and the projections;
+and the member sets of the prefix walk, of the rank walk, of the seed walks'
+spans (E + tau^-1 E, the basis and its inverse) and of Family.restrict.
 """
 from __future__ import annotations
 
@@ -443,13 +443,14 @@ def mat_from_literal(text: str, spec: FieldSpec | None = None) -> Mat:
 class Subspace:
     """A subspace of F_q^ambient, held as canonical RREF basis rows."""
 
-    __slots__ = ("field", "ambient", "rows", "_hash")
+    __slots__ = ("field", "ambient", "rows", "_hash", "_listing")
 
     def __init__(self, spec: FieldSpec, ambient: int, rref_basis: tuple[tuple[int, ...], ...]):
         self.field = spec
         self.ambient = ambient
         self.rows = rref_basis
         self._hash = hash((spec, ambient, rref_basis))
+        self._listing = None
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int,
@@ -468,6 +469,16 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def listing(self) -> list[int]:
+        """span_indices of the rows added first to last, listed on first
+        read and kept.  IndexCode.extend puts the newest row first, so
+        sum_i u_i rows_i sits at vec_index(u[::-1]), as in the capture walk."""
+        if self._listing is None:
+            self._listing = span_indices(IndexCode(self.field, self.ambient),
+                                         self.rows[::-1])
+        return self._listing
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient:

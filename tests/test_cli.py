@@ -444,7 +444,7 @@ def test_first_clash_matches_pairwise_scan(q):
 
 
 def test_extremal_singer_keeps_the_budget():
-    # 511 members: the pairwise agreement scan checks the clock per member
+    # 511 listed vectors: the clash scan checks the clock once per vector
     rc, out, err = run(["extremal", "--claim", "singer", "--q", "2", "--n", "9",
                         "--budget-seconds", "0"])
     assert rc == 3 and out == ""

@@ -19,6 +19,8 @@ from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
                            FieldMismatch, HypothesisUnmet,
                            InconsistentRestriction, NotQuasiregular,
                            ShapeMismatch)
+import linfam.families
+import linfam.matspace
 from linfam.gf import field
 from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_all,
                              enumerate_gl, rank, subspaces_of_dim, vec_add,
@@ -534,7 +536,8 @@ def _captureable_by_scan(F, s, eps):
     max_avoid = lo
     wvecs = list(itertools.product(range(spec.q), repeat=n))
     bvecs = list(itertools.product(range(spec.q), repeat=m))
-    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
+    for S, A in _domains(spec, m, n, s, F.context):
+        colbasis, rowbasis = S.rows, A.rows
         items = sorted(Counter((tuple(M.apply(v) for v in colbasis),
                                 tuple(M.rapply(a) for a in rowbasis))
                                for M in F.members).items())
@@ -563,7 +566,8 @@ def _densities_by_scan(F, s):
     in lexicographic order, by direct bucketing of the members."""
     spec, n, m = F.field, F.n, F.m
     dc, dr = F.context.dim_col, F.context.dim_row
-    for colbasis, rowbasis in _domains(spec, m, n, s, F.context):
+    for S, A in _domains(spec, m, n, s, F.context):
+        colbasis, rowbasis = S.rows, A.rows
         sub_card = spec.q ** ((m - dc - len(colbasis)) * (n - dr - len(rowbasis)))
         buckets = {}
         for M in F.members:
@@ -622,7 +626,27 @@ def test_domains_match_echelon_sums(q, n, m):
     spec, rng = field(q), random.Random(q * 10 + n)
     for kc, kr in itertools.product(range(3), repeat=2):
         ctx = _read_off(_seeded_matrix(spec, n, m, rng), kc, kr, rng)
-        assert _domains(spec, m, n, 2, ctx) == _domains_by_echelon(spec, m, n, 2, ctx)
+        assert ([(S.rows, A.rows) for S, A in _domains(spec, m, n, 2, ctx)]
+                == _domains_by_echelon(spec, m, n, 2, ctx))
+
+
+def test_domains_list_each_space_once(monkeypatch):
+    """A subspace keeps its listing, so a second _domains call on one shape
+    and context lists only the context's column and row domains."""
+    calls = []
+    for module in (linfam.matspace, linfam.families):
+        def counted(code, basis, real=module.span_indices):
+            calls.append(len(basis))
+            return real(code, basis)
+        monkeypatch.setattr(module, "span_indices", counted)
+    spec = field(5)
+    ctx = Restriction(spec, 2, 3, cols=[((1, 0, 2), (1, 4))],
+                      rows=[((0, 1), (4, 0, 0))])
+    first = _domains(spec, 3, 2, 2, ctx)
+    assert len(calls) >= 2 and first
+    calls.clear()
+    assert _domains(spec, 3, 2, 2, ctx) == first
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("q,n,m", SPAN_SHAPES)

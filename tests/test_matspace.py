@@ -192,6 +192,30 @@ def test_span_indices_against_tuple_combinations():
                     assert got[vec_index(q, u)] == vec_index(q, v)
 
 
+# every q^ambient <= 729; a dimension holding more than 3,000 spaces is
+# left out (F_2^9 has 8.3M subspaces, all but 1,024 of dimension 2 to 7)
+LISTING_POINTS = [(q, ambient) for q in (2, 3, 4, 5, 7, 8, 9)
+                  for ambient in range(1, 10) if q ** ambient <= 729]
+
+
+@pytest.mark.parametrize("q,ambient", LISTING_POINTS)
+def test_subspace_listing_against_tuple_combinations(q, ambient):
+    spec = field(q)
+    for d in range(ambient + 1):
+        if gaussian_binomial(ambient, d, q) > 3000:
+            continue
+        for S in subspaces_of_dim(spec, ambient, d):
+            # the rows taken last first, each new coefficient the least
+            # significant digit: entry vec_index(u[::-1]) is sum u_i rows_i
+            sums = [(0,) * ambient]
+            for r in reversed(S.rows):
+                multiples = [vec_smul(spec, c, r) for c in range(q)]
+                sums = [vec_add(spec, v, w) for v in sums for w in multiples]
+            listing = S.listing
+            assert listing == [vec_index(q, v) for v in sums]
+            assert S.listing is listing
+
+
 INDEX_CODE_POINTS = [(q, length) for q in (2, 3, 4, 5, 7, 8, 9)
                      for length in range(1, 4 if q >= 7 else 5)]
 
