@@ -80,6 +80,29 @@ def test_count_error_exits():
     assert rc == 2    # argparse rejects the choice
 
 
+COUNT_KINDS = {"gauss": ("m", "d"), "rank": ("n", "m", "d"), "mqt": ("n", "t"),
+               "phi": ("m", "n", "t"), "avoid": ("n", "k", "d")}
+
+
+def test_count_stdout_golden():
+    # every kind at q = 2 and 9 with each parameter in -1..4, out-of-range
+    # values included, then each kind with one required flag left out
+    argvs = []
+    for q, (kind, names) in itertools.product((2, 9), COUNT_KINDS.items()):
+        for vals in itertools.product(range(-1, 5), repeat=len(names)):
+            argvs.append([f"--{nm}={v}" for nm, v in zip(names, vals)]
+                         + ["--kind", kind, "--q", str(q)])
+        for left_out in names:
+            argvs.append([f"--{nm}=2" for nm in names if nm != left_out]
+                         + ["--kind", kind, "--q", str(q)])
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(json.dumps(run(["count"] + argv)).encode())
+    assert len(argvs) == 1466
+    assert h.hexdigest() == (
+        "62809a1341e204d132fa8c2fb1b62cd3cc52624b45be05b05e0daf527607a44a")
+
+
 def test_count_prime_power_test_keeps_budget():
     # 10^12 + 39 is prime: trial division runs to 10^6, past one clock check
     argv = ["count", "--kind", "mqt", "--q", "1000000000039", "--n", "2",

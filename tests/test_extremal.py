@@ -18,8 +18,10 @@ from linfam.budget import Budget
 from linfam.errors import BudgetExceeded, DomainError, PreconditionViolated
 from linfam.families import Family
 from linfam.gf import field
-from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_gl,
-                             gl_order, m_qt, mat_from_literal, rank, rank_table,
+from linfam.matspace import (Mat, Subspace, agreement_dim,
+                             count_subspaces_avoiding, enumerate_gl,
+                             gaussian_binomial, gl_order, m_qt,
+                             mat_from_literal, rank, rank_table,
                              subspaces_of_dim, vec_from_index, vec_index)
 
 
@@ -327,6 +329,79 @@ def test_derangement_ratio_chain():
     for bad in ((3, 2, 1, 0), (5, 2, 2, 0)):
         with pytest.raises(DomainError):
             ex.derangement_ratio_chain(*bad)
+
+
+def _class_count_by_loops(n, q, t, c, d):
+    """_class_count with the graph factor's product written out."""
+    a = t - c
+    total = 0
+    for k in range(t - 1, n + 1):
+        h = k - t + 1
+        inner = 0
+        for j in range(min(d, k) + 1):
+            for p in range(min(a, k - j) + 1):
+                if k + t + a - j - p > n:
+                    continue
+                graphs = gaussian_binomial(a, p, q) * q ** (p * (c - j))
+                for i in range(p):
+                    graphs *= q ** a - q ** i
+                inner += (gaussian_binomial(d, j, q) * m_qt(n, q, t + k - j)
+                          * graphs * count_subspaces_avoiding(
+                              n - j - p, t + a - j - p, k - j - p, q))
+        total += ((-1) ** h * q ** (h * (h - 1) // 2)
+                  * gaussian_binomial(k, t - 1, q) * inner)
+    return total
+
+
+def test_class_count_against_product_loops():
+    # every class a target can have: d <= c, since Fix tau cap E lies in
+    # E cap tau E, and d <= t - 1
+    for n in range(1, 8):
+        for q in (2, 3, 4, 5):
+            for t in range(1, n + 1):
+                for c in range(t + 1):
+                    for d in range(min(c, t - 1) + 1):
+                        assert (ex._class_count.__wrapped__(n, q, t, c, d)
+                                == _class_count_by_loops(n, q, t, c, d)), (
+                                    n, q, t, c, d)
+
+
+def _ratio_chain_by_loops(n, q, t, d):
+    """derangement_ratio_chain's report with every product written out."""
+    m = m_qt(n, q, t)
+    small = 1
+    for i in range(1, t - d):
+        small *= q ** (t - d - 1) - q ** (i - 1)
+    num = 1
+    for i in range(1, t - d):
+        num *= q ** n - q ** (i - 1)
+    for i in range(2 * t - d, n + 1):
+        num *= q ** n - q ** (i - 1) - q ** (i - t)
+    lhs_ratio = Fraction(num, m)
+    tail = Fraction(1)
+    for j in range(1, n - 2 * t + d + 2):
+        tail *= 1 - Fraction(1, q ** j)
+    return {
+        "n": n, "q": q, "t": t, "d": d,
+        "ratio_over_size": lhs_ratio,
+        "small_denominator": small,
+        "small_cap": q ** ((t - 1) ** 2),
+        "tail_product": tail,
+        "identity": 4 * ex.derangement_bound(n, q, t, d) / m
+                    == lhs_ratio / small,
+        "holds": (small <= q ** ((t - 1) ** 2)
+                  and lhs_ratio >= tail
+                  and tail > Fraction(1, 4)),
+    }
+
+
+def test_derangement_ratio_chain_against_product_loops():
+    for n in range(6, 13):
+        for q in (2, 3, 4):
+            for t in range(2, n // 3 + 1):
+                for d in range(t):
+                    assert (ex.derangement_ratio_chain(n, q, t, d)
+                            == _ratio_chain_by_loops(n, q, t, d)), (n, q, t, d)
 
 
 @pytest.mark.parametrize("d", [-1, 2])

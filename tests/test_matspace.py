@@ -410,4 +410,52 @@ def test_phi_values():
     assert phi(2, 2, 2, 2) == Fraction(1, 16)
 
 
+def _prod(factors):
+    out = 1
+    for f in factors:
+        out *= f
+    return out
+
+
+def test_closed_form_counts_against_product_loops():
+    # the oracles write each count as its own product over i, one factor
+    # q^N - q^i at a time
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for n in range(8):
+            assert gl_order(n, q) == _prod(q ** n - q ** i for i in range(n))
+            for t in range(n + 1):
+                assert m_qt(n, q, t) == _prod(q ** n - q ** (i + t - 1)
+                                              for i in range(1, n - t + 1))
+            for k in range(n + 1):
+                for d in range(n - k + 1):
+                    num = _prod(q ** n - q ** (k + i - 1) for i in range(1, d + 1))
+                    den = _prod(q ** d - q ** (i - 1) for i in range(1, d + 1))
+                    assert num % den == 0
+                    assert count_subspaces_avoiding(n, k, d, q) == num // den
+            for m in range(8):
+                for d in range(-1, min(n, m) + 2):
+                    want = 0 if d < 0 or d > min(n, m) else (
+                        gaussian_binomial(m, d, q) * gaussian_binomial(n, d, q)
+                        * _prod(q ** d - q ** (i - 1) for i in range(1, d + 1)))
+                    assert count_rank_d(n, m, d, q) == want
+                for t in range(max(m - n, 0), m + 1):
+                    num = gaussian_binomial(m, t, q) * _prod(
+                        q ** n - q ** (i - 1) for i in range(1, m - t + 1))
+                    assert phi(m, n, t, q) == Fraction(num, q ** (n * m))
+
+
+def test_closed_form_counts_domain_errors():
+    for t in (-1, 4):
+        with pytest.raises(DomainError, match=f"^need 0 <= t <= n, got t={t}$"):
+            m_qt(3, 2, t)
+        with pytest.raises(DomainError, match=f"^need 0 <= t <= m, got t={t}$"):
+            phi(3, 3, t, 2)
+    with pytest.raises(DomainError, match="^rank m - t cannot exceed n$"):
+        phi(4, 2, 1, 2)
+    for n, k, d in ((3, 2, 2), (3, -1, 1), (3, 1, -1)):
+        with pytest.raises(DomainError,
+                           match=r"^need d \+ k <= n with d, k >= 0$"):
+            count_subspaces_avoiding(n, k, d, 3)
+
+
 # --- block reductions ------------------------------------------------------
