@@ -44,34 +44,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-COUNT_PARAMS = {
-    "gauss": ("m", "d"),
-    "rank": ("n", "m", "d"),
-    "mqt": ("n", "t"),
-    "phi": ("m", "n", "t"),
-    "avoid": ("n", "k", "d"),
+# kind -> (its flags, the count of those flags' values followed by q)
+COUNTS = {
+    "gauss": (("m", "d"), gaussian_binomial),
+    "rank": (("n", "m", "d"), count_rank_d),
+    "mqt": (("n", "t"), lambda n, t, q: m_qt(n, q, t)),
+    "phi": (("m", "n", "t"), phi),
+    "avoid": (("n", "k", "d"), count_subspaces_avoiding),
 }
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     kind, q = args.kind, args.q
     prime_power(q, _budget(args))
-    for name in COUNT_PARAMS[kind]:
+    params, formula = COUNTS[kind]
+    out = {"kind": kind, "q": q}
+    for name in params:
         if getattr(args, name) is None:
             raise DomainError(f"--{name} is required for --kind {kind}")
-    if kind == "gauss":
-        val = gaussian_binomial(args.m, args.d, q)
-    elif kind == "rank":
-        val = count_rank_d(args.n, args.m, args.d, q)
-    elif kind == "mqt":
-        val = m_qt(args.n, q, args.t)
-    elif kind == "phi":
-        val = phi(args.m, args.n, args.t, q)
-    else:
-        val = count_subspaces_avoiding(args.n, args.k, args.d, q)
-    out = {"kind": kind, "q": q}
-    for name in COUNT_PARAMS[kind]:
         out[name] = getattr(args, name)
+    val = formula(*(out[name] for name in params), q)
     out["value"] = str(val) if isinstance(val, Fraction) else val
     print(json.dumps(out))
     return 0
@@ -222,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common],
                        help="closed-form counting formulas")
-    p.add_argument("--kind", required=True, choices=sorted(COUNT_PARAMS))
+    p.add_argument("--kind", required=True, choices=sorted(COUNTS))
     p.add_argument("--q", type=int, required=True)
     for name in ("n", "m", "t", "d", "k"):
         p.add_argument(f"--{name}", type=int)

@@ -21,7 +21,7 @@ from .families import Family
 from .gf import (FieldSpec, digits, field, first_generator, least_irreducible,
                  poly_mod, poly_mulmod)
 from .images import ImageTables
-from .matspace import (IndexCode, Mat, count_subspaces_avoiding,
+from .matspace import (IndexCode, Mat, _frames, count_subspaces_avoiding,
                        gaussian_binomial, gl_order, m_qt, rank, span_indices,
                        subspaces_of_dim, transpose_indices, vec_from_index,
                        vec_index)
@@ -270,9 +270,8 @@ def _class_count(n: int, q: int, t: int, c: int, d: int) -> int:
             for p in range(min(a, k - j) + 1):
                 if k + t + a - j - p > n:
                     continue
-                graphs = gaussian_binomial(a, p, q) * q ** (p * (c - j))
-                for i in range(p):
-                    graphs *= q ** a - q ** i
+                graphs = (gaussian_binomial(a, p, q) * q ** (p * (c - j))
+                          * _frames(q, a, 0, p))
                 inner += (gaussian_binomial(d, j, q) * m_qt(n, q, t + k - j)
                           * graphs * count_subspaces_avoiding(
                               n - j - p, t + a - j - p, k - j - p, q))
@@ -302,12 +301,8 @@ def derangement_ratio_chain(n: int, q: int, t: int, d: int) -> dict:
     if not 0 <= d <= t - 1:
         raise DomainError(f"need 0 <= d <= t - 1, got d={d}")
     m = m_qt(n, q, t)
-    small = 1
-    for i in range(1, t - d):
-        small *= q ** (t - d - 1) - q ** (i - 1)
-    num = 1
-    for i in range(1, t - d):
-        num *= q ** n - q ** (i - 1)
+    small = gl_order(t - d - 1, q)
+    num = _frames(q, n, 0, t - d - 1)
     for i in range(2 * t - d, n + 1):
         num *= q ** n - q ** (i - 1) - q ** (i - t)
     lhs_ratio = Fraction(num, m)

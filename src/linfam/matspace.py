@@ -594,31 +594,31 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
+def _frames(q: int, n: int, k: int, d: int) -> int:
+    """prod_{i=k}^{k+d-1} (q^n - q^i): the ordered d-tuples in F_q^n that
+    are independent modulo a fixed k-dimensional subspace."""
+    out = 1
+    for i in range(k, k + d):
+        out *= q ** n - q ** i
+    return out
+
+
 def count_rank_d(n: int, m: int, d: int, q: int) -> int:
     """Number of n x m matrices over F_q of rank exactly d."""
     if d < 0 or d > min(n, m):
         return 0
-    out = gaussian_binomial(m, d, q) * gaussian_binomial(n, d, q)
-    for i in range(1, d + 1):
-        out *= q ** d - q ** (i - 1)
-    return out
+    return gaussian_binomial(m, d, q) * gaussian_binomial(n, d, q) * gl_order(d, q)
 
 
 def gl_order(n: int, q: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
+    return _frames(q, n, 0, n)
 
 
 def m_qt(n: int, q: int, t: int) -> int:
     """|{sigma in GL(n, q) : sigma fixes e_1, ..., e_t pointwise}|."""
     if not 0 <= t <= n:
         raise DomainError(f"need 0 <= t <= n, got t={t}")
-    out = 1
-    for i in range(1, n - t + 1):
-        out *= q ** n - q ** (i + t - 1)
-    return out
+    return _frames(q, n, t, n - t)
 
 
 def phi(m: int, n: int, t: int, q: int) -> Fraction:
@@ -627,20 +627,15 @@ def phi(m: int, n: int, t: int, q: int) -> Fraction:
         raise DomainError(f"need 0 <= t <= m, got t={t}")
     if n < m - t:
         raise DomainError("rank m - t cannot exceed n")
-    num = gaussian_binomial(m, t, q)
-    for i in range(1, m - t + 1):
-        num *= q ** n - q ** (i - 1)
-    return Fraction(num, q ** (n * m))
+    return Fraction(gaussian_binomial(m, t, q) * _frames(q, n, 0, m - t),
+                    q ** (n * m))
 
 
 def count_subspaces_avoiding(n: int, k: int, d: int, q: int) -> int:
     """d-dim subspaces of F_q^n meeting a fixed k-dim subspace trivially."""
     if d < 0 or k < 0 or d + k > n:
         raise DomainError("need d + k <= n with d, k >= 0")
-    num = den = 1
-    for i in range(1, d + 1):
-        num *= q ** n - q ** (k + i - 1)
-        den *= q ** d - q ** (i - 1)
+    num, den = _frames(q, n, k, d), gl_order(d, q)
     if num % den:
         raise InvariantViolated(f"subspace count {num}/{den} is not an integer")
     return num // den
