@@ -22,9 +22,10 @@ from linfam.errors import (BudgetExceeded, DomainError, DomainOverlap,
 import linfam.families
 import linfam.matspace
 from linfam.gf import field
+from linfam.images import capture_keys
 from linfam.matspace import (Mat, Subspace, agreement_dim, enumerate_all,
                              enumerate_gl, rank, subspaces_of_dim, vec_add,
-                             vec_smul, vec_sub)
+                             vec_index, vec_smul, vec_sub)
 from linfam.families import (Family, Junta, Restriction, _coset_listing,
                              _domains, _frame_independent,
                              default_regularity_eps,
@@ -817,6 +818,53 @@ def test_capture_search_finds_mixed_plants():
         assert got is not None and len(F.restrict_avoiding(got)) == 0
         shapes[(got.dim_col, got.dim_row)] += 1
     assert shapes[(1, 1)] >= 5, shapes
+
+
+def _avoiders_by_scan(F, S, A):
+    """(key, avoider count) for every image key of the bases of S and A, in
+    lexicographic order: a member bucket avoids a key when both its
+    difference frames are independent."""
+    spec, n, m = F.field, F.n, F.m
+    buckets = Counter((tuple(M.apply(v) for v in S.rows),
+                       tuple(M.rapply(a) for a in A.rows)) for M in F.members)
+    wvecs = list(itertools.product(range(spec.q), repeat=n))
+    bvecs = list(itertools.product(range(spec.q), repeat=m))
+    for ws in itertools.product(wvecs, repeat=S.dim):
+        for bs in itertools.product(bvecs, repeat=A.dim):
+            avoid = sum(cnt for (us, vs), cnt in buckets.items()
+                        if _frame_independent(spec, [vec_sub(spec, u, w)
+                                                     for u, w in zip(us, ws)])
+                        and _frame_independent(spec, [vec_sub(spec, v, b)
+                                                      for v, b in zip(vs, bs)]))
+            yield tuple(vec_index(spec.q, x) for x in ws + bs), avoid
+
+
+# domains of complexity <= 3 reach depth 3 and the mixed (2, 1) and (1, 2)
+# domains, which the s <= 2 searches above never list
+KEY_SHAPES = [(2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2), (4, 1, 3), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("q,n,m", KEY_SHAPES)
+def test_capture_keys_match_member_scan(q, n, m):
+    """Every key capture_keys lists, in order, at thresholds 0, |F|/4,
+    |F|/2 and |F| (which lists every key of the complexity-0 domain), on
+    the first and last domain of each (dim S, dim A)."""
+    spec, rnd = field(q), random.Random(q * 100 + n * 10 + m)
+    empty = Restriction.empty(spec, n, m)
+    uniform = Family(spec, n, m, [M for M in enumerate_coset(empty)
+                                  if rnd.random() < 0.5])
+    by_dims = {}
+    for S, A in _domains(spec, m, n, 3, empty):
+        by_dims.setdefault((S.dim, A.dim), []).append((S, A))
+    domains = [D for group in by_dims.values()
+               for D in dict.fromkeys((group[0], group[-1]))]
+    for F in (uniform, _pinned_family(q, n, m, False, q + n + m)):
+        total = len(F)
+        for S, A in domains:
+            scan = list(_avoiders_by_scan(F, S, A))
+            for max_avoid in (0, total // 4, total // 2, total):
+                assert (list(capture_keys(F.tables(), S, A, max_avoid))
+                        == [key for key, avoid in scan if avoid <= max_avoid])
 
 
 def test_searches_check_the_budget():
