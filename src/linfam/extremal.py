@@ -62,12 +62,12 @@ def _report(claim: str, params: dict, value, bound, status: str,
 
 # --- prefix-fixing invertible families --------------------------------------
 
-def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
+def _prefix_walk(code: IndexCode, fixed: Sequence[int],
                  target: Sequence[int] | None, budget: Budget | None):
-    """Depth-first walk over the invertible maps sigma of F_q^n, given by
-    the images of a basis b_0 .. b_{n-1}, with sigma(b_j) = fixed[j] for
-    j < len(fixed).  Every vector is its vec_index code, and every span is
-    held as the set of its members, grown by code.extend.
+    """Depth-first walk over the invertible maps sigma of F_q^n (n =
+    code.length), given by the images of a basis b_0 .. b_{n-1}, with
+    sigma(b_j) = fixed[j] for j < len(fixed).  Vectors are vec_index
+    codes, and every span is the set of its members, grown by code.extend.
 
     Fixed images are taken as given.  A free image is admitted, in code
     order, when it lies outside the span of the images above it and, if a
@@ -80,7 +80,7 @@ def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
     changed between yields) and last the admitted images of b_{n-1}.
     """
     b = ensure(budget)
-    free = set(range(1, code.field.q ** n))
+    free = set(range(1, code.field.q ** code.length))
     span, diff = {0}, {0}
     imgs: list = []
     batches = 0
@@ -95,7 +95,7 @@ def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
 
     def rec(depth: int):
         nonlocal batches
-        if depth == n - 1:
+        if depth == code.length - 1:
             b.check_clock("fixed-prefix enumeration", f"{batches} batches")
             batches += 1
             yield imgs, admitted(depth)
@@ -120,7 +120,7 @@ def _prefix_walk(code: IndexCode, n: int, fixed: Sequence[int],
 def _gl(spec: FieldSpec, n: int, budget: Budget | None):
     """GL(n, q) in Mat.index order: the prefix walk with no fixed images,
     the map (imgs, c) read as rows, of index vec_index(q^n, imgs) q^n + c."""
-    return _prefix_walk(IndexCode(spec, n), n, [], None, budget)
+    return _prefix_walk(IndexCode(spec, n), [], None, budget)
 
 
 def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
@@ -131,7 +131,7 @@ def _fixing_walk(spec: FieldSpec, n: int, t: int, budget: Budget | None):
     b.check_items(m_qt(n, spec.q, t), "fixed-prefix enumeration")
     # the column code of e_j is q^(n - 1 - j)
     fixed = [spec.q ** (n - 1 - j) for j in range(t)]
-    return _prefix_walk(IndexCode(spec, n), n, fixed, None, b)
+    return _prefix_walk(IndexCode(spec, n), fixed, None, b)
 
 
 def canonical_family(n: int, q: int, t: int,
@@ -361,7 +361,7 @@ def _seed_walks(n: int, q: int, t: int, tau: Mat, budget: Budget | None):
                 basis.append(v)
         images = [act[v] for v in basis]
         fixed = basis[:t] + images[t:2 * t - d - 1]
-        yield basis, _prefix_walk(code, n, fixed, images, budget)
+        yield basis, _prefix_walk(code, fixed, images, budget)
 
 
 def derangement_construct(n: int, q: int, t: int, tau: Mat,

@@ -485,9 +485,9 @@ def _witness(F: Family, S: Subspace, A: Subspace, key) -> Restriction:
 def is_captureable(F: Family, s: int, eps,
                    budget: Budget | None = None) -> Restriction | None:
     """Lexicographically first (Pi, pi) of complexity <= s whose avoiders
-    have context measure <= eps, or None.  Avoiders are counted by
-    Moebius inversion over a pruned walk of the candidate images
-    (images.capture_keys)."""
+    have context measure <= eps, or None.  A pruned walk of the candidate
+    images counts each leaf's avoiders, the members that miss the images
+    on every line (images.capture_keys)."""
     spec = F.field
     n, m = F.n, F.m
     card = F.context.coset_cardinality()

@@ -7,7 +7,8 @@ members by their images of a few of these vectors at once, and tells which
 members meet a restriction (Family.restrict, measure_outside_junta) by one
 array read per member and constraint.  A Family builds its tables once (Family.tables).
 capture_keys walks the candidate images of a constraint domain, its spans
-grown by IndexCode.extend, and counts avoiders from those tallies.
+grown by IndexCode.extend, prunes by the line tallies and counts a leaf's
+avoiders from the line arrays.
 """
 from __future__ import annotations
 
@@ -89,14 +90,11 @@ def capture_keys(tables: ImageTables, S, A, max_avoid: int):
     S and A, in lexicographic order, with at most max_avoid avoiders.
 
     A member M avoids them iff U_M = {u : M(sum u_i v_i) = sum u_i w_i} and
-    its row twin V_M are zero.  Moebius inversion over the subspace lattices
-    of F_q^c and F_q^r, with mu(0, U) = (-1)^k q^C(k,2) for dim U = k, gives
-        avoid = sum over U, V of mu(0, U) mu(0, V) N_{U,V},
-    N_{U,V} the members meeting the constraints that U and V span: one
-    tally lookup.  A member that does not avoid has a line in U_M or V_M,
-    so avoid >= total - (sum of N over lines).  The walk fixes one image
-    per level and drops a prefix when the counts of its fixed lines plus
-    the largest counts of the open lines fall below total - max_avoid.
+    its row twin V_M are zero: iff M misses the key's image on every line of
+    F_q^c and F_q^r.  So avoid >= total - (sum of the line counts).  The
+    walk fixes one image per level and drops a prefix when the counts of
+    its fixed lines plus the largest counts of the open lines fall below
+    total - max_avoid; a leaf counts the members that miss every line.
     """
     spec = tables.spec
     q = spec.q
@@ -112,38 +110,21 @@ def capture_keys(tables: ImageTables, S, A, max_avoid: int):
             p = vec_index(q, u[::-1])
             x = (span[p],)
             cnt = tables.marginal(x, ()) if col else tables.marginal((), x)
-            lines_at[level].append((p, cnt))
+            images = tables.col[span[p]] if col else tables.row[span[p]]
+            lines_at[level].append((p, cnt, images))
             line_max[level] += max(cnt.values(), default=0)
     need = tables.total - max_avoid
     if sum(line_max) < need:
         return
     open_after = [sum(line_max[lv + 1:]) for lv in range(depth)]
-    higher = []
-    for k in range(c + 1):
-        for U in subspaces_of_dim(spec, c, k):
-            for l in range(r + 1):
-                if k + l < 2:
-                    continue
-                for V in subspaces_of_dim(spec, r, l):
-                    mu = (-1) ** (k + l) * q ** ((k * (k - 1) + l * (l - 1)) // 2)
-                    cpos = tuple(vec_index(q, u[::-1]) for u in U.rows)
-                    rpos = tuple(vec_index(q, a[::-1]) for a in V.rows)
-                    higher.append((mu, cpos, rpos,
-                                   tuple(cspan[p] for p in cpos),
-                                   tuple(rspan[p] for p in rpos)))
     chosen = [0] * depth
-    # the domain's own tallies, built at the first leaf that needs them;
-    # only the line tallies are shared between domains
-    tallies: dict = {}
 
     def walk(level: int, fixed: int, cspan: list, rspan: list):
         if level == depth:
-            avoid = tables.total - fixed
-            for i, (mu, cpos, rpos, cols, rows) in enumerate(higher):
-                if i not in tallies:
-                    tallies[i] = tables.tally(cols, rows)
-                key = tuple(cspan[p] for p in cpos) + tuple(rspan[p] for p in rpos)
-                avoid += mu * tallies[i].get(key, 0)
+            misses = [map((cspan if lv < c else rspan)[p].__ne__, images)
+                      for lv in range(depth) for p, _, images in lines_at[lv]]
+            # a complexity-0 domain has no lines: every member avoids it
+            avoid = sum(map(all, zip(*misses))) if misses else tables.total
             if avoid <= max_avoid:
                 yield tuple(chosen)
             return
@@ -155,7 +136,7 @@ def capture_keys(tables: ImageTables, S, A, max_avoid: int):
         for w in range(q ** (tables.n if col else tables.m)):
             # span of the images fixed so far: sum u_i w_i at vec_index(u[::-1])
             grown = span + code.extend(span, w)
-            got = fixed + sum(cnt.get((grown[p],), 0) for p, cnt in lines)
+            got = fixed + sum(cnt.get((grown[p],), 0) for p, cnt, _ in lines)
             if got < floor:
                 continue
             chosen[level] = w
